@@ -35,7 +35,7 @@ from multiprocessing import get_context
 from typing import Iterator, Union
 
 from .errors import LimitExceededError
-from .poly import GammaVector, IntPolynomial
+from .poly import GammaVector, IntPolynomial, add_binomial_row
 
 Tree = Union[int, tuple]
 
@@ -558,18 +558,11 @@ def bicolored_comb_census(n: int, threads: int = 1, cap: int = DEFAULT_CAP) -> I
     Forced colors contribute t^rdes per tree and each free node doubles into
     a (1 + t) factor; summed over trees without double right descents.
     """
-    tally = joint_statistics(n, threads, cap)
-    out = IntPolynomial()
-    grouped: Counter = Counter()
-    for (r, d, _nl, _dl, f), c in tally.items():
+    out: list[int] = []
+    for (r, d, _nl, _dl, f), c in joint_statistics(n, threads, cap).items():
         if d == 0:
-            grouped[(r, f)] += c
-    for (r, f), c in sorted(grouped.items()):
-        term = IntPolynomial([0] * r + [c])
-        for _ in range(f):
-            term = term * IntPolynomial([1, 1])
-        out = out + term
-    return out
+            add_binomial_row(out, c, r, f)
+    return IntPolynomial(out)
 
 
 def bicolored_lyndon_census(n: int, threads: int = 1, cap: int = DEFAULT_CAP) -> IntPolynomial:
@@ -578,15 +571,8 @@ def bicolored_lyndon_census(n: int, threads: int = 1, cap: int = DEFAULT_CAP) ->
     Each tree without double non-Lyndon pairs forces nlyn zeros and nlyn
     ones, all distinct, leaving n - 1 - 2*nlyn nodes free.
     """
-    tally = joint_statistics(n, threads, cap)
-    out = IntPolynomial()
-    grouped: Counter = Counter()
-    for (_r, _d, nl, dl, _f), c in tally.items():
+    out: list[int] = []
+    for (_r, _d, nl, dl, _f), c in joint_statistics(n, threads, cap).items():
         if dl == 0:
-            grouped[nl] += c
-    for nl, c in sorted(grouped.items()):
-        term = IntPolynomial([0] * nl + [c])
-        for _ in range(n - 1 - 2 * nl):
-            term = term * IntPolynomial([1, 1])
-        out = out + term
-    return out
+            add_binomial_row(out, c, nl, n - 1 - 2 * nl)
+    return IntPolynomial(out)

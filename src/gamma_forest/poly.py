@@ -15,12 +15,23 @@ its gamma interpretation over permutations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import permutations
+from math import comb
 from typing import Iterable
 
 
 class NotPalindromicError(ValueError):
     """Raised when a gamma-basis conversion is asked of an asymmetric polynomial."""
+
+
+def _exact_ints(values: Iterable[int], what: str) -> list[int]:
+    # type, not isinstance: bool is an int subclass, and a float or Fraction
+    # with an integral value would still make results inexact or mistyped
+    out = list(values)
+    for v in out:
+        if type(v) is not int:
+            raise TypeError(f"{what} must be ints, got {v!r} ({type(v).__name__})")
+    return out
 
 
 @dataclass(frozen=True, init=False)
@@ -39,7 +50,7 @@ class IntPolynomial:
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = list(coeffs)
+        cs = _exact_ints(coeffs, "coefficients")
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -107,7 +118,7 @@ class GammaVector:
     degree: int
 
     def __init__(self, gammas: Iterable[int], degree: int):
-        gs = tuple(gammas)
+        gs = tuple(_exact_ints(gammas, "gamma coordinates"))
         if len(gs) != degree // 2 + 1:
             raise ValueError(
                 f"gamma vector of degree {degree} needs {degree // 2 + 1} "
@@ -118,16 +129,6 @@ class GammaVector:
 
     def is_nonnegative(self) -> bool:
         return all(g >= 0 for g in self.gammas)
-
-
-def add(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    """Coefficientwise sum with trailing zeros stripped."""
-    return p + q
-
-
-def multiply(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    """Exact convolution product."""
-    return p * q
 
 
 def evaluate(p: IntPolynomial, t):
@@ -149,13 +150,21 @@ def is_palindromic(p: IntPolynomial) -> bool:
     return all(cs[i] == cs[-1 - i] for i in range(len(cs) // 2))
 
 
-def _gamma_term(j: int, degree: int) -> IntPolynomial:
-    # t^j (1+t)^(degree - 2j)
-    binom = IntPolynomial([1])
-    one_plus_t = IntPolynomial([1, 1])
-    for _ in range(degree - 2 * j):
-        binom = binom * one_plus_t
-    return IntPolynomial([0] * j + list(binom.coeffs))
+def add_binomial_row(acc: list[int], c: int, j: int, m: int) -> None:
+    """Add c t^j (1+t)^m to the coefficient list acc in place, padding acc.
+
+    (1+t)^m is the binomial row C(m, 0..m), so this costs O(m) big-integer
+    operations.  drake_polynomial does not use it, so that the censuses and
+    gamma conversions built on it are checked against an independent path.
+
+    >>> acc = [0, 0, 1]
+    >>> add_binomial_row(acc, 2, 1, 2)
+    >>> acc
+    [0, 2, 5, 2]
+    """
+    acc.extend([0] * (j + m + 1 - len(acc)))
+    for k in range(m + 1):
+        acc[j + k] += c * comb(m, k)
 
 
 def to_gamma_basis(p: IntPolynomial) -> GammaVector:
@@ -163,7 +172,7 @@ def to_gamma_basis(p: IntPolynomial) -> GammaVector:
 
     Peeling reads gamma_j off the residue's t^j coefficient, then subtracts
     gamma_j t^j (1+t)^(d-2j); entries may be negative.  Requires a
-    palindromic input.
+    palindromic input.  O(d^2) big-integer operations.
 
     >>> to_gamma_basis(IntPolynomial([2, 5, 2])).gammas
     (2, 1)
@@ -173,15 +182,14 @@ def to_gamma_basis(p: IntPolynomial) -> GammaVector:
     if not is_palindromic(p):
         raise NotPalindromicError(f"polynomial {list(p.coeffs)} is not palindromic")
     d = p.degree
-    residue = p
+    residue = list(p.coeffs)
     gammas = []
     for j in range(d // 2 + 1):
-        c = residue.coeffs[j] if j < len(residue.coeffs) else 0
+        c = residue[j]
         gammas.append(c)
         if c:
-            term = _gamma_term(j, d)
-            residue = residue + IntPolynomial([-c * x for x in term.coeffs])
-    if residue.coeffs:
+            add_binomial_row(residue, -c, j, d - 2 * j)
+    if any(residue):
         raise NotPalindromicError(f"peeling left a nonzero residue for {list(p.coeffs)}")
     return GammaVector(gammas, d)
 
@@ -194,11 +202,11 @@ def from_gamma_basis(g: GammaVector) -> IntPolynomial:
     >>> from_gamma_basis(GammaVector([6, 8], 3)).coeffs
     (6, 26, 26, 6)
     """
-    out = IntPolynomial()
+    out: list[int] = []
     for j, c in enumerate(g.gammas):
         if c:
-            out = out + _gamma_term(j, g.degree) * IntPolynomial([c])
-    return out
+            add_binomial_row(out, c, j, g.degree - 2 * j)
+    return IntPolynomial(out)
 
 
 def drake_polynomial(n: int) -> IntPolynomial:
@@ -214,19 +222,22 @@ def drake_polynomial(n: int) -> IntPolynomial:
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    out = IntPolynomial([1])
+    cs = [1]
     for i in range(1, n):
-        out = out * IntPolynomial([n - i, i])
-    return out
+        cs = [(n - i) * lo + i * hi for lo, hi in zip(cs + [0], [0] + cs)]
+    return IntPolynomial(cs)
 
 
 def gamma_closed_form(n: int) -> GammaVector:
     """Closed-form gamma coordinates of drake_polynomial(n).
 
-    For odd n the j-th entry sums over j-subsets J of {1, ..., (n-1)/2} the
-    product of (n-2i)^2 over i in J times s(n-s) over the remaining s; for
-    even n the index set is {1, ..., (n-2)/2} and the sum carries a factor
-    n/2.  Subsets are iterated explicitly.
+    Pairing the factors i and n-i gives ((n-i) + i t)(i + (n-i) t) =
+    i(n-i) (1+t)^2 + (n-2i)^2 t, so the gamma vector is the coefficient list
+    of c * prod_{s=1}^{q} (s(n-s) + (n-2s)^2 x), with q = (n-1)/2 and c = 1
+    for odd n; for even n the unpaired middle factor (n/2)(1+t) gives
+    q = (n-2)/2 and c = n/2.  Entry j is the sum over j-subsets J of {1..q}
+    of c times (n-2i)^2 for i in J times s(n-s) for s not in J.  Built one
+    factor at a time in O(q^2), without drake_polynomial or peeling.
 
     >>> gamma_closed_form(3).gammas
     (2, 1)
@@ -237,25 +248,10 @@ def gamma_closed_form(n: int) -> GammaVector:
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    if n % 2 == 1:
-        q = (n - 1) // 2
-        prefactor = 1
-    else:
-        q = (n - 2) // 2
-        prefactor = n // 2
-    index_set = range(1, q + 1)
-    gammas = []
-    for j in range(q + 1):
-        total = 0
-        for used in combinations(index_set, j):
-            term = 1
-            for i in used:
-                term *= (n - 2 * i) ** 2
-            rest = set(index_set) - set(used)
-            for s in rest:
-                term *= s * (n - s)
-            total += term
-        gammas.append(prefactor * total)
+    gammas = [1 if n % 2 else n // 2]
+    for s in range(1, (n - 1) // 2 + 1):
+        a, b = s * (n - s), (n - 2 * s) ** 2
+        gammas = [a * lo + b * hi for lo, hi in zip(gammas + [0], [0] + gammas)]
     return GammaVector(gammas, n - 1)
 
 

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping
 
 from . import binary_trees
 from .errors import LimitExceededError
-from .poly import IntPolynomial
+from .poly import IntPolynomial, add_binomial_row
 
 DEFAULT_CAP = 10
 FMC_CAP_N = 8
@@ -212,17 +212,13 @@ def specialize_two_vars(f: ESymExpansion) -> IntPolynomial:
     e_lambda maps to t^j (1+t)^m when lambda = (2^j, 1^m) and to zero
     otherwise.
     """
-    out = IntPolynomial()
+    out: list[int] = []
     for lam, c in f.terms:
         if any(part > 2 for part in lam.parts):
             continue
         twos = sum(1 for part in lam.parts if part == 2)
-        ones = len(lam.parts) - twos
-        term = IntPolynomial([0] * twos + [c])
-        for _ in range(ones):
-            term = term * IntPolynomial([1, 1])
-        out = out + term
-    return out
+        add_binomial_row(out, c, twos, len(lam.parts) - twos)
+    return IntPolynomial(out)
 
 
 def product_form_count(t: binary_trees.Tree, k: int) -> int:

@@ -9,7 +9,7 @@ import pytest
 from gamma_forest import cli
 
 
-def run_cli(*args, env=None):
+def run_cli(*args, env=None, timeout=None):
     import os
 
     full_env = dict(os.environ)
@@ -20,6 +20,7 @@ def run_cli(*args, env=None):
         capture_output=True,
         text=True,
         env=full_env,
+        timeout=timeout,
     )
 
 
@@ -48,6 +49,15 @@ class TestPolyCommand:
         doc = json.loads(r.stdout)
         assert doc["degree"] == 19
         assert sum(int(c) for c in doc["coeffs"]) == 20**19
+
+    def test_gamma_large_n_prints_peeled_vector(self):
+        from gamma_forest.poly import drake_polynomial, to_gamma_basis
+
+        r = run_cli("poly", "--n", "200", "--basis", "gamma", timeout=60)
+        assert r.returncode == 0
+        peeled = to_gamma_basis(drake_polynomial(200)).gammas
+        assert len(peeled) == 100
+        assert r.stdout == "gamma: " + " ".join(str(g) for g in peeled) + "\n"
 
     def test_rejects_bad_n(self):
         r = run_cli("poly", "--n", "0")

@@ -2,6 +2,7 @@
 
 import doctest
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +12,7 @@ from gamma_forest.poly import (
     GammaVector,
     IntPolynomial,
     NotPalindromicError,
+    add_binomial_row,
     drake_polynomial,
     eulerian_gamma_count,
     eulerian_polynomial,
@@ -25,6 +27,30 @@ from gamma_forest.poly import (
 def test_doctests():
     result = doctest.testmod(poly)
     assert result.failed == 0
+
+
+def subset_sum_gammas(n):
+    """Reference for gamma_closed_form: the paper's subset sum, one subset at
+    a time.  O(2^q) with q = (n - 1) // 2, so only for small n."""
+    if n % 2 == 1:
+        q = (n - 1) // 2
+        prefactor = 1
+    else:
+        q = (n - 2) // 2
+        prefactor = n // 2
+    index_set = range(1, q + 1)
+    gammas = []
+    for j in range(q + 1):
+        total = 0
+        for used in combinations(index_set, j):
+            term = 1
+            for i in used:
+                term *= (n - 2 * i) ** 2
+            for s in set(index_set) - set(used):
+                term *= s * (n - s)
+            total += term
+        gammas.append(prefactor * total)
+    return tuple(gammas)
 
 
 class TestIntPolynomial:
@@ -59,6 +85,38 @@ class TestIntPolynomial:
         with pytest.raises(Exception):
             p.coeffs = (3,)
 
+    @pytest.mark.parametrize("bad", [2.0, 1.5, Fraction(2), True, False])
+    def test_rejects_inexact_coefficients(self, bad):
+        with pytest.raises(TypeError):
+            IntPolynomial([bad, 5, 2])
+        with pytest.raises(TypeError):
+            IntPolynomial([2, 5, bad])
+
+    def test_float_input_never_reaches_peeling(self):
+        # accepted before, when peeling returned the float gammas (2.0, 1.0)
+        with pytest.raises(TypeError):
+            to_gamma_basis(IntPolynomial([2.0, 5, 2]))
+
+
+class TestBinomialRow:
+    def test_matches_repeated_multiplication(self):
+        power = IntPolynomial([1])  # (1+t)^m
+        for m in range(41):
+            acc = []
+            add_binomial_row(acc, 1, 0, m)
+            assert acc == list(power.coeffs)
+            j = m % 3
+            acc = [5]
+            add_binomial_row(acc, -7, j, m)
+            expected = IntPolynomial([5]) + IntPolynomial([0] * j + [-7]) * power
+            assert IntPolynomial(acc) == expected
+            power = power * IntPolynomial([1, 1])
+
+    def test_keeps_a_longer_accumulator_length(self):
+        acc = [1, 2, 3, 4]
+        add_binomial_row(acc, 1, 0, 1)
+        assert acc == [2, 3, 3, 4]
+
 
 class TestGammaBasis:
     def test_round_trip_reference(self):
@@ -84,8 +142,15 @@ class TestGammaBasis:
         with pytest.raises(ValueError):
             GammaVector((1, 2, 3), 3)  # degree 3 allows only 2 entries
 
+    @pytest.mark.parametrize("bad", [1.5, 2.0, Fraction(1, 2), True])
+    def test_rejects_inexact_gammas(self, bad):
+        with pytest.raises(TypeError):
+            GammaVector([bad], 0)
+        with pytest.raises(TypeError):
+            GammaVector([1, bad], 3)
+
     @given(
-        st.integers(min_value=0, max_value=12).flatmap(
+        st.integers(min_value=0, max_value=60).flatmap(
             lambda d: st.lists(
                 st.integers(min_value=-50, max_value=50),
                 min_size=d // 2 + 1,
@@ -170,6 +235,16 @@ class TestGammaClosedForm:
                 == to_gamma_basis(drake_polynomial(n)).gammas
             )
 
+    def test_matches_peeling_large_n(self):
+        for n in [*range(21, 61), 200]:
+            closed = gamma_closed_form(n)
+            peeled = to_gamma_basis(drake_polynomial(n))
+            assert closed == peeled
+
+    def test_matches_subset_sum(self):
+        for n in range(1, 25):
+            assert gamma_closed_form(n).gammas == subset_sum_gammas(n)
+
     def test_leading_gamma_is_factorial(self):
         import math
 
@@ -179,6 +254,35 @@ class TestGammaClosedForm:
     def test_all_positive(self):
         for n in range(1, 21):
             assert all(g > 0 for g in gamma_closed_form(n).gammas)
+
+
+class TestIndependence:
+    """The identities checked elsewhere compare computations that must not
+    share a path: the closed form against peeling of the product form, and
+    the product form against censuses built from binomial rows."""
+
+    @staticmethod
+    def _forbid(monkeypatch, *names):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an independent computation took a shared path")
+
+        for name in names:
+            monkeypatch.setattr(poly, name, forbidden)
+
+    def test_closed_form_uses_neither_product_nor_conversion(self, monkeypatch):
+        self._forbid(
+            monkeypatch,
+            "drake_polynomial",
+            "to_gamma_basis",
+            "from_gamma_basis",
+            "add_binomial_row",
+        )
+        for n in (8, 9):
+            assert poly.gamma_closed_form(n).gammas == subset_sum_gammas(n)
+
+    def test_product_form_skips_binomial_row(self, monkeypatch):
+        self._forbid(monkeypatch, "add_binomial_row")
+        assert poly.drake_polynomial(5).coeffs == (24, 154, 269, 154, 24)
 
 
 class TestEulerian:
