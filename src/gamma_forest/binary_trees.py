@@ -31,9 +31,9 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations, product
-from multiprocessing import get_context
 from typing import Iterator, Union
 
+from ._pool import map_shards
 from .errors import LimitExceededError
 from .poly import GammaVector, IntPolynomial, add_binomial_row
 
@@ -521,10 +521,8 @@ def joint_statistics(n: int, threads: int = 1, cap: int = DEFAULT_CAP) -> Counte
             width *= 2 * m - 3
             m += 1
         tasks = [(n, prefix) for prefix in product(*levels)]
-        with get_context("fork").Pool(threads) as pool:
-            partials = pool.map(_tally_task, tasks)
         total: Counter = Counter()
-        for part in partials:
+        for part in map_shards(_tally_task, tasks, threads):
             total.update(part)
         return total
     return _joint_tally(n, ())
@@ -576,3 +574,182 @@ def bicolored_lyndon_census(n: int, threads: int = 1, cap: int = DEFAULT_CAP) ->
         if dl == 0:
             add_binomial_row(out, c, nl, n - 1 - 2 * nl)
     return IntPolynomial(out)
+
+
+# ---------------------------------------------------------------------------
+# Insertion rows engine.
+#
+# Rows come in enumerate_normalized order: every tree on [n - 1], and under
+# it the insertions of leaf n at its nodes in preorder.  One pass over the
+# parent gives its string, each node's span in that string, and the parent's
+# statistic; each child then costs one string splice and the local change of
+# the statistic that the joint tally's update rules describe.
+# ---------------------------------------------------------------------------
+
+ROW_STATS = ("rdes", "nlyn", "free", "combtype")
+
+# per node of the preorder pass
+_START, _END, _RIGHT, _PARENT, _LEFT_CHILD, _RIGHT_CHILD, _VALENCY = range(7)
+
+
+def _preorder(t: Tree) -> tuple[str, list[list]]:
+    """tree_to_string(t), and per node in preorder [start, end, is_right,
+    parent, left child, right child, valency]; children are -1 at a leaf."""
+    parts: list[str] = []
+    nodes: list[list] = []
+    pos = 0
+
+    def walk(node: Tree, parent: int, is_right: bool) -> None:
+        nonlocal pos
+        rec = [pos, 0, is_right, parent, -1, -1, node]
+        me = len(nodes)
+        nodes.append(rec)
+        if isinstance(node, int):  # its own valency, set above
+            label = str(node)
+            parts.append(label)
+            pos += len(label)
+        else:
+            parts.append("(")
+            pos += 1
+            rec[_LEFT_CHILD] = len(nodes)
+            walk(node[0], me, False)
+            parts.append(",")
+            pos += 1
+            rec[_RIGHT_CHILD] = len(nodes)
+            walk(node[1], me, True)
+            parts.append(")")
+            pos += 1
+            rec[_VALENCY] = nodes[me + 1][_VALENCY]
+        rec[_END] = pos
+
+    walk(t, -1, False)
+    return "".join(parts), nodes
+
+
+def _comb_splits(nodes: list[list]) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
+    """The comb type of the tree, and per node the (L, a) by which inserting
+    there edits it: a part L becomes a + 1 and L - a, zero parts dropped.
+
+    A node that is not a right child gives (0, 0): the new internal node heads
+    a chain of its own.  A right child at depth a of a chain of length L
+    splits that chain below its parent; a leaf right child, at depth L, makes
+    the chain one longer.
+    """
+    chain = [0] * len(nodes)  # chain head of each internal node
+    depth = [0] * len(nodes)
+    lengths: dict[int, int] = {}
+    for i, rec in enumerate(nodes):
+        if rec[_LEFT_CHILD] >= 0:
+            head = chain[rec[_PARENT]] if rec[_RIGHT] else i
+            chain[i] = head
+            depth[i] = depth[rec[_PARENT]] + 1 if rec[_RIGHT] else 0
+            lengths[head] = depth[i] + 1
+    splits = []
+    for i, rec in enumerate(nodes):
+        if not rec[_RIGHT]:
+            splits.append((0, 0))
+        else:
+            length = lengths[chain[rec[_PARENT]]]
+            splits.append((length, depth[i] if rec[_LEFT_CHILD] >= 0 else length))
+    return tuple(sorted(lengths.values(), reverse=True)), splits
+
+
+def _split(parts: tuple[int, ...], length: int, a: int) -> tuple[int, ...]:
+    out = list(parts)
+    if length:
+        out.remove(length)
+    out.append(a + 1)
+    if length > a:
+        out.append(length - a)
+    return tuple(sorted(out, reverse=True))
+
+
+def _child_stats(nodes: list[list], stat: str, splits: dict) -> list:
+    """The statistic of each tree made by inserting the new maximum leaf at a
+    node of this tree, in preorder.  splits memoizes comb-type edits."""
+    if stat == "combtype":
+        parts, edits = _comb_splits(nodes)
+        out = []
+        for length, a in edits:
+            key = (parts, length, a)
+            child = splits.get(key)
+            if child is None:
+                child = splits[key] = _split(parts, length, a)
+            out.append(child)
+        return out
+    internal = [rec[_LEFT_CHILD] >= 0 for rec in nodes]
+    if stat == "rdes":
+        total = sum(1 for i, rec in enumerate(nodes) if internal[i] and rec[_RIGHT])
+        return [total + (rec[_RIGHT] and not internal[i]) for i, rec in enumerate(nodes)]
+    if stat == "free":
+        frees = [
+            internal[i] and not rec[_RIGHT] and not internal[rec[_RIGHT_CHILD]]
+            for i, rec in enumerate(nodes)
+        ]
+        total = sum(frees)
+        out = []
+        for i, rec in enumerate(nodes):
+            if not rec[_RIGHT]:
+                out.append(total + 1)  # the new node is free
+            elif internal[i]:
+                # the node moves to a left slot, keeping its right child
+                out.append(total + (not internal[rec[_RIGHT_CHILD]]))
+            else:
+                # the parent's right child stops being a leaf
+                out.append(total - frees[rec[_PARENT]])
+        return out
+    # nlyn: x is non-Lyndon iff its left child is internal and
+    # valency(R(L(x))) <= valency(R(x))
+    nonlyn = [
+        internal[i]
+        and internal[rec[_LEFT_CHILD]]
+        and nodes[nodes[rec[_LEFT_CHILD]][_RIGHT_CHILD]][_VALENCY] <= nodes[rec[_RIGHT_CHILD]][_VALENCY]
+        for i, rec in enumerate(nodes)
+    ]
+    total = sum(nonlyn)
+    # the new node is non-Lyndon iff the node it takes over is internal; the
+    # parent of a left child turns Lyndon, as R(L(parent)) is now the maximum
+    return [
+        total + internal[i] - (not rec[_RIGHT] and rec[_PARENT] >= 0 and nonlyn[rec[_PARENT]])
+        for i, rec in enumerate(nodes)
+    ]
+
+
+def _parent_trees(n: int, cap: int, caller: str) -> Iterator[Tree]:
+    # the trees on [n - 1] whose insertions give the trees on [n], in order;
+    # none for n = 1
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    if n > cap:
+        raise LimitExceededError(caller, n, cap)
+    return enumerate_normalized(n - 1, cap) if n > 1 else iter(())
+
+
+def normalized_rows(n: int, stat: str, cap: int = DEFAULT_CAP) -> Iterator[tuple[str, object]]:
+    """(tree_to_string(t), statistic of t) for the normalized trees on [n], in
+    enumerate_normalized order.
+
+    stat is one of ROW_STATS; comb types are partitions as in comb_type.
+    """
+    if stat not in ROW_STATS:
+        raise ValueError(f"unknown statistic {stat!r}; choose from {', '.join(ROW_STATS)}")
+    parents = _parent_trees(n, cap, "normalized_rows")
+    if n == 1:
+        yield "1", () if stat == "combtype" else 0
+    leaf = f",{n})"
+    splits: dict = {}
+    for t in parents:
+        s, nodes = _preorder(t)
+        for rec, value in zip(nodes, _child_stats(nodes, stat, splits)):
+            a, b = rec[_START], rec[_END]
+            yield s[:a] + "(" + s[a:b] + leaf + s[b:], value
+
+
+def comb_type_tally(n: int, cap: int = DEFAULT_CAP) -> Counter:
+    """Counter of comb types over all normalized trees on [n]."""
+    parents = _parent_trees(n, cap, "comb_type_tally")
+    tally: Counter = Counter({(): 1} if n == 1 else {})
+    splits: dict = {}
+    for t in parents:
+        tally.update(_child_stats(_preorder(t)[1], "combtype", splits))
+    return tally

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -18,6 +19,8 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, islice
+from typing import Iterable, Iterator
 
 from . import binary_trees, poly, rooted_trees, stirling, symfunc
 from .errors import LimitExceededError
@@ -92,7 +95,10 @@ def resolve_threads(value: int | None) -> int:
         if n < 1:
             raise ValueError("GAMMA_FOREST_THREADS must be at least 1")
         return n
-    return os.cpu_count() or 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
 
 def _fmt_ints(values) -> str:
@@ -111,6 +117,19 @@ def _check(report: SuiteReport, check_id: str, params: str, expected, actual) ->
         exp_s, act_s = "no error", f"error: {exc}"
     elapsed = int((time.perf_counter() - t0) * 1000)
     report.checks.append(CheckRecord(check_id, params, status, exp_s, act_s, elapsed))
+
+
+def _once(compute):
+    """compute, called on first use and remembered; a call that raises is
+    retried by the next user, which then fails the same way."""
+    done = []
+
+    def get():
+        if not done:
+            done.append(compute())
+        return done[0]
+
+    return get
 
 
 def _skip(report: SuiteReport, check_id: str, params: str, reason: str) -> None:
@@ -310,10 +329,9 @@ def _suite_stirling(report: SuiteReport, n_max: int, threads: int, cap_override:
         def word_hist(m=m, cap=cap):
             aa_hist: dict[int, int] = {}
             tn_hist: dict[int, int] = {}
-            for w in stirling.enumerate_stirling(m, cap):
-                aa, tn, _naas, _ntns = stirling._pair_profile(w)
-                aa_hist[aa] = aa_hist.get(aa, 0) + 1
-                tn_hist[tn] = tn_hist.get(tn, 0) + 1
+            for (aa, tn, _naas, _ntns), c in stirling.pair_statistics(m, cap).items():
+                aa_hist[aa] = aa_hist.get(aa, 0) + c
+                tn_hist[tn] = tn_hist.get(tn, 0) + c
             return aa_hist, tn_hist
 
         def tree_hist(m=m, tree_cap=tree_cap):
@@ -326,21 +344,20 @@ def _suite_stirling(report: SuiteReport, n_max: int, threads: int, cap_override:
                 nlyn_hist[nl] = nlyn_hist.get(nl, 0) + c
             return rdes_hist, nlyn_hist
 
-        whist = word_hist()
-        thist = tree_hist()
+        whist, thist = _once(word_hist), _once(tree_hist)
         _check(
             report,
             "stirling.rdes-equidistribution",
             f"n={m}",
-            sorted(thist[0].items()),
-            sorted(whist[1].items()),
+            lambda thist=thist: sorted(thist()[0].items()),
+            lambda whist=whist: sorted(whist()[1].items()),
         )
         _check(
             report,
             "stirling.nlyn-equidistribution",
             f"n={m}",
-            sorted(thist[1].items()),
-            sorted(whist[0].items()),
+            lambda thist=thist: sorted(thist()[1].items()),
+            lambda whist=whist: sorted(whist()[0].items()),
         )
 
 
@@ -509,11 +526,7 @@ def _histogram(family: str, stat: str, n: int, threads: int, cap: int) -> dict:
         return {i: c for i, c in enumerate(coeffs) if c}
     if family == "normalized":
         if stat == "combtype":
-            tally: dict = {}
-            for t in binary_trees.enumerate_normalized(n, cap):
-                key = binary_trees.comb_type(t)
-                tally[key] = tally.get(key, 0) + 1
-            return dict(sorted(tally.items()))
+            return dict(binary_trees.comb_type_tally(n, cap))
         idx = {"rdes": 0, "nlyn": 2, "free": 4}[stat]
         hist: dict[int, int] = {}
         for key, c in binary_trees.joint_statistics(n, threads, cap).items():
@@ -526,11 +539,10 @@ def _histogram(family: str, stat: str, n: int, threads: int, cap: int) -> dict:
         coeffs = binary_trees.bicolored_lyndon_census(n, threads, cap).coeffs
         return {i: c for i, c in enumerate(coeffs) if c}
     # stirling
+    idx = 0 if stat == "aapair" else 1
     hist = {}
-    for w in stirling.enumerate_stirling(n, cap):
-        aa, tn, _naas, _ntns = stirling._pair_profile(w)
-        v = aa if stat == "aapair" else tn
-        hist[v] = hist.get(v, 0) + 1
+    for key, c in stirling.pair_statistics(n, cap).items():
+        hist[key[idx]] = hist.get(key[idx], 0) + c
     return hist
 
 
@@ -562,78 +574,107 @@ def _render_histogram(family: str, stat: str, n: int, hist: dict, fmt: str) -> s
     return "\n".join(lines) + "\n"
 
 
-def _iter_rows(family: str, stat: str, n: int, cap: int):
-    if family == "rooted":
-        for t in rooted_trees.enumerate_rooted_trees(n, cap):
-            doc = rooted_trees.tree_to_json_dict(t)
-            yield doc, rooted_trees.des(t)
-    elif family == "normalized":
-        stat_fn = {
-            "rdes": binary_trees.rdes,
-            "nlyn": binary_trees.nlyn,
-            "free": binary_trees.free_count,
-            "combtype": binary_trees.comb_type,
-        }[stat]
-        for t in binary_trees.enumerate_normalized(n, cap):
-            yield binary_trees.tree_to_string(t), stat_fn(t)
-    elif family == "combs":
-        for t, colors in binary_trees.enumerate_bicolored_combs(n, cap):
-            yield (binary_trees.tree_to_string(t), colors), sum(colors)
-    elif family == "lyndon":
-        for t, colors in binary_trees.enumerate_bicolored_lyndon(n, cap):
-            yield (binary_trees.tree_to_string(t), colors), sum(colors)
-    else:
-        for w in stirling.enumerate_stirling(n, cap):
-            aa, tn, _naas, _ntns = stirling._pair_profile(w)
-            yield stirling.word_to_string(w), (aa if stat == "aapair" else tn)
+ROW_CHUNK = 4096  # rows per stdout write in rows mode
 
 
-def _render_rows(family: str, stat: str, n: int, cap: int, fmt: str) -> str:
-    out = io.StringIO()
-    if family == "stirling" and fmt == "csv":
-        writer = csv.writer(out)
-        writer.writerow(["word", "aapair", "tnpair", "is_naas", "is_ntns"])
-        for row in stirling.statistics_rows(n, cap):
-            writer.writerow([row[0], row[1], row[2], int(row[3]), int(row[4])])
-        return out.getvalue()
-    rows = _iter_rows(family, stat, n, cap)
-    if fmt == "json":
-        for obj, value in rows:
-            if family == "rooted":
-                doc = dict(obj)
-            elif family in ("combs", "lyndon"):
-                doc = {"tree": obj[0], "colors": list(obj[1])}
-            elif family == "stirling":
-                doc = {"word": obj}
-            else:
-                doc = {"tree": obj}
-            doc["stat"] = list(value) if isinstance(value, tuple) else value
-            out.write(json.dumps(doc, separators=(",", ":")) + "\n")
-        return out.getvalue()
+@functools.cache
+def _stat_text(value) -> str:
+    return _partition_key(value) if isinstance(value, tuple) else str(value)
+
+
+@functools.cache
+def _stat_json(value) -> str:
+    return json.dumps(list(value) if isinstance(value, tuple) else value, separators=(",", ":"))
+
+
+def _csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+# Row sources, one per family: each returns an iterator over the lines of the
+# requested format, or for csv over the cell tuples, header first.
+
+
+def _object_rows(pairs, key: str, fmt: str):
+    """Rows of (object string, statistic) pairs."""
     if fmt == "csv":
-        writer = csv.writer(out)
-        if family in ("combs", "lyndon"):
-            writer.writerow(["tree", "colors", "stat"])
-        else:
-            writer.writerow(["object", "stat"])
-        for obj, value in rows:
-            sval = _partition_key(value) if isinstance(value, tuple) else value
-            if family == "rooted":
-                writer.writerow([json.dumps(obj, separators=(",", ":")), sval])
-            elif family in ("combs", "lyndon"):
-                writer.writerow([obj[0], " ".join(str(c) for c in obj[1]), sval])
-            else:
-                writer.writerow([obj, sval])
-        return out.getvalue()
-    for obj, value in rows:
-        sval = _partition_key(value) if isinstance(value, tuple) else value
-        if family == "rooted":
-            out.write(f"{json.dumps(obj, separators=(',', ':'))}\t{sval}\n")
-        elif family in ("combs", "lyndon"):
-            out.write(f"{obj[0]}\t{','.join(str(c) for c in obj[1])}\t{sval}\n")
-        else:
-            out.write(f"{obj}\t{sval}\n")
-    return out.getvalue()
+        return chain([("object", "stat")], ((obj, _stat_text(v)) for obj, v in pairs))
+    if fmt == "json":
+        return (f'{{"{key}":"{obj}","stat":{_stat_json(v)}}}\n' for obj, v in pairs)
+    return (f"{obj}\t{_stat_text(v)}\n" for obj, v in pairs)
+
+
+def _rooted_objects(n: int, cap: int):
+    # (tree_to_json_dict(t) as compact JSON, des(t)) in one loop over the parent array
+    edge_text = [[f"[{p},{x}]" for p in range(n + 1)] for x in range(n + 1)]
+    head = f'{{"n":{n},"root":'
+    for t in rooted_trees.enumerate_rooted_trees(n, cap):
+        edges = []
+        descents = 0
+        for x, p in enumerate(t.parent):
+            if p:
+                edges.append(edge_text[x][p])
+                descents += p > x
+        yield f'{head}{t.root},"edges":[{",".join(edges)}]}}', descents
+
+
+def _rooted_rows(stat: str, n: int, cap: int, fmt: str):
+    objects = _rooted_objects(n, cap)
+    if fmt == "csv":
+        return chain([("object", "stat")], objects)
+    if fmt == "json":
+        return (f'{obj[:-1]},"stat":{d}}}\n' for obj, d in objects)
+    return (f"{obj}\t{d}\n" for obj, d in objects)
+
+
+def _normalized_rows(stat: str, n: int, cap: int, fmt: str):
+    return _object_rows(binary_trees.normalized_rows(n, stat, cap), "tree", fmt)
+
+
+def _stirling_rows(stat: str, n: int, cap: int, fmt: str):
+    rows = stirling.statistics_rows(n, cap)
+    if fmt == "csv":
+        return chain(
+            [("word", "aapair", "tnpair", "is_naas", "is_ntns")],
+            ((w, aa, tn, int(naas), int(ntns)) for w, aa, tn, naas, ntns in rows),
+        )
+    col = 1 if stat == "aapair" else 2
+    return _object_rows(((row[0], row[col]) for row in rows), "word", fmt)
+
+
+def _colored_rows(colorings, fmt: str):
+    rows = (
+        (binary_trees.tree_to_string(t), ",".join(map(str, colors)), sum(colors))
+        for t, colors in colorings
+    )
+    if fmt == "csv":
+        return chain([("tree", "colors", "stat")], ((t, c.replace(",", " "), v) for t, c, v in rows))
+    if fmt == "json":
+        return (f'{{"tree":"{t}","colors":[{c}],"stat":{v}}}\n' for t, c, v in rows)
+    return (f"{t}\t{c}\t{v}\n" for t, c, v in rows)
+
+
+_ROW_SOURCES = {
+    "rooted": _rooted_rows,
+    "normalized": _normalized_rows,
+    "combs": lambda stat, n, cap, fmt: _colored_rows(
+        binary_trees.enumerate_bicolored_combs(n, cap), fmt
+    ),
+    "lyndon": lambda stat, n, cap, fmt: _colored_rows(
+        binary_trees.enumerate_bicolored_lyndon(n, cap), fmt
+    ),
+    "stirling": _stirling_rows,
+}
+
+
+def _render_rows(family: str, stat: str, n: int, cap: int, fmt: str) -> Iterator[str]:
+    """Rows-mode stdout in chunks of ROW_CHUNK rows, so memory stays bounded."""
+    rows = _ROW_SOURCES[family](stat, n, cap, fmt)
+    join = _csv_text if fmt == "csv" else "".join
+    while chunk := list(islice(rows, ROW_CHUNK)):
+        yield join(chunk)
 
 
 def cmd_enumerate(
@@ -644,8 +685,8 @@ def cmd_enumerate(
     mode: str,
     threads: int,
     cap_override: bool,
-) -> tuple[str, bool]:
-    """Returns (stdout text, refused flag)."""
+) -> tuple[Iterable[str], bool]:
+    """Returns (stdout in chunks, refused flag)."""
     if family not in FAMILIES:
         raise IncompatibleStatError(
             f"unknown family {family!r}; choose from {', '.join(FAMILIES)}"
@@ -660,8 +701,10 @@ def cmd_enumerate(
     default_cap = FAMILY_CAPS[family]
     if n > default_cap and not cap_override:
         return (
-            f"refused family={family} n={n} cap={default_cap} "
-            "hint=pass --cap-override to enumerate anyway\n",
+            [
+                f"refused family={family} n={n} cap={default_cap} "
+                "hint=pass --cap-override to enumerate anyway\n"
+            ],
             True,
         )
     cap = max(n, default_cap)
@@ -669,7 +712,7 @@ def cmd_enumerate(
         mode = "histogram" if _family_count(family, n) > HISTOGRAM_THRESHOLD else "rows"
     if mode == "histogram":
         hist = _histogram(family, stat, n, threads, cap)
-        return _render_histogram(family, stat, n, hist, fmt), False
+        return [_render_histogram(family, stat, n, hist, fmt)], False
     return _render_rows(family, stat, n, cap, fmt), False
 
 
@@ -767,10 +810,11 @@ def main(argv=None) -> int:
             if args.n < 1:
                 raise ValueError("--n must be a positive integer")
             threads = resolve_threads(args.threads)
-            text, refused = cmd_enumerate(
+            chunks, refused = cmd_enumerate(
                 args.family, args.n, args.stat, args.format, args.mode, threads, args.cap_override
             )
-            sys.stdout.write(text)
+            for chunk in chunks:
+                sys.stdout.write(chunk)
             if refused:
                 sys.stderr.write("# enumeration refused: size above cap\n")
             return 0

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from math import comb
 from typing import Iterable
 
 
@@ -153,7 +152,8 @@ def is_palindromic(p: IntPolynomial) -> bool:
 def add_binomial_row(acc: list[int], c: int, j: int, m: int) -> None:
     """Add c t^j (1+t)^m to the coefficient list acc in place, padding acc.
 
-    (1+t)^m is the binomial row C(m, 0..m), so this costs O(m) big-integer
+    (1+t)^m is the binomial row C(m, 0..m); c C(m, k+1) comes from c C(m, k)
+    by the exact step b (m - k) // (k + 1), so this costs O(m) big-integer
     operations.  drake_polynomial does not use it, so that the censuses and
     gamma conversions built on it are checked against an independent path.
 
@@ -163,8 +163,10 @@ def add_binomial_row(acc: list[int], c: int, j: int, m: int) -> None:
     [0, 2, 5, 2]
     """
     acc.extend([0] * (j + m + 1 - len(acc)))
+    b = c
     for k in range(m + 1):
-        acc[j + k] += c * comb(m, k)
+        acc[j + k] += b
+        b = b * (m - k) // (k + 1)
 
 
 def to_gamma_basis(p: IntPolynomial) -> GammaVector:

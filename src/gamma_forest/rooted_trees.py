@@ -18,9 +18,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import product
-from multiprocessing import get_context
 from typing import Iterable, Iterator
 
+from ._pool import map_shards
 from .errors import LimitExceededError
 from .poly import IntPolynomial
 
@@ -266,8 +266,7 @@ def descent_polynomial(n: int, threads: int = 1, cap: int = DEFAULT_CAP) -> IntP
     if threads > 1 and n >= 5:
         plen = min(2, n - 2)
         tasks = [(n, prefix) for prefix in product(range(1, n + 1), repeat=plen)]
-        with get_context("fork").Pool(threads) as pool:
-            partials = pool.map(_descent_chunk, tasks)
+        partials = map_shards(_descent_chunk, tasks, threads)
         counts = [sum(col) for col in zip(*partials)]
         return IntPolynomial(counts)
     return IntPolynomial(_descent_chunk((n, ())))

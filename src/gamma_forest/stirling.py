@@ -21,10 +21,17 @@ NTNS predicates.  Pairs of either kind form a partial matching (both
 endpoints determine each other through a fixed position), so a chain exists
 exactly when some letter is the larger element of one pair and the smaller
 element of another.
+
+Rows and distributions run on an insertion engine: every word of order n is
+a word of order n - 1 with the pair "n n" inserted, and the statistics of
+the new word follow from its parent's in O(1) (see _child_profiles).  The
+per-word functions are independent implementations that the tests compare
+the engine with.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import LimitExceededError
@@ -191,14 +198,88 @@ def is_ntns(word: Union[str, Iterable[int]]) -> bool:
     return _pair_profile(w)[3]
 
 
+def _child_profiles(w: Word) -> list[tuple[int, int, bool, bool]]:
+    """(aapair, tnpair, is_naas, is_ntns) of each word made by inserting m m
+    into the Stirling word w of order m - 1, gaps taken right to left.
+
+    One scan of w finds its pairs, with per-letter flags for being the small
+    or the large end of one.  Inserting m m at gap g breaks only the
+    adjacency (L, R) = (w[g-1], w[g]) and makes (L, m) and (m, R).  Since m
+    is the largest letter, (L, m) is an ascending pair exactly when L is a
+    second occurrence, (m, R) is terminally nested exactly when R is one, and
+    the chain counts move only through the flags of L and R.
+    """
+    size = len(w)
+    letters = size // 2 + 1
+    seen = [False] * letters
+    second = []
+    for c in w:
+        second.append(seen[c])
+        seen[c] = True
+    aa = tn = 0
+    aa_small = [False] * letters
+    aa_large = [False] * letters
+    tn_small = [False] * letters
+    tn_large = [False] * letters
+    for i in range(size - 1):
+        if second[i]:
+            a, b = w[i], w[i + 1]
+            if not second[i + 1]:
+                if a < b:
+                    aa += 1
+                    aa_small[a] = aa_large[b] = True
+            elif b < a:
+                tn += 1
+                tn_small[b] = tn_large[a] = True
+    aa_both = sum(map(bool.__and__, aa_small, aa_large))
+    tn_both = sum(map(bool.__and__, tn_small, tn_large))
+    out = []
+    for g in range(size, -1, -1):
+        c_aa, c_ab, c_tn, c_tb = aa, aa_both, tn, tn_both
+        r_second = g < size and second[g]
+        if g and second[g - 1]:
+            left = w[g - 1]
+            if g < size and w[g] > left and not r_second:
+                # (L, m) replaces the ascending pair (L, R): only R's flag goes
+                c_ab -= aa_small[w[g]]
+            else:
+                c_aa += 1
+                c_ab += aa_large[left]
+            if r_second and w[g] < left:
+                # (m, R) replaces the terminally nested (L, R): only L's flag goes
+                c_tb -= tn_small[left]
+                r_second = False
+        if r_second:
+            c_tn += 1
+            c_tb += tn_large[w[g]]
+        out.append((c_aa, c_tn, not c_ab, not c_tb))
+    return out
+
+
+def _parents(n: int, cap: int, caller: str) -> Iterator[Word]:
+    # the words of order n - 1 whose insertions give order n, in enumeration order
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    if n > cap:
+        raise LimitExceededError(caller, n, cap)
+    return enumerate_stirling(n - 1, cap) if n > 1 else iter([()])
+
+
+def pair_statistics(n: int, cap: int = DEFAULT_CAP) -> Counter:
+    """Counter over (aapair, tnpair, is_naas, is_ntns) for all words of order n."""
+    tally: Counter = Counter()
+    for w in _parents(n, cap, "pair_statistics"):
+        tally.update(_child_profiles(w))
+    return tally
+
+
 def distribution_naas_aapair(n: int, cap: int = DEFAULT_CAP) -> GammaVector:
     """Counts of chain-free words by aapair over order n, as a GammaVector of
     degree n (the descent polynomial degree one size up)."""
     counts = [0] * (n // 2 + 1)
-    for w in enumerate_stirling(n, cap):
-        aa, _tn, naas, _ntns = _pair_profile(w)
+    for (aa, _tn, naas, _ntns), c in pair_statistics(n, cap).items():
         if naas:
-            counts[aa] += 1
+            counts[aa] += c
     return GammaVector(counts, n)
 
 
@@ -206,10 +287,9 @@ def distribution_ntns_tnpair(n: int, cap: int = DEFAULT_CAP) -> GammaVector:
     """Counts of chain-free words by tnpair over order n, as a GammaVector of
     degree n."""
     counts = [0] * (n // 2 + 1)
-    for w in enumerate_stirling(n, cap):
-        _aa, tn, _naas, ntns = _pair_profile(w)
+    for (_aa, tn, _naas, ntns), c in pair_statistics(n, cap).items():
         if ntns:
-            counts[tn] += 1
+            counts[tn] += c
     return GammaVector(counts, n)
 
 
@@ -222,6 +302,15 @@ def word_to_string(w: Sequence[int]) -> str:
 
 def statistics_rows(n: int, cap: int = DEFAULT_CAP) -> Iterator[tuple[str, int, int, bool, bool]]:
     """(word, aapair, tnpair, is_naas, is_ntns) rows in enumeration order."""
-    for w in enumerate_stirling(n, cap):
-        aa, tn, naas, ntns = _pair_profile(w)
-        yield word_to_string(w), aa, tn, naas, ntns
+    pair = (n, n)
+    for w in _parents(n, cap, "statistics_rows"):
+        gaps = range(len(w), -1, -1)
+        profiles = _child_profiles(w)
+        if n <= 9:
+            s = "".join(map(str, w))
+            mm = str(n) * 2
+            for g, (aa, tn, naas, ntns) in zip(gaps, profiles):
+                yield s[:g] + mm + s[g:], aa, tn, naas, ntns
+        else:
+            for g, (aa, tn, naas, ntns) in zip(gaps, profiles):
+                yield ",".join(map(str, w[:g] + pair + w[g:])), aa, tn, naas, ntns

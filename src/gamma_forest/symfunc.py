@@ -11,7 +11,6 @@ since e_(2^j 1^m) maps to t^j (1+t)^m and every other e_lambda vanishes.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -166,9 +165,7 @@ def comb_type_expansion(n: int, cap: int = DEFAULT_CAP) -> ESymExpansion:
         raise ValueError("n must be a positive integer")
     if n > cap:
         raise LimitExceededError("comb_type_expansion", n, cap)
-    tally: Counter = Counter()
-    for t in binary_trees.enumerate_normalized(n, cap):
-        tally[binary_trees.comb_type(t)] += 1
+    tally = binary_trees.comb_type_tally(n, cap)
     return ESymExpansion({Partition(parts): c for parts, c in tally.items()})
 
 

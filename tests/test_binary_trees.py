@@ -10,6 +10,7 @@ from gamma_forest.binary_trees import (
     bicolored_comb_census,
     bicolored_lyndon_census,
     comb_type,
+    comb_type_tally,
     distribution_ndnl_nlyn,
     distribution_ndrd_rdes,
     enumerate_bicolored_combs,
@@ -23,6 +24,7 @@ from gamma_forest.binary_trees import (
     joint_statistics,
     leaf_count,
     nlyn,
+    normalized_rows,
     rdes,
     tree_from_string,
     tree_to_string,
@@ -145,6 +147,23 @@ class TestJointEngine:
             for (r, d, nl, dl, f), c in joint_statistics(n).items():
                 engine[(r, d == 0, nl, dl == 0, f)] += c
             assert engine == direct
+
+    def test_rows_engine_matches_per_tree_statistics(self):
+        oracles = {"rdes": rdes, "nlyn": nlyn, "free": free_count, "combtype": comb_type}
+        for n in range(1, 8):
+            trees = list(enumerate_normalized(n))
+            for stat, oracle in oracles.items():
+                expected = [(tree_to_string(t), oracle(t)) for t in trees]
+                assert list(normalized_rows(n, stat)) == expected, (n, stat)
+            assert comb_type_tally(n) == Counter(comb_type(t) for t in trees)
+
+    def test_rows_engine_caps_and_stats(self):
+        with pytest.raises(LimitExceededError):
+            list(normalized_rows(11, "rdes"))
+        with pytest.raises(LimitExceededError):
+            comb_type_tally(5, cap=4)
+        with pytest.raises(ValueError):
+            list(normalized_rows(4, "des"))
 
     def test_parallel_matches_sequential(self):
         for n in (7, 8):

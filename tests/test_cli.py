@@ -123,9 +123,12 @@ class TestVerifyCommand:
         assert all(c["status"] == "pass" for c in doc["checks"])
 
     def test_stdout_deterministic_across_threads(self):
-        a = run_cli("verify", "--suite", "drake", "--n-max", "5", "--threads", "1")
-        b = run_cli("verify", "--suite", "drake", "--n-max", "5", "--threads", "3")
-        assert a.stdout == b.stdout
+        # gamma and combs at n = 7 reach the binary engine's pool
+        for suite, n_max in (("drake", "5"), ("gamma", "7"), ("combs", "7")):
+            a = run_cli("verify", "--suite", suite, "--n-max", n_max, "--threads", "1")
+            b = run_cli("verify", "--suite", suite, "--n-max", n_max, "--threads", "3")
+            assert a.returncode == 0, (suite, a.stderr)
+            assert a.stdout == b.stdout, suite
 
     def test_env_var_thread_fallback(self):
         r = run_cli(
@@ -146,6 +149,25 @@ class TestVerifyCommand:
             env={"GAMMA_FOREST_THREADS": "0"},
         )
         assert bad.returncode == 2
+
+    def test_raising_engine_fails_checks_without_aborting(self, monkeypatch, capsys):
+        from gamma_forest import stirling
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("word engine down")
+
+        monkeypatch.setattr(stirling, "pair_statistics", broken)
+        assert cli.main(["verify", "--suite", "all", "--n-max", "3", "--threads", "1"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        for check in ("rdes-equidistribution", "nlyn-equidistribution"):
+            assert (
+                f"FAIL stirling.{check} n=2 expected=no error actual=error: word engine down"
+                in lines
+            )
+        # the suites after stirling still ran and reported
+        assert any(line.startswith("PASS symfunc.") for line in lines)
+        assert any(line.startswith("PASS eulerian.") for line in lines)
+        assert lines[-1].startswith("TOTAL suite=all n_max=3")
 
     def test_failure_exit_code(self, monkeypatch):
         # force one check to disagree and confirm the suite reports nonzero
@@ -184,15 +206,16 @@ class TestEnumerateCommand:
 
     def test_cap_override_allows_run(self, monkeypatch):
         monkeypatch.setitem(cli.FAMILY_CAPS, "normalized", 3)
-        text, refused = cli.cmd_enumerate(
+        chunks, refused = cli.cmd_enumerate(
             "normalized", 4, None, "text", "histogram", 1, False
         )
         assert refused
-        assert text.startswith("refused family=normalized n=4 cap=3")
-        text, refused = cli.cmd_enumerate(
+        assert "".join(chunks).startswith("refused family=normalized n=4 cap=3")
+        chunks, refused = cli.cmd_enumerate(
             "normalized", 4, None, "text", "histogram", 1, True
         )
         assert not refused
+        text = "".join(chunks)
         total = sum(int(line.split()[1]) for line in text.splitlines())
         assert total == 15  # 5!!
 
@@ -258,10 +281,19 @@ class TestThreadResolution:
         monkeypatch.setenv("GAMMA_FOREST_THREADS", "7")
         assert cli.resolve_threads(None) == 7
 
-    def test_default_is_cpu_count(self, monkeypatch):
+    def test_default_is_available_cpus(self, monkeypatch):
         import os
 
         monkeypatch.delenv("GAMMA_FOREST_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert cli.resolve_threads(None) == 3
+
+    def test_default_is_cpu_count(self, monkeypatch):
+        # where the platform cannot report the CPUs this process may use
+        import os
+
+        monkeypatch.delenv("GAMMA_FOREST_THREADS", raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         assert cli.resolve_threads(None) == (os.cpu_count() or 1)
 
     def test_rejects_zero(self):

@@ -1,6 +1,7 @@
 """Stirling permutations: enumeration order, pair statistics, distributions."""
 
 from collections import Counter
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,7 @@ from gamma_forest.stirling import (
     is_naas,
     is_ntns,
     is_stirling,
+    pair_statistics,
     statistics_rows,
     tnpair,
     word_to_string,
@@ -169,6 +171,30 @@ class TestPairStatistics:
             ("1221", 0, 1, True, True),
             ("2211", 0, 0, True, True),
         ]
+
+    def test_insertion_engine_matches_per_word_statistics(self):
+        for n in range(1, 8):
+            expected = [
+                (word_to_string(w), aapair(w), tnpair(w), is_naas(w), is_ntns(w))
+                for w in enumerate_stirling(n)
+            ]
+            assert list(statistics_rows(n)) == expected
+            assert pair_statistics(n) == Counter(row[1:] for row in expected)
+
+    def test_insertion_engine_comma_separated_words(self):
+        # from order 10 on, words are written with commas; compare a prefix
+        rows = list(islice(statistics_rows(10, cap=10), 60))
+        words = list(islice(enumerate_stirling(10, cap=10), 60))
+        assert rows == [
+            (word_to_string(w), aapair(w), tnpair(w), is_naas(w), is_ntns(w)) for w in words
+        ]
+        assert rows[0][0] == "1,1,2,2,3,3,4,4,5,5,6,6,7,7,8,8,9,9,10,10"
+
+    def test_engine_caps(self):
+        with pytest.raises(LimitExceededError):
+            list(statistics_rows(9))
+        with pytest.raises(LimitExceededError):
+            pair_statistics(5, cap=4)
 
     def test_matches_naive_exhaustive(self):
         for w in enumerate_stirling(5):
