@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from multiprocessing import get_context
 from typing import Callable, Sequence, TypeVar
 
 Task = TypeVar("Task")
@@ -16,8 +15,12 @@ def map_shards(fn: Callable[[Task], Result], tasks: Sequence[Task], threads: int
     Where the platform has no fork start method the shards run serially in
     this process instead; the results are the same either way.
     """
+    # imported here: multiprocessing is a fifth of the package's import time,
+    # and most commands never start a pool
+    import multiprocessing
+
     try:
-        context = get_context("fork")
+        context = multiprocessing.get_context("fork")
     except ValueError:
         return [fn(task) for task in tasks]
     with context.Pool(threads) as pool:

@@ -30,7 +30,7 @@ FAMILIES = ("rooted", "normalized", "combs", "lyndon", "stirling")
 
 FAMILY_STATS = {
     "rooted": ("des",),
-    "normalized": ("rdes", "nlyn", "free", "combtype"),
+    "normalized": binary_trees.ROW_STATS,
     "combs": ("ones",),
     "lyndon": ("ones",),
     "stirling": ("aapair", "tnpair"),
@@ -99,10 +99,6 @@ def resolve_threads(value: int | None) -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity on this platform
         return os.cpu_count() or 1
-
-
-def _fmt_ints(values) -> str:
-    return "[" + ",".join(str(v) for v in values) + "]"
 
 
 def _check(report: SuiteReport, check_id: str, params: str, expected, actual) -> None:

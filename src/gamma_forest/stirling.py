@@ -302,15 +302,14 @@ def word_to_string(w: Sequence[int]) -> str:
 
 def statistics_rows(n: int, cap: int = DEFAULT_CAP) -> Iterator[tuple[str, int, int, bool, bool]]:
     """(word, aapair, tnpair, is_naas, is_ntns) rows in enumeration order."""
-    pair = (n, n)
+    pair, mm = (n, n), str(n) * 2
     for w in _parents(n, cap, "statistics_rows"):
-        gaps = range(len(w), -1, -1)
-        profiles = _child_profiles(w)
+        children = zip(range(len(w), -1, -1), _child_profiles(w))
         if n <= 9:
+            # one digit per letter: gap g of the word is offset g of its string
             s = "".join(map(str, w))
-            mm = str(n) * 2
-            for g, (aa, tn, naas, ntns) in zip(gaps, profiles):
+            for g, (aa, tn, naas, ntns) in children:
                 yield s[:g] + mm + s[g:], aa, tn, naas, ntns
         else:
-            for g, (aa, tn, naas, ntns) in zip(gaps, profiles):
-                yield ",".join(map(str, w[:g] + pair + w[g:])), aa, tn, naas, ntns
+            for g, (aa, tn, naas, ntns) in children:
+                yield word_to_string(w[:g] + pair + w[g:]), aa, tn, naas, ntns
