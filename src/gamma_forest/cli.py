@@ -551,10 +551,7 @@ def _render_histogram(family: str, stat: str, n: int, hist: dict, fmt: str) -> s
             "n": n,
             "stat": stat,
             "total": str(total),
-            "histogram": {
-                (_partition_key(k) if isinstance(k, tuple) else str(k)): str(v)
-                for k, v in items
-            },
+            "histogram": {_stat_text(k): str(v) for k, v in items},
         }
         return json.dumps(doc, separators=(",", ":")) + "\n"
     if fmt == "csv":
@@ -562,12 +559,9 @@ def _render_histogram(family: str, stat: str, n: int, hist: dict, fmt: str) -> s
         writer = csv.writer(buf)
         writer.writerow(["stat", "count"])
         for k, v in items:
-            writer.writerow([_partition_key(k) if isinstance(k, tuple) else k, v])
+            writer.writerow([_stat_text(k), v])
         return buf.getvalue()
-    lines = [
-        f"{_partition_key(k) if isinstance(k, tuple) else k} {v}" for k, v in items
-    ]
-    return "\n".join(lines) + "\n"
+    return "".join(f"{_stat_text(k)} {v}\n" for k, v in items)
 
 
 ROW_CHUNK = 4096  # rows per stdout write in rows mode

@@ -1,4 +1,4 @@
-"""Golden stdout digests: rows-mode enumeration and the verify suites.
+"""Golden stdout digests: enumeration in rows and histogram mode, and verify.
 
 Each digest is the SHA-256 of the command's stdout, recorded before rows mode
 moved onto the insertion engines; the output must stay byte-identical.  To
@@ -22,13 +22,20 @@ ROW_CASES = [
     for fmt in ("text", "csv", "json")
     for n in (4, 5)
 ]
+HISTOGRAM_CASES = [
+    (family, stat, fmt, n)
+    for family, stats in cli.FAMILY_STATS.items()
+    for stat in stats
+    for fmt in ("text", "csv", "json")
+    for n in (5, 6)
+]
 VERIFY_FORMATS = ("text", "json")
 
 
-def row_argv(family, stat, fmt, n):
+def row_argv(family, stat, fmt, n, mode="rows"):
     return [
         "enumerate", "--family", family, "--stat", stat, "--format", fmt,
-        "--n", str(n), "--mode", "rows", "--threads", "1",
+        "--n", str(n), "--mode", mode, "--threads", "1",
     ]
 
 
@@ -99,6 +106,62 @@ ROW_DIGESTS = {
     "stirling-tnpair-json-4": "1c5f5e214ed553dc9652519701aa79f2e18235db7ea957438e3f89540f69911b",
     "stirling-tnpair-json-5": "8c35dd295ed027cb0fb82acb7e66f79b1ca0e336f58edf224df00092e628b510",
 }
+HISTOGRAM_DIGESTS = {
+    "rooted-des-text-5": "fd1b3699cd52d3dc4e7889fac0b7c0fef309d4a7d062aa9ec4f57f3ee8864011",
+    "rooted-des-text-6": "b7791f0ce361e4fa69134d1d8791e6cf625d25ab9b76b407cc244a6cf21b9801",
+    "rooted-des-csv-5": "3ab739de201789bfc44cac1789736584ccd93891883bd8fa2d81dbae4e6ca824",
+    "rooted-des-csv-6": "755bb58d64437e56d0036950a77873fdb50ecdd8c7fc87d589c77e218823b74c",
+    "rooted-des-json-5": "ac5b88e52c66154f07fc8991a2bf77855501bd329910632eb888ce4709629f42",
+    "rooted-des-json-6": "0da2a716c8baa4f10bb715cca3e2cda746236d291f2db8645b8d1fba69039399",
+    "normalized-rdes-text-5": "70bd1a57ec778a04d6e63870d934456b2ff49e017d7b394df7292f7a26997c79",
+    "normalized-rdes-text-6": "797f2bec398e8d9815fe8350ce2237be05a17e2d5d536b4f485901ed372d0376",
+    "normalized-rdes-csv-5": "a2f9921177d10c1f317fd91721db6b1c61ad3b128fc424e18ccc087db387248d",
+    "normalized-rdes-csv-6": "71c3e33a978a92e7f6039242b350c1e994671689b8f0d271599029acc3bb81a1",
+    "normalized-rdes-json-5": "04302e7ea5d9596bb088d346e2c9ee68d53cb24728421482f96e48232c9304d2",
+    "normalized-rdes-json-6": "69948e4c62053549fbcfc7ed08b6100dda60629c57619b850cc40f6eb4000746",
+    "normalized-nlyn-text-5": "70bd1a57ec778a04d6e63870d934456b2ff49e017d7b394df7292f7a26997c79",
+    "normalized-nlyn-text-6": "797f2bec398e8d9815fe8350ce2237be05a17e2d5d536b4f485901ed372d0376",
+    "normalized-nlyn-csv-5": "a2f9921177d10c1f317fd91721db6b1c61ad3b128fc424e18ccc087db387248d",
+    "normalized-nlyn-csv-6": "71c3e33a978a92e7f6039242b350c1e994671689b8f0d271599029acc3bb81a1",
+    "normalized-nlyn-json-5": "7785fdef8ef275b7fc83441c0f1b7d8679bfabcc280c0088a7a9ed9b5cca35f6",
+    "normalized-nlyn-json-6": "1e1be2cf9475beb034e40d2b07d393da4b8f5182761274ff55045dedaced08cd",
+    "normalized-free-text-5": "7bbe2fac443eef32d95398926984351b5c915c506d51ef3d7147820d8c3606df",
+    "normalized-free-text-6": "52342cd1003205bf005dcfc26ebbc30daa61fab372523f3247b0998fe64506c8",
+    "normalized-free-csv-5": "dcb30946929d9f97714d64cb7c3ec68a1756aee0f1f826125d392d2f2c6dd048",
+    "normalized-free-csv-6": "6f673f8814a3d39b026e5a6ad35d33917d6e1f246e32a0d23f5fefd360c85d26",
+    "normalized-free-json-5": "09a4bf56f9f6e4fb72ca948ba60320a80058708ee3de5055ce405cbe0ad06820",
+    "normalized-free-json-6": "3ad6d81d6a7ede210792c6007f70bd77ed14885b149f5175f3fec1ad2b6955a8",
+    "normalized-combtype-text-5": "3078cb02c36b3b180c4f388dfa1462b94e204123b45fa780b1382870f7805a6e",
+    "normalized-combtype-text-6": "e016ca3b46477c350f670721bce58647aaa4f07417e38296d0c8e595d0f42592",
+    "normalized-combtype-csv-5": "fec45c444a9d04f78f80eb2811ce44f4050364ff14bbaeac86f30918cf4bc0cd",
+    "normalized-combtype-csv-6": "2f43fe5ed8b50d9bb99eb64a2665c0beca3cdc552e0f0f74f9c2079102889a99",
+    "normalized-combtype-json-5": "2accb3cb81f4fcdd6533f551fd0a9fbb01df6ada92296e38477edafc9e0d255b",
+    "normalized-combtype-json-6": "99106f4f76c4c170cedfb76e91e25d513cd4d673048f2e438f0055175894c432",
+    "combs-ones-text-5": "fd1b3699cd52d3dc4e7889fac0b7c0fef309d4a7d062aa9ec4f57f3ee8864011",
+    "combs-ones-text-6": "b7791f0ce361e4fa69134d1d8791e6cf625d25ab9b76b407cc244a6cf21b9801",
+    "combs-ones-csv-5": "3ab739de201789bfc44cac1789736584ccd93891883bd8fa2d81dbae4e6ca824",
+    "combs-ones-csv-6": "755bb58d64437e56d0036950a77873fdb50ecdd8c7fc87d589c77e218823b74c",
+    "combs-ones-json-5": "b2a93bc92970848ee6402c368fb6f89307e995fc8a0755b0295055de99d618f5",
+    "combs-ones-json-6": "6e933aa477a1fedb105132751da7c53ca7f223422f7403542b75f4747304f145",
+    "lyndon-ones-text-5": "fd1b3699cd52d3dc4e7889fac0b7c0fef309d4a7d062aa9ec4f57f3ee8864011",
+    "lyndon-ones-text-6": "b7791f0ce361e4fa69134d1d8791e6cf625d25ab9b76b407cc244a6cf21b9801",
+    "lyndon-ones-csv-5": "3ab739de201789bfc44cac1789736584ccd93891883bd8fa2d81dbae4e6ca824",
+    "lyndon-ones-csv-6": "755bb58d64437e56d0036950a77873fdb50ecdd8c7fc87d589c77e218823b74c",
+    "lyndon-ones-json-5": "c56d636d87393749cc751bbf15cb0f245288861ff7ce3697f43ec5aae987d780",
+    "lyndon-ones-json-6": "c41f38bffd645397a3441eb0966ad3e4d6229cb345fd76ce26accf41f3f1baf6",
+    "stirling-aapair-text-5": "797f2bec398e8d9815fe8350ce2237be05a17e2d5d536b4f485901ed372d0376",
+    "stirling-aapair-text-6": "c536e3cd7720acbe6122cdab39c52affc53e7f6e000249a0dbba388078aba755",
+    "stirling-aapair-csv-5": "71c3e33a978a92e7f6039242b350c1e994671689b8f0d271599029acc3bb81a1",
+    "stirling-aapair-csv-6": "412ffd22558168f88ee8c0432b55993b3c5a2d08fdc3f698afcf8c3bad5f706f",
+    "stirling-aapair-json-5": "fce9a5cb5ff4a057570c5196c957a85cc7adad27902ea1b1a0575833d122fbd3",
+    "stirling-aapair-json-6": "e96532aae7ca3bab034d74dccdd6e67fee5bc220d08f19c4be29ce1e283eee44",
+    "stirling-tnpair-text-5": "797f2bec398e8d9815fe8350ce2237be05a17e2d5d536b4f485901ed372d0376",
+    "stirling-tnpair-text-6": "c536e3cd7720acbe6122cdab39c52affc53e7f6e000249a0dbba388078aba755",
+    "stirling-tnpair-csv-5": "71c3e33a978a92e7f6039242b350c1e994671689b8f0d271599029acc3bb81a1",
+    "stirling-tnpair-csv-6": "412ffd22558168f88ee8c0432b55993b3c5a2d08fdc3f698afcf8c3bad5f706f",
+    "stirling-tnpair-json-5": "8eb70eac84550b33086714f6a544d6a62baf6e91f4eb5709b0fedb8b7659dc2e",
+    "stirling-tnpair-json-6": "3222dc5a46836527841536e12726ea194518938bb91a177da0dec62348f3e70c",
+}
 VERIFY_DIGESTS = {
     "text": "2d6d0b3c9408de02e43c79d19e2d6f2ce71122b9098ca30b70551b3b699501c7",
     "json": "505a98219cd9f8db167fc00ff1232a520a9c95c59c507a315399b1e78d534ac6",
@@ -113,6 +176,14 @@ def test_rows_output_unchanged(case):
     assert digest == ROW_DIGESTS[f"{family}-{stat}-{fmt}-{n}"]
 
 
+@pytest.mark.parametrize("case", HISTOGRAM_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_histogram_output_unchanged(case):
+    family, stat, fmt, n = case
+    status, digest = stdout_digest(row_argv(family, stat, fmt, n, "histogram"))
+    assert status == 0
+    assert digest == HISTOGRAM_DIGESTS[f"{family}-{stat}-{fmt}-{n}"]
+
+
 @pytest.mark.parametrize("fmt", VERIFY_FORMATS)
 def test_verify_output_unchanged(fmt):
     status, digest = stdout_digest(verify_argv(fmt))
@@ -123,5 +194,8 @@ def test_verify_output_unchanged(fmt):
 if __name__ == "__main__":
     for family, stat, fmt, n in ROW_CASES:
         print(f'    "{family}-{stat}-{fmt}-{n}": "{stdout_digest(row_argv(family, stat, fmt, n))[1]}",')
+    for family, stat, fmt, n in HISTOGRAM_CASES:
+        digest = stdout_digest(row_argv(family, stat, fmt, n, "histogram"))[1]
+        print(f'    "{family}-{stat}-{fmt}-{n}": "{digest}",')
     for fmt in VERIFY_FORMATS:
         print(f'    "{fmt}": "{stdout_digest(verify_argv(fmt))[1]}",')
