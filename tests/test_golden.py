@@ -1,8 +1,10 @@
 """Golden stdout digests: enumeration in rows and histogram mode, and verify.
 
 Each digest is the SHA-256 of the command's stdout, recorded before rows mode
-moved onto the insertion engines; the output must stay byte-identical.  To
-print the digests of the current code:
+moved onto the insertion engines; the output must stay byte-identical.  The
+capped verify digests run with the family caps lowered, so that small runs
+reach every SKIP line and every fixed n range of the verify suites.  To print
+the digests of the current code:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -13,7 +15,7 @@ import io
 
 import pytest
 
-from gamma_forest import cli
+from gamma_forest import binary_trees, cli, rooted_trees, stirling
 
 ROW_CASES = [
     (family, stat, fmt, n)
@@ -30,6 +32,12 @@ HISTOGRAM_CASES = [
     for n in (5, 6)
 ]
 VERIFY_FORMATS = ("text", "json")
+LOWERED_CAPS = {rooted_trees: 3, binary_trees: 4, stirling: 3}
+CAPPED_CASES = [("all", 5, fmt) for fmt in VERIFY_FORMATS] + [
+    (suite, 22, fmt)
+    for suite in ("drake", "gamma", "combs", "lyndon", "stirling", "eulerian")
+    for fmt in VERIFY_FORMATS
+]
 
 
 def row_argv(family, stat, fmt, n, mode="rows"):
@@ -39,8 +47,8 @@ def row_argv(family, stat, fmt, n, mode="rows"):
     ]
 
 
-def verify_argv(fmt):
-    return ["verify", "--suite", "all", "--n-max", "5", "--threads", "1", "--format", fmt]
+def verify_argv(fmt, suite="all", n_max=5):
+    return ["verify", "--suite", suite, "--n-max", str(n_max), "--threads", "1", "--format", fmt]
 
 
 def stdout_digest(argv):
@@ -48,6 +56,13 @@ def stdout_digest(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         status = cli.main(argv)
     return status, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def capped_digest(suite, n_max, fmt):
+    with pytest.MonkeyPatch.context() as mp:
+        for module, cap in LOWERED_CAPS.items():
+            mp.setattr(module, "DEFAULT_CAP", cap)
+        return stdout_digest(verify_argv(fmt, suite, n_max))
 
 
 ROW_DIGESTS = {
@@ -166,6 +181,22 @@ VERIFY_DIGESTS = {
     "text": "2d6d0b3c9408de02e43c79d19e2d6f2ce71122b9098ca30b70551b3b699501c7",
     "json": "505a98219cd9f8db167fc00ff1232a520a9c95c59c507a315399b1e78d534ac6",
 }
+CAPPED_DIGESTS = {
+    "all-5-text": "a2ace564e587b149095b05fa90870f82f26af44127b7eb5ad81d47c74a1036b4",
+    "all-5-json": "73b1fc0df5f3155df54aab5d00beef20c92a266a4d294147e6d56e82789929a2",
+    "drake-22-text": "5ae4840f89cd533c99fa303cfb5c355676f08e5d96015ab1538d333bb5556487",
+    "drake-22-json": "437e13ba9afdb1e1dd1d98a957c29ab59132afbe2dadf7b1544b4607f8916592",
+    "gamma-22-text": "048e2430a1cb4e608a2d8122652fb2e8686f5d182ef6a14650c1ba23ffe69f1f",
+    "gamma-22-json": "8ddf7f467e49365accf667157dcfbcfd5ab70f138e97ab0c4e5cad495a046682",
+    "combs-22-text": "95c6882725a75a78f7ebf05cde60af8f7f716a9e6b85b01a25ae047265c3543c",
+    "combs-22-json": "1b4796228be555b3a3bdfc4f5a133bfe78e96dba2f14f4eb018a0bc5753361e3",
+    "lyndon-22-text": "b6cb154f88f7c52108b76aed17d514c781a7e24dd2e8eac42ffd8be0ebf4daad",
+    "lyndon-22-json": "c4be4b70250b18d45a50f7e3b8f58da773ad01150949e505b859610d2a4bea18",
+    "stirling-22-text": "a3acb65bba7ba765ef1d4752a9369cb8fde7d4c68ca610f37ab8fd2a8dbed1a6",
+    "stirling-22-json": "835adb3ded8c20127826fa5841b0e372885c8c362291ad9a28ef5ab859c9547f",
+    "eulerian-22-text": "c9e7d65044481695a0ebaa70db0b1d18f42bcd0b2b71a0bfea6d82d3d07ec488",
+    "eulerian-22-json": "cf8d37efc8286bd0330883d655a3d03fd13316e2163f642118ba9b8a0832205f",
+}
 
 
 @pytest.mark.parametrize("case", ROW_CASES, ids=lambda c: "-".join(map(str, c)))
@@ -191,6 +222,14 @@ def test_verify_output_unchanged(fmt):
     assert digest == VERIFY_DIGESTS[fmt]
 
 
+@pytest.mark.parametrize("case", CAPPED_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_capped_verify_output_unchanged(case):
+    suite, n_max, fmt = case
+    status, digest = capped_digest(suite, n_max, fmt)
+    assert status == 0
+    assert digest == CAPPED_DIGESTS[f"{suite}-{n_max}-{fmt}"]
+
+
 if __name__ == "__main__":
     for family, stat, fmt, n in ROW_CASES:
         print(f'    "{family}-{stat}-{fmt}-{n}": "{stdout_digest(row_argv(family, stat, fmt, n))[1]}",')
@@ -199,3 +238,5 @@ if __name__ == "__main__":
         print(f'    "{family}-{stat}-{fmt}-{n}": "{digest}",')
     for fmt in VERIFY_FORMATS:
         print(f'    "{fmt}": "{stdout_digest(verify_argv(fmt))[1]}",')
+    for suite, n_max, fmt in CAPPED_CASES:
+        print(f'    "{suite}-{n_max}-{fmt}": "{capped_digest(suite, n_max, fmt)[1]}",')
