@@ -20,12 +20,12 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice
+from types import ModuleType
 from typing import Iterable, Iterator
 
 from . import binary_trees, poly, rooted_trees, stirling, symfunc
 from .errors import LimitExceededError
 
-SUITES = ("all", "drake", "gamma", "combs", "lyndon", "stirling", "symfunc", "eulerian")
 FAMILIES = ("rooted", "normalized", "combs", "lyndon", "stirling")
 
 FAMILY_STATS = {
@@ -115,23 +115,6 @@ def _check(report: SuiteReport, check_id: str, params: str, expected, actual) ->
     report.checks.append(CheckRecord(check_id, params, status, exp_s, act_s, elapsed))
 
 
-def _once(compute):
-    """compute, called on first use and remembered; a call that raises is
-    retried by the next user, which then fails the same way."""
-    done = []
-
-    def get():
-        if not done:
-            done.append(compute())
-        return done[0]
-
-    return get
-
-
-def _skip(report: SuiteReport, check_id: str, params: str, reason: str) -> None:
-    report.checks.append(CheckRecord(check_id, params, "skip", reason, "", 0))
-
-
 def _double_factorial(m: int) -> int:
     # (m)!! for odd m; 1 when m <= 0
     out = 1
@@ -141,314 +124,210 @@ def _double_factorial(m: int) -> int:
     return out
 
 
-def _suite_drake(report: SuiteReport, n_max: int, threads: int, cap_override: bool) -> None:
-    poly_top = min(n_max, 20)
-    for n in range(1, poly_top + 1):
-        _check(
-            report,
-            "drake.cayley-count",
-            f"n={n}",
-            n ** (n - 1),
-            lambda n=n: poly.evaluate(poly.drake_polynomial(n), 1),
-        )
-        _check(
-            report,
-            "drake.palindromic",
-            f"n={n}",
-            True,
-            lambda n=n: poly.is_palindromic(poly.drake_polynomial(n)),
-        )
-    for n in range(poly_top + 1, n_max + 1):
-        _skip(report, "drake.cayley-count", f"n={n}", "above-cap")
-    for n in range(2, min(n_max, 10) + 1):
-        _check(
-            report,
-            "drake.rational-roots",
-            f"n={n}",
-            [0] * (n - 1),
-            lambda n=n: [
-                poly.evaluate(poly.drake_polynomial(n), Fraction(-(n - i), i))
-                for i in range(1, n)
-            ],
-        )
-    enum_cap = n_max if cap_override else rooted_trees.DEFAULT_CAP
-    for n in range(1, n_max + 1):
-        if n > enum_cap:
-            _skip(report, "drake.descent-vs-product", f"n={n}", "above-cap")
-            continue
-        _check(
-            report,
-            "drake.descent-vs-product",
-            f"n={n}",
-            lambda n=n: list(poly.drake_polynomial(n).coeffs),
-            lambda n=n: list(rooted_trees.descent_polynomial(n, threads, cap=max(n, rooted_trees.DEFAULT_CAP)).coeffs),
-        )
+def _cap(module, n: int) -> int:
+    # the limit an engine is called with; the table's ranges decide what runs
+    return max(n, module.DEFAULT_CAP)
 
 
-def _suite_gamma(report: SuiteReport, n_max: int, threads: int, cap_override: bool) -> None:
-    for n in range(1, min(n_max, 20) + 1):
-        _check(
-            report,
-            "gamma.closed-vs-peel",
-            f"n={n}",
-            lambda n=n: list(poly.to_gamma_basis(poly.drake_polynomial(n)).gammas),
-            lambda n=n: list(poly.gamma_closed_form(n).gammas),
-        )
-        _check(
-            report,
-            "gamma.positive",
-            f"n={n}",
-            True,
-            lambda n=n: all(g > 0 for g in poly.gamma_closed_form(n).gammas),
-        )
-    tree_cap = n_max if cap_override else binary_trees.DEFAULT_CAP
-    for n in range(1, n_max + 1):
-        if n > tree_cap:
-            _skip(report, "gamma.ndrd-rdes", f"n={n}", "above-cap")
-            _skip(report, "gamma.ndnl-nlyn", f"n={n}", "above-cap")
-            continue
-        cap = max(n, binary_trees.DEFAULT_CAP)
-        _check(
-            report,
-            "gamma.ndrd-rdes",
-            f"n={n}",
-            lambda n=n: list(poly.gamma_closed_form(n).gammas),
-            lambda n=n, cap=cap: list(binary_trees.distribution_ndrd_rdes(n, threads, cap).gammas),
-        )
-        _check(
-            report,
-            "gamma.ndnl-nlyn",
-            f"n={n}",
-            lambda n=n: list(poly.gamma_closed_form(n).gammas),
-            lambda n=n, cap=cap: list(binary_trees.distribution_ndnl_nlyn(n, threads, cap).gammas),
-        )
+def _marginal(tally, idx: int) -> dict:
+    """Counts of a joint tally by the idx-th entry of its keys."""
+    out: dict = {}
+    for key, c in tally.items():
+        out[key[idx]] = out.get(key[idx], 0) + c
+    return out
 
 
-def _suite_combs(report: SuiteReport, n_max: int, threads: int, cap_override: bool) -> None:
-    tree_cap = n_max if cap_override else binary_trees.DEFAULT_CAP
-    for n in range(1, n_max + 1):
-        if n > tree_cap:
-            _skip(report, "combs.census-vs-product", f"n={n}", "above-cap")
-            continue
-        cap = max(n, binary_trees.DEFAULT_CAP)
-        _check(
-            report,
-            "combs.census-vs-product",
-            f"n={n}",
-            lambda n=n: list(poly.drake_polynomial(n).coeffs),
-            lambda n=n, cap=cap: list(binary_trees.bicolored_comb_census(n, threads, cap).coeffs),
-        )
-        _check(
-            report,
-            "combs.free-identity",
-            f"n={n}",
-            True,
-            lambda n=n, cap=cap: all(
-                f + 2 * r == n - 1
-                for (r, d, _nl, _dl, f) in binary_trees.joint_statistics(n, threads, cap)
-                if d == 0
-            ),
-        )
-        _check(
-            report,
-            "combs.fiber-total",
-            f"n={n}",
-            n ** (n - 1),
-            lambda n=n, cap=cap: poly.evaluate(
-                binary_trees.bicolored_comb_census(n, threads, cap), 1
-            ),
-        )
+class _Engines:
+    """Engine results shared by the checks of one verify run, keyed by function
+    and arguments.  Only results are kept: a call that raises is made again by
+    the next check that needs it, which then fails the same way."""
+
+    def __init__(self, threads: int):
+        self.threads = threads
+        self._results: dict = {}
+
+    def _get(self, fn, *args):
+        key = (fn, args)
+        if key not in self._results:
+            self._results[key] = fn(*args)
+        return self._results[key]
+
+    def drake(self, n: int):
+        return self._get(poly.drake_polynomial, n)
+
+    def gamma(self, n: int):
+        return self._get(poly.gamma_closed_form, n)
+
+    def joint(self, n: int):
+        return self._get(binary_trees.joint_statistics, n, self.threads, _cap(binary_trees, n))
+
+    def comb_census(self, n: int):
+        return self._get(binary_trees.bicolored_comb_census, n, self.threads, _cap(binary_trees, n))
+
+    def word_pairs(self, m: int):
+        return self._get(stirling.pair_statistics, m, _cap(stirling, m))
+
+    def expansion(self, n: int):
+        return self._get(symfunc.comb_type_expansion, n, _cap(binary_trees, n))
+
+    def fmcomb(self, n: int, k: int):
+        return self._get(symfunc.f_mcomb_direct, n, k)
 
 
-def _suite_lyndon(report: SuiteReport, n_max: int, threads: int, cap_override: bool) -> None:
-    tree_cap = n_max if cap_override else binary_trees.DEFAULT_CAP
-    for n in range(1, n_max + 1):
-        if n > tree_cap:
-            _skip(report, "lyndon.census-vs-product", f"n={n}", "above-cap")
-            continue
-        cap = max(n, binary_trees.DEFAULT_CAP)
-        _check(
-            report,
-            "lyndon.census-vs-product",
-            f"n={n}",
-            lambda n=n: list(poly.drake_polynomial(n).coeffs),
-            lambda n=n, cap=cap: list(binary_trees.bicolored_lyndon_census(n, threads, cap).coeffs),
-        )
-        _check(
-            report,
-            "lyndon.count-zero-nlyn",
-            f"n={n}",
-            math.factorial(n - 1),
-            lambda n=n, cap=cap: sum(
-                c
-                for (_r, _d, nl, _dl, _f), c in binary_trees.joint_statistics(
-                    n, threads, cap
-                ).items()
-                if nl == 0
-            ),
-        )
+@dataclass(frozen=True)
+class _Block:
+    """Checks run for each n = first..last (and each colour count k in colors);
+    above last, each id in skips reports SKIP.  last is a fixed bound, or the
+    module whose DEFAULT_CAP bounds the family (n_max under --cap-override).
+    A check is (id, expected, actual), both functions of (engines, n[, k]);
+    its two sides never read the same engine result."""
+
+    suite: str
+    first: int
+    last: int | ModuleType
+    skips: tuple[str, ...]
+    checks: tuple
+    colors: tuple[int, ...] = ()
 
 
-def _suite_stirling(report: SuiteReport, n_max: int, threads: int, cap_override: bool) -> None:
-    word_cap = n_max if cap_override else stirling.DEFAULT_CAP
-    for m in range(1, n_max + 1):
-        if m > word_cap:
-            _skip(report, "stirling.count", f"n={m}", "above-cap")
-            continue
-        cap = max(m, stirling.DEFAULT_CAP)
-        _check(
-            report,
-            "stirling.count",
-            f"n={m}",
-            _double_factorial(2 * m - 1),
-            lambda m=m, cap=cap: sum(1 for _ in stirling.enumerate_stirling(m, cap)),
-        )
-        _check(
-            report,
-            "stirling.naas-vs-gamma",
-            f"n={m}",
-            lambda m=m: list(poly.gamma_closed_form(m + 1).gammas),
-            lambda m=m, cap=cap: list(stirling.distribution_naas_aapair(m, cap).gammas),
-        )
-        _check(
-            report,
-            "stirling.ntns-vs-gamma",
-            f"n={m}",
-            lambda m=m: list(poly.gamma_closed_form(m + 1).gammas),
-            lambda m=m, cap=cap: list(stirling.distribution_ntns_tnpair(m, cap).gammas),
-        )
-        if m + 1 > binary_trees.DEFAULT_CAP and not cap_override:
-            _skip(report, "stirling.rdes-equidistribution", f"n={m}", "above-cap")
-            continue
-        tree_cap = max(m + 1, binary_trees.DEFAULT_CAP)
+_TABLE = (
+    _Block("drake", 1, 20, ("drake.cayley-count",), (
+        ("drake.cayley-count",
+            lambda e, n: n ** (n - 1),
+            lambda e, n: poly.evaluate(e.drake(n), 1)),
+        ("drake.palindromic",
+            lambda e, n: True,
+            lambda e, n: poly.is_palindromic(e.drake(n))),
+    )),
+    _Block("drake", 2, 10, (), (
+        ("drake.rational-roots",
+            lambda e, n: [0] * (n - 1),
+            lambda e, n: [poly.evaluate(e.drake(n), Fraction(-(n - i), i)) for i in range(1, n)]),
+    )),
+    _Block("drake", 1, rooted_trees, ("drake.descent-vs-product",), (
+        ("drake.descent-vs-product",
+            lambda e, n: list(e.drake(n).coeffs),
+            lambda e, n: list(
+                rooted_trees.descent_polynomial(n, e.threads, _cap(rooted_trees, n)).coeffs
+            )),
+    )),
+    _Block("gamma", 1, 20, (), (
+        ("gamma.closed-vs-peel",
+            lambda e, n: list(poly.to_gamma_basis(e.drake(n)).gammas),
+            lambda e, n: list(e.gamma(n).gammas)),
+        ("gamma.positive",
+            lambda e, n: True,
+            lambda e, n: all(g > 0 for g in e.gamma(n).gammas)),
+    )),
+    _Block("gamma", 1, binary_trees, ("gamma.ndrd-rdes", "gamma.ndnl-nlyn"), (
+        ("gamma.ndrd-rdes",
+            lambda e, n: list(e.gamma(n).gammas),
+            lambda e, n: list(
+                binary_trees.distribution_ndrd_rdes(n, e.threads, _cap(binary_trees, n)).gammas
+            )),
+        ("gamma.ndnl-nlyn",
+            lambda e, n: list(e.gamma(n).gammas),
+            lambda e, n: list(
+                binary_trees.distribution_ndnl_nlyn(n, e.threads, _cap(binary_trees, n)).gammas
+            )),
+    )),
+    _Block("combs", 1, binary_trees, ("combs.census-vs-product",), (
+        ("combs.census-vs-product",
+            lambda e, n: list(e.drake(n).coeffs),
+            lambda e, n: list(e.comb_census(n).coeffs)),
+        ("combs.free-identity",
+            lambda e, n: True,
+            lambda e, n: all(f + 2 * r == n - 1 for (r, d, _nl, _dl, f) in e.joint(n) if d == 0)),
+        ("combs.fiber-total",
+            lambda e, n: n ** (n - 1),
+            lambda e, n: poly.evaluate(e.comb_census(n), 1)),
+    )),
+    _Block("lyndon", 1, binary_trees, ("lyndon.census-vs-product",), (
+        ("lyndon.census-vs-product",
+            lambda e, n: list(e.drake(n).coeffs),
+            lambda e, n: list(
+                binary_trees.bicolored_lyndon_census(n, e.threads, _cap(binary_trees, n)).coeffs
+            )),
+        ("lyndon.count-zero-nlyn",
+            lambda e, n: math.factorial(n - 1),
+            lambda e, n: _marginal(e.joint(n), 2).get(0, 0)),
+    )),
+    # n is m here: the Stirling permutations of {1,1,...,m,m} match the trees on [m + 1]
+    _Block("stirling", 1, stirling, ("stirling.count",), (
+        ("stirling.count",
+            lambda e, m: _double_factorial(2 * m - 1),
+            lambda e, m: sum(1 for _ in stirling.enumerate_stirling(m, _cap(stirling, m)))),
+        ("stirling.naas-vs-gamma",
+            lambda e, m: list(e.gamma(m + 1).gammas),
+            lambda e, m: list(stirling.distribution_naas_aapair(m, _cap(stirling, m)).gammas)),
+        ("stirling.ntns-vs-gamma",
+            lambda e, m: list(e.gamma(m + 1).gammas),
+            lambda e, m: list(stirling.distribution_ntns_tnpair(m, _cap(stirling, m)).gammas)),
+        ("stirling.rdes-equidistribution",
+            lambda e, m: sorted(_marginal(e.joint(m + 1), 0).items()),
+            lambda e, m: sorted(_marginal(e.word_pairs(m), 1).items())),
+        ("stirling.nlyn-equidistribution",
+            lambda e, m: sorted(_marginal(e.joint(m + 1), 2).items()),
+            lambda e, m: sorted(_marginal(e.word_pairs(m), 0).items())),
+    )),
+    _Block("symfunc", 1, binary_trees, ("symfunc.specialization-vs-product",), (
+        ("symfunc.specialization-vs-product",
+            lambda e, n: list(e.drake(n).coeffs),
+            lambda e, n: list(symfunc.specialize_two_vars(e.expansion(n)).coeffs)),
+        ("symfunc.gamma-extraction",
+            lambda e, n: list(e.gamma(n).gammas),
+            lambda e, n: list(
+                poly.to_gamma_basis(symfunc.specialize_two_vars(e.expansion(n))).gammas
+            )),
+    )),
+    _Block("symfunc", 1, 7, (), (
+        ("symfunc.fmcomb-vs-expansion",
+            lambda e, n, k: symfunc.expansion_in_variables(e.expansion(n), k).terms,
+            lambda e, n, k: e.fmcomb(n, k).terms),
+        ("symfunc.product-form-mass",
+            lambda e, n, k: e.fmcomb(n, k).evaluate_all_ones(),
+            lambda e, n, k: sum(
+                symfunc.product_form_count(t, k) for t in binary_trees.enumerate_normalized(n)
+            )),
+    ), colors=(1, 2, 3)),
+    _Block("eulerian", 1, 8, ("eulerian.gamma-count-vs-peel",), (
+        ("eulerian.gamma-count-vs-peel",
+            lambda e, n: list(poly.to_gamma_basis(poly.eulerian_polynomial(n)).gammas),
+            lambda e, n: list(poly.eulerian_gamma_count(n).gammas)),
+    )),
+    _Block("eulerian", 3, 3, (), (
+        ("eulerian.reference-values",
+            lambda e, n: ([1, 4, 1], [1, 2]),
+            lambda e, n: (
+                list(poly.eulerian_polynomial(n).coeffs), list(poly.eulerian_gamma_count(n).gammas)
+            )),
+    )),
+)
 
-        def word_hist(m=m, cap=cap):
-            aa_hist: dict[int, int] = {}
-            tn_hist: dict[int, int] = {}
-            for (aa, tn, _naas, _ntns), c in stirling.pair_statistics(m, cap).items():
-                aa_hist[aa] = aa_hist.get(aa, 0) + c
-                tn_hist[tn] = tn_hist.get(tn, 0) + c
-            return aa_hist, tn_hist
-
-        def tree_hist(m=m, tree_cap=tree_cap):
-            rdes_hist: dict[int, int] = {}
-            nlyn_hist: dict[int, int] = {}
-            for (r, _d, nl, _dl, _f), c in binary_trees.joint_statistics(
-                m + 1, threads, tree_cap
-            ).items():
-                rdes_hist[r] = rdes_hist.get(r, 0) + c
-                nlyn_hist[nl] = nlyn_hist.get(nl, 0) + c
-            return rdes_hist, nlyn_hist
-
-        whist, thist = _once(word_hist), _once(tree_hist)
-        _check(
-            report,
-            "stirling.rdes-equidistribution",
-            f"n={m}",
-            lambda thist=thist: sorted(thist()[0].items()),
-            lambda whist=whist: sorted(whist()[1].items()),
-        )
-        _check(
-            report,
-            "stirling.nlyn-equidistribution",
-            f"n={m}",
-            lambda thist=thist: sorted(thist()[1].items()),
-            lambda whist=whist: sorted(whist()[0].items()),
-        )
-
-
-def _suite_symfunc(report: SuiteReport, n_max: int, threads: int, cap_override: bool) -> None:
-    tree_cap = n_max if cap_override else binary_trees.DEFAULT_CAP
-    for n in range(1, n_max + 1):
-        if n > tree_cap:
-            _skip(report, "symfunc.specialization-vs-product", f"n={n}", "above-cap")
-            continue
-        cap = max(n, binary_trees.DEFAULT_CAP)
-        _check(
-            report,
-            "symfunc.specialization-vs-product",
-            f"n={n}",
-            lambda n=n: list(poly.drake_polynomial(n).coeffs),
-            lambda n=n, cap=cap: list(
-                symfunc.specialize_two_vars(symfunc.comb_type_expansion(n, cap)).coeffs
-            ),
-        )
-        _check(
-            report,
-            "symfunc.gamma-extraction",
-            f"n={n}",
-            lambda n=n: list(poly.gamma_closed_form(n).gammas),
-            lambda n=n, cap=cap: list(
-                poly.to_gamma_basis(
-                    symfunc.specialize_two_vars(symfunc.comb_type_expansion(n, cap))
-                ).gammas
-            ),
-        )
-    for n in range(1, min(n_max, 7) + 1):
-        for k in range(1, 4):
-            _check(
-                report,
-                "symfunc.fmcomb-vs-expansion",
-                f"n={n} k={k}",
-                lambda n=n, k=k: symfunc.expansion_in_variables(
-                    symfunc.comb_type_expansion(n), k
-                ).terms,
-                lambda n=n, k=k: symfunc.f_mcomb_direct(n, k).terms,
-            )
-            _check(
-                report,
-                "symfunc.product-form-mass",
-                f"n={n} k={k}",
-                lambda n=n, k=k: symfunc.f_mcomb_direct(n, k).evaluate_all_ones(),
-                lambda n=n, k=k: sum(
-                    symfunc.product_form_count(t, k)
-                    for t in binary_trees.enumerate_normalized(n)
-                ),
-            )
-
-
-def _suite_eulerian(report: SuiteReport, n_max: int, threads: int, cap_override: bool) -> None:
-    for n in range(1, min(n_max, 8) + 1):
-        _check(
-            report,
-            "eulerian.gamma-count-vs-peel",
-            f"n={n}",
-            lambda n=n: list(poly.to_gamma_basis(poly.eulerian_polynomial(n)).gammas),
-            lambda n=n: list(poly.eulerian_gamma_count(n).gammas),
-        )
-    for n in range(min(n_max, 8) + 1, n_max + 1):
-        _skip(report, "eulerian.gamma-count-vs-peel", f"n={n}", "above-cap")
-    if n_max >= 3:
-        _check(
-            report,
-            "eulerian.reference-values",
-            "n=3",
-            ([1, 4, 1], [1, 2]),
-            lambda: (
-                list(poly.eulerian_polynomial(3).coeffs),
-                list(poly.eulerian_gamma_count(3).gammas),
-            ),
-        )
-
-
-_SUITE_RUNNERS = {
-    "drake": _suite_drake,
-    "gamma": _suite_gamma,
-    "combs": _suite_combs,
-    "lyndon": _suite_lyndon,
-    "stirling": _suite_stirling,
-    "symfunc": _suite_symfunc,
-    "eulerian": _suite_eulerian,
-}
+SUITES = ("all", *dict.fromkeys(block.suite for block in _TABLE))
 
 
 def cmd_verify(suite: str, n_max: int, threads: int, cap_override: bool) -> SuiteReport:
     if suite not in SUITES:
         raise InvalidSuiteError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
     report = SuiteReport(suite, n_max)
-    names = list(_SUITE_RUNNERS) if suite == "all" else [suite]
-    for name in names:
-        _SUITE_RUNNERS[name](report, n_max, threads, cap_override)
+    engines = _Engines(threads)
+    for block in _TABLE:
+        if suite not in ("all", block.suite):
+            continue
+        last = block.last
+        if not isinstance(last, int):
+            last = n_max if cap_override else last.DEFAULT_CAP
+        for n in range(block.first, n_max + 1):
+            if n > last:
+                for skip_id in block.skips:
+                    report.checks.append(CheckRecord(skip_id, f"n={n}", "skip", "above-cap", "", 0))
+                continue
+            runs = [((n, k), f"n={n} k={k}") for k in block.colors] or [((n,), f"n={n}")]
+            for args, params in runs:
+                for check_id, *sides in block.checks:
+                    expected, actual = (functools.partial(f, engines, *args) for f in sides)
+                    _check(report, check_id, params, expected, actual)
     return report
 
 
@@ -524,10 +403,7 @@ def _histogram(family: str, stat: str, n: int, threads: int, cap: int) -> dict:
         if stat == "combtype":
             return dict(binary_trees.comb_type_tally(n, cap))
         idx = {"rdes": 0, "nlyn": 2, "free": 4}[stat]
-        hist: dict[int, int] = {}
-        for key, c in binary_trees.joint_statistics(n, threads, cap).items():
-            hist[key[idx]] = hist.get(key[idx], 0) + c
-        return hist
+        return _marginal(binary_trees.joint_statistics(n, threads, cap), idx)
     if family == "combs":
         coeffs = binary_trees.bicolored_comb_census(n, threads, cap).coeffs
         return {i: c for i, c in enumerate(coeffs) if c}
@@ -535,11 +411,7 @@ def _histogram(family: str, stat: str, n: int, threads: int, cap: int) -> dict:
         coeffs = binary_trees.bicolored_lyndon_census(n, threads, cap).coeffs
         return {i: c for i, c in enumerate(coeffs) if c}
     # stirling
-    idx = 0 if stat == "aapair" else 1
-    hist = {}
-    for key, c in stirling.pair_statistics(n, cap).items():
-        hist[key[idx]] = hist.get(key[idx], 0) + c
-    return hist
+    return _marginal(stirling.pair_statistics(n, cap), 0 if stat == "aapair" else 1)
 
 
 def _render_histogram(family: str, stat: str, n: int, hist: dict, fmt: str) -> str:
@@ -667,6 +539,10 @@ def _render_rows(family: str, stat: str, n: int, cap: int, fmt: str) -> Iterator
         yield join(chunk)
 
 
+def _refusal(family: str, n: int, cap: int) -> str:
+    return f"refused family={family} n={n} cap={cap} hint=pass --cap-override to enumerate anyway\n"
+
+
 def cmd_enumerate(
     family: str,
     n: int,
@@ -690,13 +566,7 @@ def cmd_enumerate(
         )
     default_cap = FAMILY_CAPS[family]
     if n > default_cap and not cap_override:
-        return (
-            [
-                f"refused family={family} n={n} cap={default_cap} "
-                "hint=pass --cap-override to enumerate anyway\n"
-            ],
-            True,
-        )
+        return [_refusal(family, n, default_cap)], True
     cap = max(n, default_cap)
     if mode == "auto":
         mode = "histogram" if _family_count(family, n) > HISTOGRAM_THRESHOLD else "rows"
@@ -709,11 +579,7 @@ def cmd_enumerate(
 def cmd_symfunc(n: int, fmt: str, cap_override: bool) -> tuple[str, bool]:
     default_cap = binary_trees.DEFAULT_CAP
     if n > default_cap and not cap_override:
-        return (
-            f"refused family=symfunc n={n} cap={default_cap} "
-            "hint=pass --cap-override to enumerate anyway\n",
-            True,
-        )
+        return _refusal("symfunc", n, default_cap), True
     cap = max(n, default_cap)
     expansion = symfunc.comb_type_expansion(n, cap)
     specialized = symfunc.specialize_two_vars(expansion)
@@ -787,39 +653,29 @@ def main(argv=None) -> int:
             sys.stdout.write(_render_verify(report, args.format))
             for c in report.checks:
                 sys.stderr.write(f"# {c.check_id} {c.params} elapsed_ms={c.elapsed_ms}\n")
-            sys.stderr.write(
-                f"# suite elapsed_ms={int((time.perf_counter() - t0) * 1000)}\n"
-            )
+            sys.stderr.write(f"# suite elapsed_ms={int((time.perf_counter() - t0) * 1000)}\n")
             return 0 if report.counts()[1] == 0 else 1
+        if args.n < 1:
+            raise ValueError("--n must be a positive integer")
         if args.command == "poly":
-            if args.n < 1:
-                raise ValueError("--n must be a positive integer")
             sys.stdout.write(cmd_poly(args.n, args.basis, args.format))
             return 0
         if args.command == "enumerate":
-            if args.n < 1:
-                raise ValueError("--n must be a positive integer")
             threads = resolve_threads(args.threads)
             chunks, refused = cmd_enumerate(
                 args.family, args.n, args.stat, args.format, args.mode, threads, args.cap_override
             )
-            for chunk in chunks:
-                sys.stdout.write(chunk)
-            if refused:
-                sys.stderr.write("# enumeration refused: size above cap\n")
-            return 0
-        if args.command == "symfunc":
-            if args.n < 1:
-                raise ValueError("--n must be a positive integer")
+        else:
             text, refused = cmd_symfunc(args.n, args.format, args.cap_override)
-            sys.stdout.write(text)
-            if refused:
-                sys.stderr.write("# enumeration refused: size above cap\n")
-            return 0
+            chunks = [text]
+        for chunk in chunks:
+            sys.stdout.write(chunk)
+        if refused:
+            sys.stderr.write("# enumeration refused: size above cap\n")
+        return 0
     except (InvalidSuiteError, IncompatibleStatError, LimitExceededError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -169,6 +169,52 @@ class TestVerifyCommand:
         assert any(line.startswith("PASS eulerian.") for line in lines)
         assert lines[-1].startswith("TOTAL suite=all n_max=3")
 
+        argv = ["verify", "--suite", "all", "--n-max", "3", "--threads", "1", "--format", "json"]
+        assert cli.main(argv) == 1
+        doc = json.loads(capsys.readouterr().out)
+        failed = [c for c in doc["checks"] if c["status"] == "fail"]
+        # the two distributions and both equidistributions read the word engine
+        assert {c["check"] for c in failed} == {
+            "stirling.naas-vs-gamma",
+            "stirling.ntns-vs-gamma",
+            "stirling.rdes-equidistribution",
+            "stirling.nlyn-equidistribution",
+        }
+        assert all(
+            c["expected"] == "no error" and c["actual"] == "error: word engine down" for c in failed
+        )
+        assert doc["failed"] == len(failed) == 12
+
+    def test_check_sides_read_disjoint_engine_results(self, monkeypatch):
+        # a check compares two computations; sharing one engine result between
+        # its sides would make it compare a value with itself
+        reads = []
+        get = cli._Engines._get
+
+        def recording_get(self, fn, *args):
+            reads.append((fn, args))
+            return get(self, fn, *args)
+
+        monkeypatch.setattr(cli._Engines, "_get", recording_get)
+        engines = cli._Engines(1)
+        for block in cli._TABLE:
+            args = (3, 2) if block.colors else (3,)
+            for check_id, expected, actual in block.checks:
+                reads.clear()
+                expected(engines, *args)
+                expected_reads = set(reads)
+                reads.clear()
+                actual(engines, *args)
+                assert not expected_reads & set(reads), check_id
+
+    def test_stirling_trees_stay_within_tree_cap(self):
+        # stirling.*-equidistribution at n = m reads the trees on [m + 1]; while
+        # the Stirling cap stays below the tree cap, no m the stirling suite runs
+        # takes the trees above their cap, so those checks need no skip of their own.
+        from gamma_forest import binary_trees, stirling
+
+        assert stirling.DEFAULT_CAP + 1 <= binary_trees.DEFAULT_CAP
+
     def test_failure_exit_code(self, monkeypatch):
         # force one check to disagree and confirm the suite reports nonzero
         report = cli.SuiteReport("drake", 2)

@@ -2,9 +2,10 @@
 
 Each digest is the SHA-256 of the command's stdout, recorded before rows mode
 moved onto the insertion engines; the output must stay byte-identical.  The
-capped verify digests run with the family caps lowered, so that small runs
-reach every SKIP line and every fixed n range of the verify suites.  To print
-the digests of the current code:
+capped verify digests, recorded before the verify suites became one check
+table, run with the family caps lowered, so that small runs reach every SKIP
+line and every fixed n range of the verify suites.  To print the digests of
+the current code:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -239,4 +240,5 @@ if __name__ == "__main__":
     for fmt in VERIFY_FORMATS:
         print(f'    "{fmt}": "{stdout_digest(verify_argv(fmt))[1]}",')
     for suite, n_max, fmt in CAPPED_CASES:
-        print(f'    "{suite}-{n_max}-{fmt}": "{capped_digest(suite, n_max, fmt)[1]}",')
+        digest = capped_digest(suite, n_max, fmt)[1]
+        print(f'    "{suite}-{n_max}-{fmt}": "{digest}",')
