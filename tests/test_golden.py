@@ -4,7 +4,9 @@ Each digest is the SHA-256 of the command's stdout, recorded before rows mode
 moved onto the insertion engines; the output must stay byte-identical.  The
 capped verify digests, recorded before the verify suites became one check
 table, run with the family caps lowered, so that small runs reach every SKIP
-line and every fixed n range of the verify suites.  To print the digests of
+line and every fixed n range of the verify suites.  The symfunc, refusal and
+auto-mode digests were recorded before the enumerate families became one
+table; the refusals run with the caps lowered too.  To print the digests of
 the current code:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -39,6 +41,14 @@ CAPPED_CASES = [("all", 5, fmt) for fmt in VERIFY_FORMATS] + [
     for suite in ("drake", "gamma", "combs", "lyndon", "stirling", "eulerian")
     for fmt in VERIFY_FORMATS
 ]
+FORMATS = ("text", "csv", "json")
+SYMFUNC_CASES = [(fmt, n) for fmt in FORMATS for n in range(1, 6)]
+# one above each lowered cap
+REFUSAL_CASES = {
+    "rooted": 4, "normalized": 5, "combs": 5, "lyndon": 5, "stirling": 4, "symfunc": 5,
+}
+# normalized trees: 11!! = 10395 print as rows, 13!! = 135135 as a histogram
+AUTO_CASES = [(fmt, n) for fmt in FORMATS for n in (7, 8)]
 
 
 def row_argv(family, stat, fmt, n, mode="rows"):
@@ -46,6 +56,20 @@ def row_argv(family, stat, fmt, n, mode="rows"):
         "enumerate", "--family", family, "--stat", stat, "--format", fmt,
         "--n", str(n), "--mode", mode, "--threads", "1",
     ]
+
+
+def auto_argv(fmt, n):
+    return ["enumerate", "--family", "normalized", "--n", str(n), "--format", fmt, "--threads", "1"]
+
+
+def symfunc_argv(fmt, n):
+    return ["symfunc", "--n", str(n), "--format", fmt]
+
+
+def refusal_argv(family, n):
+    if family == "symfunc":
+        return symfunc_argv("text", n)
+    return ["enumerate", "--family", family, "--n", str(n), "--threads", "1"]
 
 
 def verify_argv(fmt, suite="all", n_max=5):
@@ -64,6 +88,18 @@ def capped_digest(suite, n_max, fmt):
         for module, cap in LOWERED_CAPS.items():
             mp.setattr(module, "DEFAULT_CAP", cap)
         return stdout_digest(verify_argv(fmt, suite, n_max))
+
+
+def refusal_digest(family, n):
+    with pytest.MonkeyPatch.context() as mp:
+        for module, cap in LOWERED_CAPS.items():
+            mp.setattr(module, "DEFAULT_CAP", cap)
+        # enumerate copies the module caps when cli is imported
+        for fam, module in (("rooted", rooted_trees), ("stirling", stirling)):
+            mp.setitem(cli.FAMILY_CAPS, fam, LOWERED_CAPS[module])
+        for fam in ("normalized", "combs", "lyndon"):
+            mp.setitem(cli.FAMILY_CAPS, fam, LOWERED_CAPS[binary_trees])
+        return stdout_digest(refusal_argv(family, n))
 
 
 ROW_DIGESTS = {
@@ -199,6 +235,40 @@ CAPPED_DIGESTS = {
     "eulerian-22-json": "cf8d37efc8286bd0330883d655a3d03fd13316e2163f642118ba9b8a0832205f",
 }
 
+SYMFUNC_DIGESTS = {
+    "text-1": "80258d6a2a22aa7ea73673bb2ec992219b9babe45c1e34453a4780b44746ca24",
+    "text-2": "050238ad26890eea6b04b6261537fe1aa9d5433b5b2a5db10bc177032774dc82",
+    "text-3": "a8f24f30503b1928a87b07cb0081be2157a2d9ab9c5158990f880fa56f84908c",
+    "text-4": "15a0c6085303f462f79b6c36c3bd13b5d4c3dad0bc290ac34e4f965105aa3179",
+    "text-5": "acbdcfbabea0f1976b3d21f8fe090c9a53351aeae676b71637540bc1e9c6965c",
+    "csv-1": "fabde2a31c00284c0795d1a5a3883bba5e23584e44660544f7496fed41062606",
+    "csv-2": "8f46186b4d71a4e31fd9006da71b52f57e4b941030fac9cf9336b15b15eaeea6",
+    "csv-3": "c122fb464dc08346be4f0af69a9607f5d3117772dad1eca51b480a5572b26791",
+    "csv-4": "668c323e5ec7e74f7eda30d2f8a19d4b6bac4fa3cebb7698f00b88f86603563c",
+    "csv-5": "9928eaac803be28fda4187f8e0e5b360a52ff05c5520b149659248cf10ebf959",
+    "json-1": "f9204807184bd1fd621dda09f674e436c919664574e6fe7d70f2fe1798af87e2",
+    "json-2": "526d447347b76bf17b05918dcb90d775627e3071238d51c30f1aa75c9470283d",
+    "json-3": "160398154966a65461157c4c6efd154524160ed18afee4114720da9fcba48551",
+    "json-4": "ef9e9c626798cf49b2da0ad8150c3443a73acbefe94ec360ccc1f3303f800e77",
+    "json-5": "e460d405c8970a453c48acc14ba1ba9f298eaf457f2e4044b22a2e0299dfb69b",
+}
+REFUSAL_DIGESTS = {
+    "rooted": "c3a40f7669c0968644b14e07c0ae8f42f2f35ae043c47eae4bff7112561dbf1b",
+    "normalized": "761bf8d1d2704b95a2a598b5951ec8c089e35a4141f09f371037a682beb85e42",
+    "combs": "2ef70d534946d8465c180d1b52f438e6b97e040170ffdd6a2f73bb201f504b0e",
+    "lyndon": "aa21a9cdc6339c45adb462cfffdf9a14699e725ff09444fe37990f5f5dcdf356",
+    "stirling": "55a325ba0b4f8a835f55122383196844d12c48d22583d8e3170b64723acb4950",
+    "symfunc": "5ed25d80ba74b8d048c887979edd5bd7c30168320ed518f1ca521b100d9d10e9",
+}
+AUTO_DIGESTS = {
+    "text-7": "5e01d2ec24334e2381d4da26d5f1ac1803885d4ff0615cb20754d170d80836ec",
+    "text-8": "aa99da6d91bb83054218cdfa797f5c3104b9ee9138fc5b00682c11ab0c8beb6d",
+    "csv-7": "894f4f32d8fa3f6ed981170f3721acdf3f91a509bf490f484391b35ec94b6244",
+    "csv-8": "9fc992746a243f6ad81d722b11b4eb0a85cb936cfa6b86a8d7228e9637a96834",
+    "json-7": "51c65ec75065785376f42316bb6bf2515940a019307ac391012063cc88b8538a",
+    "json-8": "45c52a123e00e38836090216394d0a265044ff537bb4f8f279f6b844fabd3924",
+}
+
 
 @pytest.mark.parametrize("case", ROW_CASES, ids=lambda c: "-".join(map(str, c)))
 def test_rows_output_unchanged(case):
@@ -231,6 +301,29 @@ def test_capped_verify_output_unchanged(case):
     assert digest == CAPPED_DIGESTS[f"{suite}-{n_max}-{fmt}"]
 
 
+@pytest.mark.parametrize("case", SYMFUNC_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_symfunc_output_unchanged(case):
+    fmt, n = case
+    status, digest = stdout_digest(symfunc_argv(fmt, n))
+    assert status == 0
+    assert digest == SYMFUNC_DIGESTS[f"{fmt}-{n}"]
+
+
+@pytest.mark.parametrize("family", REFUSAL_CASES)
+def test_refusal_output_unchanged(family):
+    status, digest = refusal_digest(family, REFUSAL_CASES[family])
+    assert status == 0
+    assert digest == REFUSAL_DIGESTS[family]
+
+
+@pytest.mark.parametrize("case", AUTO_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_auto_mode_output_unchanged(case):
+    fmt, n = case
+    status, digest = stdout_digest(auto_argv(fmt, n))
+    assert status == 0
+    assert digest == AUTO_DIGESTS[f"{fmt}-{n}"]
+
+
 if __name__ == "__main__":
     for family, stat, fmt, n in ROW_CASES:
         print(f'    "{family}-{stat}-{fmt}-{n}": "{stdout_digest(row_argv(family, stat, fmt, n))[1]}",')
@@ -242,3 +335,9 @@ if __name__ == "__main__":
     for suite, n_max, fmt in CAPPED_CASES:
         digest = capped_digest(suite, n_max, fmt)[1]
         print(f'    "{suite}-{n_max}-{fmt}": "{digest}",')
+    for fmt, n in SYMFUNC_CASES:
+        print(f'    "{fmt}-{n}": "{stdout_digest(symfunc_argv(fmt, n))[1]}",')
+    for family, n in REFUSAL_CASES.items():
+        print(f'    "{family}": "{refusal_digest(family, n)[1]}",')
+    for fmt, n in AUTO_CASES:
+        print(f'    "{fmt}-{n}": "{stdout_digest(auto_argv(fmt, n))[1]}",')
