@@ -507,12 +507,14 @@ def _tally_task(args: tuple[int, tuple[int, ...]]) -> Counter:
 
 def joint_statistics(n: int, threads: int = 1, cap: int = DEFAULT_CAP) -> Counter:
     """Tally of (rdes, double-rd count, nlyn, double-nl count, free) over all
-    normalized trees on [n]."""
+    normalized trees on [n].  threads > 1 spreads prefix shards over a process
+    pool from n = 8 on; below that the serial pass is faster than the pool's
+    start."""
     if n < 1:
         raise ValueError("n must be a positive integer")
     if n > cap:
         raise LimitExceededError("joint_statistics", n, cap)
-    if threads > 1 and n >= 7:
+    if threads > 1 and n >= 8:
         levels: list[range] = []
         width = 1
         m = 3

@@ -21,34 +21,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice
 from types import ModuleType
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import binary_trees, poly, rooted_trees, stirling, symfunc
 from .errors import LimitExceededError
-
-FAMILIES = ("rooted", "normalized", "combs", "lyndon", "stirling")
-
-FAMILY_STATS = {
-    "rooted": ("des",),
-    "normalized": binary_trees.ROW_STATS,
-    "combs": ("ones",),
-    "lyndon": ("ones",),
-    "stirling": ("aapair", "tnpair"),
-}
-FAMILY_DEFAULT_STAT = {
-    "rooted": "des",
-    "normalized": "rdes",
-    "combs": "ones",
-    "lyndon": "ones",
-    "stirling": "tnpair",
-}
-FAMILY_CAPS = {
-    "rooted": rooted_trees.DEFAULT_CAP,
-    "normalized": binary_trees.DEFAULT_CAP,
-    "combs": binary_trees.DEFAULT_CAP,
-    "lyndon": binary_trees.DEFAULT_CAP,
-    "stirling": stirling.DEFAULT_CAP,
-}
 
 HISTOGRAM_THRESHOLD = 10**5
 
@@ -78,10 +54,8 @@ class SuiteReport:
     checks: list[CheckRecord] = field(default_factory=list)
 
     def counts(self) -> tuple[int, int, int]:
-        passed = sum(1 for c in self.checks if c.status == "pass")
-        failed = sum(1 for c in self.checks if c.status == "fail")
-        skipped = sum(1 for c in self.checks if c.status == "skip")
-        return passed, failed, skipped
+        statuses = [c.status for c in self.checks]
+        return statuses.count("pass"), statuses.count("fail"), statuses.count("skip")
 
 
 def resolve_threads(value: int | None) -> int:
@@ -117,11 +91,7 @@ def _check(report: SuiteReport, check_id: str, params: str, expected, actual) ->
 
 def _double_factorial(m: int) -> int:
     # (m)!! for odd m; 1 when m <= 0
-    out = 1
-    while m > 1:
-        out *= m
-        m -= 2
-    return out
+    return math.prod(range(m, 0, -2))
 
 
 def _cap(module, n: int) -> int:
@@ -383,56 +353,24 @@ def cmd_poly(n: int, basis: str, fmt: str) -> str:
     return " ".join(str(c) for c in p.coeffs) + "\n"
 
 
-def _family_count(family: str, n: int) -> int:
-    if family in ("rooted", "combs", "lyndon"):
-        return n ** (n - 1)
-    if family == "normalized":
-        return _double_factorial(2 * n - 3)
-    return _double_factorial(2 * n - 1)
-
-
-def _partition_key(parts: tuple[int, ...]) -> str:
-    return "+".join(str(p) for p in parts) if parts else "0"
-
-
-def _histogram(family: str, stat: str, n: int, threads: int, cap: int) -> dict:
-    if family == "rooted":
-        coeffs = rooted_trees.descent_polynomial(n, threads, cap).coeffs
-        return {i: c for i, c in enumerate(coeffs) if c}
-    if family == "normalized":
-        if stat == "combtype":
-            return dict(binary_trees.comb_type_tally(n, cap))
-        idx = {"rdes": 0, "nlyn": 2, "free": 4}[stat]
-        return _marginal(binary_trees.joint_statistics(n, threads, cap), idx)
-    if family == "combs":
-        coeffs = binary_trees.bicolored_comb_census(n, threads, cap).coeffs
-        return {i: c for i, c in enumerate(coeffs) if c}
-    if family == "lyndon":
-        coeffs = binary_trees.bicolored_lyndon_census(n, threads, cap).coeffs
-        return {i: c for i, c in enumerate(coeffs) if c}
-    # stirling
-    return _marginal(stirling.pair_statistics(n, cap), 0 if stat == "aapair" else 1)
+def _nonzero(p) -> dict:
+    """A polynomial's nonzero coefficients by degree, as a histogram."""
+    return {i: c for i, c in enumerate(p.coeffs) if c}
 
 
 def _render_histogram(family: str, stat: str, n: int, hist: dict, fmt: str) -> str:
     items = sorted(hist.items())
-    total = sum(hist.values())
     if fmt == "json":
         doc = {
             "family": family,
             "n": n,
             "stat": stat,
-            "total": str(total),
+            "total": str(sum(hist.values())),
             "histogram": {_stat_text(k): str(v) for k, v in items},
         }
         return json.dumps(doc, separators=(",", ":")) + "\n"
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["stat", "count"])
-        for k, v in items:
-            writer.writerow([_stat_text(k), v])
-        return buf.getvalue()
+        return _csv_text(chain([("stat", "count")], ((_stat_text(k), v) for k, v in items)))
     return "".join(f"{_stat_text(k)} {v}\n" for k, v in items)
 
 
@@ -441,7 +379,9 @@ ROW_CHUNK = 4096  # rows per stdout write in rows mode
 
 @functools.cache
 def _stat_text(value) -> str:
-    return _partition_key(value) if isinstance(value, tuple) else str(value)
+    if isinstance(value, tuple):  # a partition
+        return "+".join(map(str, value)) if value else "0"
+    return str(value)
 
 
 @functools.cache
@@ -455,8 +395,9 @@ def _csv_text(rows) -> str:
     return buf.getvalue()
 
 
-# Row sources, one per family: each returns an iterator over the lines of the
-# requested format, or for csv over the cell tuples, header first.
+# Row sources: each returns an iterator over the lines of the requested format,
+# or for csv over the cell tuples, header first.  The bytes of each format
+# differ by family, so each family keeps its own.
 
 
 def _object_rows(pairs, key: str, fmt: str):
@@ -491,10 +432,6 @@ def _rooted_rows(stat: str, n: int, cap: int, fmt: str):
     return (f"{obj}\t{d}\n" for obj, d in objects)
 
 
-def _normalized_rows(stat: str, n: int, cap: int, fmt: str):
-    return _object_rows(binary_trees.normalized_rows(n, stat, cap), "tree", fmt)
-
-
 def _stirling_rows(stat: str, n: int, cap: int, fmt: str):
     rows = stirling.statistics_rows(n, cap)
     if fmt == "csv":
@@ -518,29 +455,83 @@ def _colored_rows(colorings, fmt: str):
     return (f"{t}\t{c}\t{v}\n" for t, c, v in rows)
 
 
-_ROW_SOURCES = {
-    "rooted": _rooted_rows,
-    "normalized": _normalized_rows,
-    "combs": lambda stat, n, cap, fmt: _colored_rows(
-        binary_trees.enumerate_bicolored_combs(n, cap), fmt
+def _normalized_histogram(stat: str, n: int, threads: int, cap: int) -> dict:
+    if stat == "combtype":
+        return dict(binary_trees.comb_type_tally(n, cap))
+    idx = {"rdes": 0, "nlyn": 2, "free": 4}[stat]
+    return _marginal(binary_trees.joint_statistics(n, threads, cap), idx)
+
+
+@dataclass(frozen=True)
+class _Family:
+    """An enumerate family: its statistics (the default first), the module whose
+    DEFAULT_CAP bounds n, the object count that --mode auto compares with
+    HISTOGRAM_THRESHOLD, and its histogram and row source.  Engines are looked
+    up on their module at call time, so a rebound attribute is the one that runs."""
+
+    stats: tuple[str, ...]
+    module: ModuleType
+    count: Callable[[int], int]
+    histogram: Callable[[str, int, int, int], dict]
+    rows: Callable[[str, int, int, str], Iterator]
+
+
+FAMILIES = {
+    "rooted": _Family(
+        ("des",),
+        rooted_trees,
+        lambda n: n ** (n - 1),
+        lambda stat, n, threads, cap: _nonzero(rooted_trees.descent_polynomial(n, threads, cap)),
+        _rooted_rows,
     ),
-    "lyndon": lambda stat, n, cap, fmt: _colored_rows(
-        binary_trees.enumerate_bicolored_lyndon(n, cap), fmt
+    "normalized": _Family(
+        binary_trees.ROW_STATS,
+        binary_trees,
+        lambda n: _double_factorial(2 * n - 3),
+        _normalized_histogram,
+        lambda stat, n, cap, fmt: _object_rows(binary_trees.normalized_rows(n, stat, cap), "tree", fmt),
     ),
-    "stirling": _stirling_rows,
+    "combs": _Family(
+        ("ones",),
+        binary_trees,
+        lambda n: n ** (n - 1),
+        lambda stat, n, threads, cap: _nonzero(binary_trees.bicolored_comb_census(n, threads, cap)),
+        lambda stat, n, cap, fmt: _colored_rows(binary_trees.enumerate_bicolored_combs(n, cap), fmt),
+    ),
+    "lyndon": _Family(
+        ("ones",),
+        binary_trees,
+        lambda n: n ** (n - 1),
+        lambda stat, n, threads, cap: _nonzero(binary_trees.bicolored_lyndon_census(n, threads, cap)),
+        lambda stat, n, cap, fmt: _colored_rows(binary_trees.enumerate_bicolored_lyndon(n, cap), fmt),
+    ),
+    "stirling": _Family(
+        ("tnpair", "aapair"),
+        stirling,
+        lambda n: _double_factorial(2 * n - 1),
+        lambda stat, n, threads, cap: _marginal(
+            stirling.pair_statistics(n, cap), ("aapair", "tnpair").index(stat)
+        ),
+        _stirling_rows,
+    ),
 }
 
 
 def _render_rows(family: str, stat: str, n: int, cap: int, fmt: str) -> Iterator[str]:
     """Rows-mode stdout in chunks of ROW_CHUNK rows, so memory stays bounded."""
-    rows = _ROW_SOURCES[family](stat, n, cap, fmt)
+    rows = FAMILIES[family].rows(stat, n, cap, fmt)
     join = _csv_text if fmt == "csv" else "".join
     while chunk := list(islice(rows, ROW_CHUNK)):
         yield join(chunk)
 
 
-def _refusal(family: str, n: int, cap: int) -> str:
-    return f"refused family={family} n={n} cap={cap} hint=pass --cap-override to enumerate anyway\n"
+def _refusal(name: str, module: ModuleType, n: int, cap_override: bool) -> str | None:
+    """The refusal line when n is above the module's DEFAULT_CAP, read at run
+    time as verify's table does, and --cap-override is not given."""
+    cap = module.DEFAULT_CAP
+    if n <= cap or cap_override:
+        return None
+    return f"refused family={name} n={n} cap={cap} hint=pass --cap-override to enumerate anyway\n"
 
 
 def cmd_enumerate(
@@ -553,35 +544,33 @@ def cmd_enumerate(
     cap_override: bool,
 ) -> tuple[Iterable[str], bool]:
     """Returns (stdout in chunks, refused flag)."""
-    if family not in FAMILIES:
+    spec = FAMILIES.get(family)
+    if spec is None:
         raise IncompatibleStatError(
             f"unknown family {family!r}; choose from {', '.join(FAMILIES)}"
         )
     if stat is None:
-        stat = FAMILY_DEFAULT_STAT[family]
-    if stat not in FAMILY_STATS[family]:
+        stat = spec.stats[0]
+    if stat not in spec.stats:
         raise IncompatibleStatError(
             f"stat {stat!r} is not defined for family {family!r}; "
-            f"choose from {', '.join(FAMILY_STATS[family])}"
+            f"choose from {', '.join(spec.stats)}"
         )
-    default_cap = FAMILY_CAPS[family]
-    if n > default_cap and not cap_override:
-        return [_refusal(family, n, default_cap)], True
-    cap = max(n, default_cap)
+    if refusal := _refusal(family, spec.module, n, cap_override):
+        return [refusal], True
+    cap = _cap(spec.module, n)
     if mode == "auto":
-        mode = "histogram" if _family_count(family, n) > HISTOGRAM_THRESHOLD else "rows"
+        mode = "histogram" if spec.count(n) > HISTOGRAM_THRESHOLD else "rows"
     if mode == "histogram":
-        hist = _histogram(family, stat, n, threads, cap)
+        hist = spec.histogram(stat, n, threads, cap)
         return [_render_histogram(family, stat, n, hist, fmt)], False
     return _render_rows(family, stat, n, cap, fmt), False
 
 
 def cmd_symfunc(n: int, fmt: str, cap_override: bool) -> tuple[str, bool]:
-    default_cap = binary_trees.DEFAULT_CAP
-    if n > default_cap and not cap_override:
-        return _refusal("symfunc", n, default_cap), True
-    cap = max(n, default_cap)
-    expansion = symfunc.comb_type_expansion(n, cap)
+    if refusal := _refusal("symfunc", binary_trees, n, cap_override):
+        return refusal, True
+    expansion = symfunc.comb_type_expansion(n, _cap(binary_trees, n))
     specialized = symfunc.specialize_two_vars(expansion)
     if fmt == "json":
         doc = {
@@ -592,13 +581,10 @@ def cmd_symfunc(n: int, fmt: str, cap_override: bool) -> tuple[str, bool]:
         }
         return json.dumps(doc, separators=(",", ":")) + "\n", False
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["lambda", "coeff"])
-        for lam, c in expansion.terms:
-            writer.writerow([_partition_key(lam.parts), c])
-        writer.writerow(["specialization", " ".join(str(c) for c in specialized.coeffs)])
-        return buf.getvalue(), False
+        rows = [("lambda", "coeff")]
+        rows += [(_stat_text(lam.parts), c) for lam, c in expansion.terms]
+        rows.append(("specialization", " ".join(str(c) for c in specialized.coeffs)))
+        return _csv_text(rows), False
     lines = [f"e-expansion n={n} weight={expansion.weight}"]
     for lam, c in expansion.terms:
         lines.append(f"e[{','.join(str(p) for p in lam.parts)}] {c}")

@@ -253,7 +253,8 @@ def descent_polynomial(n: int, threads: int = 1, cap: int = DEFAULT_CAP) -> IntP
 
     Independent of the product form; this is the brute-force side of that
     identity.  threads > 1 splits the Prufer sequences by prefix across a
-    process pool.
+    process pool from n = 7 on; below that the serial pass is quicker than
+    starting the pool.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -263,7 +264,7 @@ def descent_polynomial(n: int, threads: int = 1, cap: int = DEFAULT_CAP) -> IntP
         return IntPolynomial([1])
     if n == 2:
         return IntPolynomial([1, 1])
-    if threads > 1 and n >= 5:
+    if threads > 1 and n >= 7:
         plen = min(2, n - 2)
         tasks = [(n, prefix) for prefix in product(range(1, n + 1), repeat=plen)]
         partials = map_shards(_descent_chunk, tasks, threads)

@@ -20,7 +20,6 @@ from . import binary_trees
 from .errors import LimitExceededError
 from .poly import IntPolynomial, add_binomial_row
 
-DEFAULT_CAP = 10
 FMC_CAP_N = 8
 FMC_CAP_K = 4
 
@@ -155,7 +154,7 @@ def expand_e_lambda(lam: Partition, k: int) -> MultivariatePoly:
     return MultivariatePoly(k, acc)
 
 
-def comb_type_expansion(n: int, cap: int = DEFAULT_CAP) -> ESymExpansion:
+def comb_type_expansion(n: int, cap: int = binary_trees.DEFAULT_CAP) -> ESymExpansion:
     """Sum of e over comb types of all normalized trees on [n].
 
     The coefficient of e_lambda counts the trees with comb type lambda; the
@@ -235,8 +234,3 @@ def product_form_count(t: binary_trees.Tree, k: int) -> int:
 def expansion_to_json_list(f: ESymExpansion) -> list[dict]:
     """JSON form [{"lambda":[2,1],"coeff":"1"}, ...] with bigint-safe coefficients."""
     return [{"lambda": list(lam.parts), "coeff": str(c)} for lam, c in f.terms]
-
-
-def poly_to_json_list(p: MultivariatePoly) -> list[dict]:
-    """JSON form [{"exps":[2,1,0],"coeff":"5"}, ...]."""
-    return [{"exps": list(e), "coeff": str(c)} for e, c in p.terms]

@@ -123,8 +123,9 @@ class TestVerifyCommand:
         assert all(c["status"] == "pass" for c in doc["checks"])
 
     def test_stdout_deterministic_across_threads(self):
-        # gamma and combs at n = 7 reach the binary engine's pool
-        for suite, n_max in (("drake", "5"), ("gamma", "7"), ("combs", "7")):
+        # drake at n = 7 reaches the rooted engine's pool, gamma and combs at
+        # n = 8 the binary engine's
+        for suite, n_max in (("drake", "7"), ("gamma", "8"), ("combs", "8")):
             a = run_cli("verify", "--suite", suite, "--n-max", n_max, "--threads", "1")
             b = run_cli("verify", "--suite", suite, "--n-max", n_max, "--threads", "3")
             assert a.returncode == 0, (suite, a.stderr)
@@ -251,7 +252,9 @@ class TestEnumerateCommand:
         assert r.stdout.startswith("refused family=stirling n=12 cap=8")
 
     def test_cap_override_allows_run(self, monkeypatch):
-        monkeypatch.setitem(cli.FAMILY_CAPS, "normalized", 3)
+        from gamma_forest import binary_trees
+
+        monkeypatch.setattr(binary_trees, "DEFAULT_CAP", 3)
         chunks, refused = cli.cmd_enumerate(
             "normalized", 4, None, "text", "histogram", 1, False
         )

@@ -22,15 +22,15 @@ from gamma_forest import binary_trees, cli, rooted_trees, stirling
 
 ROW_CASES = [
     (family, stat, fmt, n)
-    for family, stats in cli.FAMILY_STATS.items()
-    for stat in stats
+    for family, spec in cli.FAMILIES.items()
+    for stat in spec.stats
     for fmt in ("text", "csv", "json")
     for n in (4, 5)
 ]
 HISTOGRAM_CASES = [
     (family, stat, fmt, n)
-    for family, stats in cli.FAMILY_STATS.items()
-    for stat in stats
+    for family, spec in cli.FAMILIES.items()
+    for stat in spec.stats
     for fmt in ("text", "csv", "json")
     for n in (5, 6)
 ]
@@ -83,23 +83,11 @@ def stdout_digest(argv):
     return status, hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
-def capped_digest(suite, n_max, fmt):
+def capped_digest(argv):
     with pytest.MonkeyPatch.context() as mp:
         for module, cap in LOWERED_CAPS.items():
             mp.setattr(module, "DEFAULT_CAP", cap)
-        return stdout_digest(verify_argv(fmt, suite, n_max))
-
-
-def refusal_digest(family, n):
-    with pytest.MonkeyPatch.context() as mp:
-        for module, cap in LOWERED_CAPS.items():
-            mp.setattr(module, "DEFAULT_CAP", cap)
-        # enumerate copies the module caps when cli is imported
-        for fam, module in (("rooted", rooted_trees), ("stirling", stirling)):
-            mp.setitem(cli.FAMILY_CAPS, fam, LOWERED_CAPS[module])
-        for fam in ("normalized", "combs", "lyndon"):
-            mp.setitem(cli.FAMILY_CAPS, fam, LOWERED_CAPS[binary_trees])
-        return stdout_digest(refusal_argv(family, n))
+        return stdout_digest(argv)
 
 
 ROW_DIGESTS = {
@@ -296,7 +284,7 @@ def test_verify_output_unchanged(fmt):
 @pytest.mark.parametrize("case", CAPPED_CASES, ids=lambda c: "-".join(map(str, c)))
 def test_capped_verify_output_unchanged(case):
     suite, n_max, fmt = case
-    status, digest = capped_digest(suite, n_max, fmt)
+    status, digest = capped_digest(verify_argv(fmt, suite, n_max))
     assert status == 0
     assert digest == CAPPED_DIGESTS[f"{suite}-{n_max}-{fmt}"]
 
@@ -311,7 +299,7 @@ def test_symfunc_output_unchanged(case):
 
 @pytest.mark.parametrize("family", REFUSAL_CASES)
 def test_refusal_output_unchanged(family):
-    status, digest = refusal_digest(family, REFUSAL_CASES[family])
+    status, digest = capped_digest(refusal_argv(family, REFUSAL_CASES[family]))
     assert status == 0
     assert digest == REFUSAL_DIGESTS[family]
 
@@ -333,11 +321,11 @@ if __name__ == "__main__":
     for fmt in VERIFY_FORMATS:
         print(f'    "{fmt}": "{stdout_digest(verify_argv(fmt))[1]}",')
     for suite, n_max, fmt in CAPPED_CASES:
-        digest = capped_digest(suite, n_max, fmt)[1]
+        digest = capped_digest(verify_argv(fmt, suite, n_max))[1]
         print(f'    "{suite}-{n_max}-{fmt}": "{digest}",')
     for fmt, n in SYMFUNC_CASES:
         print(f'    "{fmt}-{n}": "{stdout_digest(symfunc_argv(fmt, n))[1]}",')
     for family, n in REFUSAL_CASES.items():
-        print(f'    "{family}": "{refusal_digest(family, n)[1]}",')
+        print(f'    "{family}": "{capped_digest(refusal_argv(family, n))[1]}",')
     for fmt, n in AUTO_CASES:
         print(f'    "{fmt}-{n}": "{stdout_digest(auto_argv(fmt, n))[1]}",')
