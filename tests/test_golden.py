@@ -20,18 +20,19 @@ import pytest
 
 from gamma_forest import binary_trees, cli, rooted_trees, stirling
 
+FORMATS = ("text", "csv", "json")
 ROW_CASES = [
     (family, stat, fmt, n)
     for family, spec in cli.FAMILIES.items()
     for stat in spec.stats
-    for fmt in ("text", "csv", "json")
+    for fmt in FORMATS
     for n in (4, 5)
 ]
 HISTOGRAM_CASES = [
     (family, stat, fmt, n)
     for family, spec in cli.FAMILIES.items()
     for stat in spec.stats
-    for fmt in ("text", "csv", "json")
+    for fmt in FORMATS
     for n in (5, 6)
 ]
 VERIFY_FORMATS = ("text", "json")
@@ -41,7 +42,6 @@ CAPPED_CASES = [("all", 5, fmt) for fmt in VERIFY_FORMATS] + [
     for suite in ("drake", "gamma", "combs", "lyndon", "stirling", "eulerian")
     for fmt in VERIFY_FORMATS
 ]
-FORMATS = ("text", "csv", "json")
 SYMFUNC_CASES = [(fmt, n) for fmt in FORMATS for n in range(1, 6)]
 # one above each lowered cap
 REFUSAL_CASES = {
