@@ -23,8 +23,13 @@ Statistics:
 
 Distribution queries run on a backtracking array engine that maintains all
 five statistics incrementally across insertions, so a full pass over the two
-million trees at n=9 takes seconds.  The per-tree functions below are
-independent implementations used to cross-check the engine.
+million trees at n=9 takes seconds.  JOINT_KEY, the one place that names the
+positions of a tally key, is read by the views of one tally: marginal, the
+gamma vectors ndrd_rdes and ndnl_nlyn, and the censuses comb_census and
+lyndon_census.  distribution_ndrd_rdes, distribution_ndnl_nlyn,
+bicolored_comb_census and bicolored_lyndon_census each apply one view to a
+fresh tally.  The per-tree functions below are independent implementations
+used to cross-check the engine.
 """
 
 from __future__ import annotations
@@ -42,6 +47,9 @@ Tree = Union[int, tuple]
 DEFAULT_CAP = 10
 COLORED_CAP_N = 8
 COLORED_CAP_K = 5
+
+# Positions of the statistics in a joint_statistics key.
+JOINT_KEY = {"rdes": 0, "drd": 1, "nlyn": 2, "dnl": 3, "free": 4}
 
 
 def leaf_count(t: Tree) -> int:
@@ -200,24 +208,27 @@ def tree_to_string(t: Tree) -> str:
 
 
 def tree_from_string(s: str) -> Tree:
-    """Inverse of tree_to_string."""
+    """Inverse of tree_to_string; ValueError with the position on malformed
+    or truncated input."""
     pos = 0
+
+    def expect(ch: str) -> None:
+        nonlocal pos
+        if s[pos : pos + 1] != ch:  # empty past the end
+            raise ValueError(f"expected {ch!r} at position {pos} in {s!r}")
+        pos += 1
 
     def parse() -> Tree:
         nonlocal pos
-        if s[pos] == "(":
+        if s[pos : pos + 1] == "(":
             pos += 1
             left = parse()
-            if s[pos] != ",":
-                raise ValueError(f"expected ',' at position {pos} in {s!r}")
-            pos += 1
+            expect(",")
             right = parse()
-            if s[pos] != ")":
-                raise ValueError(f"expected ')' at position {pos} in {s!r}")
-            pos += 1
+            expect(")")
             return (left, right)
         start = pos
-        while pos < len(s) and s[pos].isdigit():
+        while pos < len(s) and s[pos].isdecimal():
             pos += 1
         if start == pos:
             raise ValueError(f"expected a label at position {pos} in {s!r}")
@@ -507,9 +518,9 @@ def _tally_task(args: tuple[int, tuple[int, ...]]) -> Counter:
 
 def joint_statistics(n: int, threads: int = 1, cap: int = DEFAULT_CAP) -> Counter:
     """Tally of (rdes, double-rd count, nlyn, double-nl count, free) over all
-    normalized trees on [n].  threads > 1 spreads prefix shards over a process
-    pool from n = 8 on; below that the serial pass is faster than the pool's
-    start."""
+    normalized trees on [n], positions as in JOINT_KEY.  threads > 1 spreads
+    prefix shards over a process pool from n = 8 on; below that the serial
+    pass is faster than the pool's start."""
     if n < 1:
         raise ValueError("n must be a positive integer")
     if n > cap:
@@ -530,52 +541,85 @@ def joint_statistics(n: int, threads: int = 1, cap: int = DEFAULT_CAP) -> Counte
     return _joint_tally(n, ())
 
 
-def distribution_ndrd_rdes(n: int, threads: int = 1, cap: int = DEFAULT_CAP) -> GammaVector:
-    """Counts of trees without double right descents by rdes, as a GammaVector
-    of degree n - 1."""
-    tally = joint_statistics(n, threads, cap)
+def marginal(tally: Counter, stat: str) -> dict:
+    """Counts of a joint_statistics tally by one statistic of JOINT_KEY."""
+    i = JOINT_KEY[stat]
+    out: dict = {}
+    for key, c in tally.items():
+        out[key[i]] = out.get(key[i], 0) + c
+    return out
+
+
+def _gamma_view(tally: Counter, n: int, stat: str, double: str) -> GammaVector:
+    # counts of the trees on [n] with no double pair, by stat
+    i, j = JOINT_KEY[stat], JOINT_KEY[double]
     counts = [0] * ((n - 1) // 2 + 1)
-    for (r, d, _nl, _dl, _f), c in tally.items():
-        if d == 0:
-            counts[r] += c
+    for key, c in tally.items():
+        if key[j] == 0:
+            counts[key[i]] += c
     return GammaVector(counts, n - 1)
 
 
-def distribution_ndnl_nlyn(n: int, threads: int = 1, cap: int = DEFAULT_CAP) -> GammaVector:
-    """Counts of trees without double non-Lyndon pairs by nlyn, as a
-    GammaVector of degree n - 1."""
-    tally = joint_statistics(n, threads, cap)
-    counts = [0] * ((n - 1) // 2 + 1)
-    for (_r, _d, nl, dl, _f), c in tally.items():
-        if dl == 0:
-            counts[nl] += c
-    return GammaVector(counts, n - 1)
+def ndrd_rdes(tally: Counter, n: int) -> GammaVector:
+    """Counts of trees without double right descents by rdes, read off the
+    joint_statistics tally of the trees on [n], as a GammaVector of degree n - 1."""
+    return _gamma_view(tally, n, "rdes", "drd")
 
 
-def bicolored_comb_census(n: int, threads: int = 1, cap: int = DEFAULT_CAP) -> IntPolynomial:
-    """Bicolored comb counts by number of 1-colored nodes.
+def ndnl_nlyn(tally: Counter, n: int) -> GammaVector:
+    """Counts of trees without double non-Lyndon pairs by nlyn, read off the
+    joint_statistics tally of the trees on [n], as a GammaVector of degree n - 1."""
+    return _gamma_view(tally, n, "nlyn", "dnl")
+
+
+def comb_census(tally: Counter) -> IntPolynomial:
+    """Bicolored comb counts by number of 1-colored nodes, from a
+    joint_statistics tally.
 
     Forced colors contribute t^rdes per tree and each free node doubles into
     a (1 + t) factor; summed over trees without double right descents.
     """
+    r, d, f = JOINT_KEY["rdes"], JOINT_KEY["drd"], JOINT_KEY["free"]
     out: list[int] = []
-    for (r, d, _nl, _dl, f), c in joint_statistics(n, threads, cap).items():
-        if d == 0:
-            add_binomial_row(out, c, r, f)
+    for key, c in tally.items():
+        if key[d] == 0:
+            add_binomial_row(out, c, key[r], key[f])
     return IntPolynomial(out)
 
 
-def bicolored_lyndon_census(n: int, threads: int = 1, cap: int = DEFAULT_CAP) -> IntPolynomial:
-    """Bicolored Lyndon-tree counts by number of 1-colored nodes.
+def lyndon_census(tally: Counter, n: int) -> IntPolynomial:
+    """Bicolored Lyndon-tree counts by number of 1-colored nodes, from the
+    joint_statistics tally of the trees on [n].
 
     Each tree without double non-Lyndon pairs forces nlyn zeros and nlyn
     ones, all distinct, leaving n - 1 - 2*nlyn nodes free.
     """
+    nl, dl = JOINT_KEY["nlyn"], JOINT_KEY["dnl"]
     out: list[int] = []
-    for (_r, _d, nl, dl, _f), c in joint_statistics(n, threads, cap).items():
-        if dl == 0:
-            add_binomial_row(out, c, nl, n - 1 - 2 * nl)
+    for key, c in tally.items():
+        if key[dl] == 0:
+            add_binomial_row(out, c, key[nl], n - 1 - 2 * key[nl])
     return IntPolynomial(out)
+
+
+def distribution_ndrd_rdes(n: int, threads: int = 1, cap: int = DEFAULT_CAP) -> GammaVector:
+    """ndrd_rdes of the trees on [n]."""
+    return ndrd_rdes(joint_statistics(n, threads, cap), n)
+
+
+def distribution_ndnl_nlyn(n: int, threads: int = 1, cap: int = DEFAULT_CAP) -> GammaVector:
+    """ndnl_nlyn of the trees on [n]."""
+    return ndnl_nlyn(joint_statistics(n, threads, cap), n)
+
+
+def bicolored_comb_census(n: int, threads: int = 1, cap: int = DEFAULT_CAP) -> IntPolynomial:
+    """comb_census of the trees on [n]."""
+    return comb_census(joint_statistics(n, threads, cap))
+
+
+def bicolored_lyndon_census(n: int, threads: int = 1, cap: int = DEFAULT_CAP) -> IntPolynomial:
+    """lyndon_census of the trees on [n]."""
+    return lyndon_census(joint_statistics(n, threads, cap), n)
 
 
 # ---------------------------------------------------------------------------

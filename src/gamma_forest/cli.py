@@ -99,14 +99,6 @@ def _cap(module, n: int) -> int:
     return max(n, module.DEFAULT_CAP)
 
 
-def _marginal(tally, idx: int) -> dict:
-    """Counts of a joint tally by the idx-th entry of its keys."""
-    out: dict = {}
-    for key, c in tally.items():
-        out[key[idx]] = out.get(key[idx], 0) + c
-    return out
-
-
 class _Engines:
     """Engine results shared by the checks of one verify run, keyed by function
     and arguments.  Only results are kept: a call that raises is made again by
@@ -130,9 +122,6 @@ class _Engines:
 
     def joint(self, n: int):
         return self._get(binary_trees.joint_statistics, n, self.threads, _cap(binary_trees, n))
-
-    def comb_census(self, n: int):
-        return self._get(binary_trees.bicolored_comb_census, n, self.threads, _cap(binary_trees, n))
 
     def word_pairs(self, m: int):
         return self._get(stirling.pair_statistics, m, _cap(stirling, m))
@@ -192,35 +181,29 @@ _TABLE = (
     _Block("gamma", 1, binary_trees, ("gamma.ndrd-rdes", "gamma.ndnl-nlyn"), (
         ("gamma.ndrd-rdes",
             lambda e, n: list(e.gamma(n).gammas),
-            lambda e, n: list(
-                binary_trees.distribution_ndrd_rdes(n, e.threads, _cap(binary_trees, n)).gammas
-            )),
+            lambda e, n: list(binary_trees.ndrd_rdes(e.joint(n), n).gammas)),
         ("gamma.ndnl-nlyn",
             lambda e, n: list(e.gamma(n).gammas),
-            lambda e, n: list(
-                binary_trees.distribution_ndnl_nlyn(n, e.threads, _cap(binary_trees, n)).gammas
-            )),
+            lambda e, n: list(binary_trees.ndnl_nlyn(e.joint(n), n).gammas)),
     )),
     _Block("combs", 1, binary_trees, ("combs.census-vs-product",), (
         ("combs.census-vs-product",
             lambda e, n: list(e.drake(n).coeffs),
-            lambda e, n: list(e.comb_census(n).coeffs)),
+            lambda e, n: list(binary_trees.comb_census(e.joint(n)).coeffs)),
         ("combs.free-identity",
             lambda e, n: True,
             lambda e, n: all(f + 2 * r == n - 1 for (r, d, _nl, _dl, f) in e.joint(n) if d == 0)),
         ("combs.fiber-total",
             lambda e, n: n ** (n - 1),
-            lambda e, n: poly.evaluate(e.comb_census(n), 1)),
+            lambda e, n: poly.evaluate(binary_trees.comb_census(e.joint(n)), 1)),
     )),
     _Block("lyndon", 1, binary_trees, ("lyndon.census-vs-product",), (
         ("lyndon.census-vs-product",
             lambda e, n: list(e.drake(n).coeffs),
-            lambda e, n: list(
-                binary_trees.bicolored_lyndon_census(n, e.threads, _cap(binary_trees, n)).coeffs
-            )),
+            lambda e, n: list(binary_trees.lyndon_census(e.joint(n), n).coeffs)),
         ("lyndon.count-zero-nlyn",
             lambda e, n: math.factorial(n - 1),
-            lambda e, n: _marginal(e.joint(n), 2).get(0, 0)),
+            lambda e, n: binary_trees.marginal(e.joint(n), "nlyn").get(0, 0)),
     )),
     # n is m here: the Stirling permutations of {1,1,...,m,m} match the trees on [m + 1]
     _Block("stirling", 1, stirling, ("stirling.count",), (
@@ -229,16 +212,16 @@ _TABLE = (
             lambda e, m: sum(1 for _ in stirling.enumerate_stirling(m, _cap(stirling, m)))),
         ("stirling.naas-vs-gamma",
             lambda e, m: list(e.gamma(m + 1).gammas),
-            lambda e, m: list(stirling.distribution_naas_aapair(m, _cap(stirling, m)).gammas)),
+            lambda e, m: list(stirling.naas_aapair(e.word_pairs(m), m).gammas)),
         ("stirling.ntns-vs-gamma",
             lambda e, m: list(e.gamma(m + 1).gammas),
-            lambda e, m: list(stirling.distribution_ntns_tnpair(m, _cap(stirling, m)).gammas)),
+            lambda e, m: list(stirling.ntns_tnpair(e.word_pairs(m), m).gammas)),
         ("stirling.rdes-equidistribution",
-            lambda e, m: sorted(_marginal(e.joint(m + 1), 0).items()),
-            lambda e, m: sorted(_marginal(e.word_pairs(m), 1).items())),
+            lambda e, m: sorted(binary_trees.marginal(e.joint(m + 1), "rdes").items()),
+            lambda e, m: sorted(stirling.marginal(e.word_pairs(m), "tnpair").items())),
         ("stirling.nlyn-equidistribution",
-            lambda e, m: sorted(_marginal(e.joint(m + 1), 2).items()),
-            lambda e, m: sorted(_marginal(e.word_pairs(m), 0).items())),
+            lambda e, m: sorted(binary_trees.marginal(e.joint(m + 1), "nlyn").items()),
+            lambda e, m: sorted(stirling.marginal(e.word_pairs(m), "aapair").items())),
     )),
     _Block("symfunc", 1, binary_trees, ("symfunc.specialization-vs-product",), (
         ("symfunc.specialization-vs-product",
@@ -458,8 +441,7 @@ def _colored_rows(colorings, fmt: str):
 def _normalized_histogram(stat: str, n: int, threads: int, cap: int) -> dict:
     if stat == "combtype":
         return dict(binary_trees.comb_type_tally(n, cap))
-    idx = {"rdes": 0, "nlyn": 2, "free": 4}[stat]
-    return _marginal(binary_trees.joint_statistics(n, threads, cap), idx)
+    return binary_trees.marginal(binary_trees.joint_statistics(n, threads, cap), stat)
 
 
 @dataclass(frozen=True)
@@ -509,9 +491,7 @@ FAMILIES = {
         ("tnpair", "aapair"),
         stirling,
         lambda n: _double_factorial(2 * n - 1),
-        lambda stat, n, threads, cap: _marginal(
-            stirling.pair_statistics(n, cap), ("aapair", "tnpair").index(stat)
-        ),
+        lambda stat, n, threads, cap: stirling.marginal(stirling.pair_statistics(n, cap), stat),
         _stirling_rows,
     ),
 }

@@ -115,13 +115,32 @@ def prufer_decode(code: PruferCode) -> tuple[tuple[int, int], ...]:
 
 
 def prufer_encode(n: int, edges: Iterable[tuple[int, int]]) -> PruferCode:
-    """Inverse of prufer_decode: the sequence of the tree with these edges."""
+    """Inverse of prufer_decode: the sequence of the tree with these edges.
+
+    ValueError names the fault when the edges are not a tree on [n]: a label
+    outside [1, n], a self-loop, a repeated edge, a wrong edge count, or an
+    edge set that does not connect [n].
+    """
     adj: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
     for a, b in edges:
+        if a not in adj or b not in adj:
+            raise ValueError(f"edge {(a, b)} has a label outside [1, {n}]")
+        if a == b:
+            raise ValueError(f"edge {(a, b)} is a self-loop")
+        if b in adj[a]:
+            raise ValueError(f"edge {(a, b)} is repeated")
         adj[a].add(b)
         adj[b].add(a)
     if sum(len(s) for s in adj.values()) != 2 * (n - 1):
         raise ValueError(f"expected {n - 1} edges for a tree on [{n}]")
+    reached = {1}
+    stack = [1]
+    while stack:
+        for w in adj[stack.pop()] - reached:
+            reached.add(w)
+            stack.append(w)
+    if len(reached) != n:
+        raise ValueError(f"edges do not connect [{n}]")
     heap = [v for v in range(1, n + 1) if len(adj[v]) == 1]
     heapq.heapify(heap)
     seq = []

@@ -24,9 +24,13 @@ element of another.
 
 Rows and distributions run on an insertion engine: every word of order n is
 a word of order n - 1 with the pair "n n" inserted, and the statistics of
-the new word follow from its parent's in O(1) (see _child_profiles).  The
-per-word functions are independent implementations that the tests compare
-the engine with.
+the new word follow from its parent's in O(1) (see _child_profiles).
+PAIR_KEY, the one place that names the positions of a pair_statistics key,
+is read by the views of one tally: marginal and the gamma vectors
+naas_aapair and ntns_tnpair.  distribution_naas_aapair and
+distribution_ntns_tnpair each apply one view to a fresh tally.  The per-word
+functions are independent implementations that the tests compare the engine
+with.
 """
 
 from __future__ import annotations
@@ -41,18 +45,27 @@ Word = tuple[int, ...]
 
 DEFAULT_CAP = 8
 
+# Positions of the statistics in a pair_statistics key.
+PAIR_KEY = {"aapair": 0, "tnpair": 1, "naas": 2, "ntns": 3}
+
 
 class MalformedWordError(ValueError):
     """Raised when a word is not a sequence of letters each appearing exactly twice."""
 
 
 def as_word(w: Union[str, Iterable[int]]) -> Word:
-    """Normalize input to a tuple of ints; digit strings are split per character."""
+    """Normalize input to a tuple of ints; decimal strings are split per
+    character.  Any other letter that is not an int (a bool, a float, a
+    digit-like character such as "²") raises MalformedWordError."""
     if isinstance(w, str):
-        if not w.isdigit():
+        if not w.isdecimal():
             raise MalformedWordError(f"cannot parse word {w!r}")
-        return tuple(int(ch) for ch in w)
-    return tuple(int(x) for x in w)
+        return tuple(map(int, w))
+    word = w if isinstance(w, tuple) else tuple(w)
+    for x in word:
+        if type(x) is not int:
+            raise MalformedWordError(f"letter {x!r} is not an int")
+    return word
 
 
 def _occurrences(w: Word) -> tuple[dict[int, int], dict[int, int]]:
@@ -266,31 +279,54 @@ def _parents(n: int, cap: int, caller: str) -> Iterator[Word]:
 
 
 def pair_statistics(n: int, cap: int = DEFAULT_CAP) -> Counter:
-    """Counter over (aapair, tnpair, is_naas, is_ntns) for all words of order n."""
+    """Counter over (aapair, tnpair, is_naas, is_ntns) for all words of order n,
+    positions as in PAIR_KEY."""
     tally: Counter = Counter()
     for w in _parents(n, cap, "pair_statistics"):
         tally.update(_child_profiles(w))
     return tally
 
 
-def distribution_naas_aapair(n: int, cap: int = DEFAULT_CAP) -> GammaVector:
-    """Counts of chain-free words by aapair over order n, as a GammaVector of
-    degree n (the descent polynomial degree one size up)."""
+def marginal(tally: Counter, stat: str) -> dict:
+    """Counts of a pair_statistics tally by one statistic of PAIR_KEY."""
+    i = PAIR_KEY[stat]
+    out: dict = {}
+    for key, c in tally.items():
+        out[key[i]] = out.get(key[i], 0) + c
+    return out
+
+
+def _gamma_view(tally: Counter, n: int, stat: str, chain_free: str) -> GammaVector:
+    # counts of the chain-free words of order n by stat
+    i, j = PAIR_KEY[stat], PAIR_KEY[chain_free]
     counts = [0] * (n // 2 + 1)
-    for (aa, _tn, naas, _ntns), c in pair_statistics(n, cap).items():
-        if naas:
-            counts[aa] += c
+    for key, c in tally.items():
+        if key[j]:
+            counts[key[i]] += c
     return GammaVector(counts, n)
+
+
+def naas_aapair(tally: Counter, n: int) -> GammaVector:
+    """Counts of NAAS words by aapair, read off the pair_statistics tally of
+    order n, as a GammaVector of degree n (the descent polynomial degree one
+    size up)."""
+    return _gamma_view(tally, n, "aapair", "naas")
+
+
+def ntns_tnpair(tally: Counter, n: int) -> GammaVector:
+    """Counts of NTNS words by tnpair, read off the pair_statistics tally of
+    order n, as a GammaVector of degree n."""
+    return _gamma_view(tally, n, "tnpair", "ntns")
+
+
+def distribution_naas_aapair(n: int, cap: int = DEFAULT_CAP) -> GammaVector:
+    """naas_aapair of the words of order n."""
+    return naas_aapair(pair_statistics(n, cap), n)
 
 
 def distribution_ntns_tnpair(n: int, cap: int = DEFAULT_CAP) -> GammaVector:
-    """Counts of chain-free words by tnpair over order n, as a GammaVector of
-    degree n."""
-    counts = [0] * (n // 2 + 1)
-    for (_aa, tn, _naas, ntns), c in pair_statistics(n, cap).items():
-        if ntns:
-            counts[tn] += c
-    return GammaVector(counts, n)
+    """ntns_tnpair of the words of order n."""
+    return ntns_tnpair(pair_statistics(n, cap), n)
 
 
 def word_to_string(w: Sequence[int]) -> str:

@@ -23,6 +23,7 @@ from gamma_forest.binary_trees import (
     is_ndrd,
     joint_statistics,
     leaf_count,
+    marginal,
     nlyn,
     normalized_rows,
     rdes,
@@ -133,6 +134,14 @@ class TestStatistics:
         for t in enumerate_normalized(6):
             assert tree_from_string(tree_to_string(t)) == t
 
+    @pytest.mark.parametrize(
+        "text, pos",
+        [("(1,2", 4), ("(1", 2), ("", 0), ("(", 1), ("(1,2)x", 5), ("(1;2)", 2), ("(1,²)", 3)],
+    )
+    def test_malformed_string_names_position(self, text, pos):
+        with pytest.raises(ValueError, match=f"at position {pos} in"):
+            tree_from_string(text)
+
 
 class TestJointEngine:
     def test_engine_matches_per_tree_statistics(self):
@@ -164,6 +173,14 @@ class TestJointEngine:
             comb_type_tally(5, cap=4)
         with pytest.raises(ValueError):
             list(normalized_rows(4, "des"))
+
+    def test_marginal_matches_per_tree_statistics(self):
+        oracles = {"rdes": rdes, "nlyn": nlyn, "free": free_count}
+        for n in range(1, 8):
+            tally = joint_statistics(n)
+            for stat, oracle in oracles.items():
+                expected = Counter(oracle(t) for t in enumerate_normalized(n))
+                assert marginal(tally, stat) == expected, (n, stat)
 
     def test_parallel_matches_sequential(self):
         for n in (7, 8):

@@ -186,6 +186,29 @@ class TestVerifyCommand:
         )
         assert doc["failed"] == len(failed) == 12
 
+    def test_one_tally_per_n(self, monkeypatch, capsys):
+        # the distributions, censuses and marginals are views of the run's one
+        # tree tally per n and one word tally per m
+        from collections import Counter
+
+        from gamma_forest import binary_trees, stirling
+
+        calls = Counter()
+        for module, name in ((binary_trees, "joint_statistics"), (stirling, "pair_statistics")):
+
+            def counting(*args, _fn=getattr(module, name), _name=name):
+                calls[(_name, *args)] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(module, name, counting)
+        assert cli.main(["verify", "--suite", "all", "--n-max", "5", "--threads", "1"]) == 0
+        capsys.readouterr()
+        assert {key[:2] for key in calls} == {
+            *(("joint_statistics", n) for n in range(1, 7)),
+            *(("pair_statistics", m) for m in range(1, 6)),
+        }
+        assert all(count == 1 for count in calls.values()), calls
+
     def test_check_sides_read_disjoint_engine_results(self, monkeypatch):
         # a check compares two computations; sharing one engine result between
         # its sides would make it compare a value with itself

@@ -62,6 +62,22 @@ class TestPruferCodec:
         code = PruferCode(n, tuple(seq))
         assert prufer_encode(n, prufer_decode(code)) == code
 
+    @pytest.mark.parametrize(
+        "n, edges, fault",
+        [
+            (3, [(1, 2), (2, 5)], "label outside"),
+            (3, [(0, 1), (1, 2)], "label outside"),
+            (4, [(1, 1), (2, 2), (3, 4), (1, 2)], "self-loop"),
+            (3, [(1, 2), (2, 1)], "repeated"),
+            (4, [(1, 2), (2, 3)], "expected 3 edges"),
+            (4, [(1, 2), (2, 3), (1, 3)], "do not connect"),
+            (5, [(1, 2), (2, 3), (3, 1), (4, 5)], "do not connect"),
+        ],
+    )
+    def test_encode_rejects_edge_sets_that_are_not_trees(self, n, edges, fault):
+        with pytest.raises(ValueError, match=fault):
+            prufer_encode(n, edges)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             PruferCode(4, (1,))  # wrong length

@@ -18,6 +18,7 @@ from gamma_forest.stirling import (
     is_naas,
     is_ntns,
     is_stirling,
+    marginal,
     pair_statistics,
     statistics_rows,
     tnpair,
@@ -93,6 +94,23 @@ class TestWordValidation:
 
     def test_as_word_from_ints(self):
         assert as_word([1, 2, 2, 1]) == (1, 2, 2, 1)
+        w = (1, 2, 2, 1)
+        assert as_word(w) is w  # a tuple of ints is returned as it is
+
+    @pytest.mark.parametrize(
+        "word",
+        [[1.5, 1, 2, 2.9], (1, 1, 2.0, 2), [True, True], (1, 1, False, False), ["1", "1"],
+         "1\u00b212", "1 1", ""],
+    )
+    def test_as_word_rejects_letters_that_are_not_ints(self, word):
+        with pytest.raises(MalformedWordError):
+            as_word(word)
+
+    def test_statistics_reject_letters_that_are_not_ints(self):
+        with pytest.raises(MalformedWordError):
+            is_stirling([1.9, 1, 2, 2])
+        with pytest.raises(MalformedWordError):
+            aapair("1\u00b212")
 
     def test_rejects_singletons(self):
         with pytest.raises(MalformedWordError):
@@ -180,6 +198,13 @@ class TestPairStatistics:
             ]
             assert list(statistics_rows(n)) == expected
             assert pair_statistics(n) == Counter(row[1:] for row in expected)
+
+    def test_marginal_matches_per_word_statistics(self):
+        for n in range(1, 7):
+            tally = pair_statistics(n)
+            for stat, oracle in (("aapair", aapair), ("tnpair", tnpair)):
+                expected = Counter(oracle(w) for w in enumerate_stirling(n))
+                assert marginal(tally, stat) == expected, (n, stat)
 
     def test_insertion_engine_comma_separated_words(self):
         # from order 10 on, words are written with commas; compare a prefix
