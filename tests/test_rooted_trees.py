@@ -1,6 +1,13 @@
-"""Labeled rooted trees: coding, enumeration, descent polynomial."""
+"""Labeled rooted trees: coding, enumeration, descent polynomial.
 
+The SHA-256 digests pin decode order and the (root, seq) stream exactly; they
+were recorded from the two-decoder code that this module had before it moved
+onto a single parent-array decode.
+"""
+
+import hashlib
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,10 +27,41 @@ from gamma_forest.rooted_trees import (
 )
 
 
+# sha256 of repr([prufer_decode(code) for every sequence on [n], lexicographic])
+DECODE_DIGESTS = {
+    2: "aaefeb4ebe51a378427195edb61210d2f7bdd7aca923483997720a4a8a84a012",
+    3: "7ee54062521246c7b60538a58a32caf410d598383158cfa535171043c2ef0d56",
+    4: "79cce4ecc9973dace151d49ed53d4f5d595c1e00c0bcedf548407d7ff1f72a0e",
+    5: "82cea2448678e8b45e30fbe4cbd2304b03ea74138909552af7c1122acee61af6",
+    6: "75bc89a23a5d79f111d36926114481808913325dbc856637be9e409b8ead44d6",
+    7: "58029338d1f21488f654dee10d3a14ead60fd27e2c57cb46f0460b048bfcd242",
+}
+# sha256 of repr([(t.root, t.parent) for t in enumerate_rooted_trees(6)])
+ROOTED_6_DIGEST = "3f7de400197e19e07e05dd071e4a8621530cd7a1010121c0b9059fb3a1866483"
+
+
+def sha256_of(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
 class TestPruferCodec:
     def test_reference_decode(self):
         edges = prufer_decode(PruferCode(4, (2, 3)))
         assert sorted(edges) == [(1, 2), (2, 3), (3, 4)]
+
+    def test_reference_decode_order(self):
+        # edges come out in removal order, not sorted
+        assert prufer_decode(PruferCode(6, (4, 1, 4, 6))) == (
+            (2, 4), (1, 3), (1, 4), (4, 6), (5, 6),
+        )
+
+    @pytest.mark.parametrize("n", sorted(DECODE_DIGESTS))
+    def test_decode_digest(self, n):
+        out = [
+            prufer_decode(PruferCode(n, seq))
+            for seq in product(range(1, n + 1), repeat=n - 2)
+        ]
+        assert sha256_of(out) == DECODE_DIGESTS[n]
 
     def test_decode_star(self):
         # constant sequence c,c,... decodes to the star centered at c
@@ -31,8 +69,6 @@ class TestPruferCodec:
         assert sorted(edges) == [(1, 3), (2, 3), (3, 4), (3, 5)]
 
     def test_encode_inverts_decode_exhaustive(self):
-        from itertools import product
-
         for n in (2, 3, 4, 5):
             for seq in product(range(1, n + 1), repeat=n - 2):
                 code = PruferCode(n, seq)
@@ -118,11 +154,17 @@ class TestEnumeration:
             assert sum(1 for _ in enumerate_rooted_trees(n)) == n ** (n - 1)
 
     def test_all_distinct(self):
-        seen = set()
-        for t in enumerate_rooted_trees(5):
-            key = (t.root, t.parent)
-            assert key not in seen
-            seen.add(key)
+        for n in (5, 6):
+            seen = set()
+            for t in enumerate_rooted_trees(n):
+                key = (t.root, t.parent)
+                assert key not in seen
+                seen.add(key)
+            assert len(seen) == n ** (n - 1)
+
+    def test_stream_digest(self):
+        trees = [(t.root, t.parent) for t in enumerate_rooted_trees(6)]
+        assert sha256_of(trees) == ROOTED_6_DIGEST
 
     def test_cap(self):
         with pytest.raises(LimitExceededError):
