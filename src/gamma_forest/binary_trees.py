@@ -209,7 +209,12 @@ def tree_to_string(t: Tree) -> str:
 
 def tree_from_string(s: str) -> Tree:
     """Inverse of tree_to_string; ValueError with the position on malformed
-    or truncated input."""
+    or truncated input.
+
+    Parses with an explicit stack, so any depth reads.  The stack holds one
+    entry per open pair: None while its left part is being read, the left
+    subtree once the comma is passed.
+    """
     pos = 0
 
     def expect(ch: str) -> None:
@@ -218,26 +223,27 @@ def tree_from_string(s: str) -> Tree:
             raise ValueError(f"expected {ch!r} at position {pos} in {s!r}")
         pos += 1
 
-    def parse() -> Tree:
-        nonlocal pos
-        if s[pos : pos + 1] == "(":
+    stack: list = []
+    while True:
+        while s[pos : pos + 1] == "(":
+            stack.append(None)
             pos += 1
-            left = parse()
-            expect(",")
-            right = parse()
-            expect(")")
-            return (left, right)
         start = pos
         while pos < len(s) and s[pos].isdecimal():
             pos += 1
         if start == pos:
             raise ValueError(f"expected a label at position {pos} in {s!r}")
-        return int(s[start:pos])
-
-    out = parse()
+        node: Tree = int(s[start:pos])
+        while stack and stack[-1] is not None:
+            expect(")")
+            node = (stack.pop(), node)
+        if not stack:
+            break
+        expect(",")
+        stack[-1] = node
     if pos != len(s):
         raise ValueError(f"trailing input at position {pos} in {s!r}")
-    return out
+    return node
 
 
 class _InternalInfo:

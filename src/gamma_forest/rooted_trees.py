@@ -6,11 +6,16 @@ orients it, and each of the n^(n-1) rooted trees appears exactly once.  The
 descent polynomial tallies, for every tree, the number of non-root nodes
 whose parent carries a larger label.
 
-The full tally never materializes trees: one decode per sequence gives the
-descent count at a reference root, and walking the tree updates the count by
-plus or minus one per edge for every other root.  That keeps the n=8 run
-(about two million trees) near a second and parallelizes by splitting on a
-prefix of the sequence.
+One decoder serves the module.  A Prufer decode hangs each removed leaf from
+its sequence entry, so it gives the tree rooted at n as a parent array, with
+the other nodes in removal order (each before its parent).  `prufer_decode`
+reads the edges off that array, and enumeration reroots it at each root by
+reversing the path from that root up to n.  The descent tally never
+materializes trees: it counts the descents at root n, then walks the removal
+order backwards, so that every parent comes before its children; moving the
+root from p down to its child x changes the count by +1 if x > p and by -1
+otherwise.  That keeps the n=8 run (about two million trees) near a second
+and parallelizes by splitting on a prefix of the sequence.
 """
 
 from __future__ import annotations
@@ -36,6 +41,11 @@ class PruferCode:
 
     def __init__(self, n: int, seq: Iterable[int]):
         s = tuple(seq)
+        if type(n) is not int:
+            raise ValueError(f"n must be an int, got {n!r}")
+        for x in s:
+            if type(x) is not int:
+                raise ValueError(f"sequence entry {x!r} is not an int")
         if n < 2:
             raise ValueError("Prufer codes are defined for n >= 2")
         if len(s) != n - 2:
@@ -82,26 +92,23 @@ class RootedTree:
         object.__setattr__(self, "parent", par)
 
 
-def prufer_decode(code: PruferCode) -> tuple[tuple[int, int], ...]:
-    """Edge set of the unrooted tree with the given Prufer sequence.
-
-    Returns edges as (min, max) pairs in decode order.  Standard linear
-    decode: repeatedly attach the smallest-available leaf to the next
-    sequence entry.
-    """
-    n = code.n
-    if n == 2:
-        return ((1, 2),)
+def _decode(n: int, seq: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    # Standard linear decode: repeatedly hang the smallest-available leaf from
+    # the next sequence entry, and the last leaf from n.  That is the tree
+    # rooted at n as a parent array (parent[n] = 0), plus the other nodes in
+    # removal order, where every node comes before its parent.
+    parent = [0] * (n + 1)
     deg = [1] * (n + 1)
-    for x in code.seq:
+    for x in seq:
         deg[x] += 1
-    edges = []
+    order = []
     idx = 1
     while deg[idx] != 1:
         idx += 1
     leaf = idx
-    for x in code.seq:
-        edges.append((leaf, x) if leaf < x else (x, leaf))
+    for x in seq:
+        parent[leaf] = x
+        order.append(leaf)
         deg[x] -= 1
         if deg[x] == 1 and x < idx:
             leaf = x
@@ -110,19 +117,34 @@ def prufer_decode(code: PruferCode) -> tuple[tuple[int, int], ...]:
             while deg[idx] != 1:
                 idx += 1
             leaf = idx
-    edges.append((leaf, n))
-    return tuple(edges)
+    parent[leaf] = n
+    order.append(leaf)
+    return parent, order
+
+
+def prufer_decode(code: PruferCode) -> tuple[tuple[int, int], ...]:
+    """Edge set of the unrooted tree with the given Prufer sequence.
+
+    Returns edges as (min, max) pairs in decode order: the edge of each
+    removed leaf, then the last edge, which ends at n.
+    """
+    parent, order = _decode(code.n, code.seq)
+    return tuple((x, parent[x]) if x < parent[x] else (parent[x], x) for x in order)
 
 
 def prufer_encode(n: int, edges: Iterable[tuple[int, int]]) -> PruferCode:
     """Inverse of prufer_decode: the sequence of the tree with these edges.
 
     ValueError names the fault when the edges are not a tree on [n]: a label
-    outside [1, n], a self-loop, a repeated edge, a wrong edge count, or an
-    edge set that does not connect [n].
+    that is not an int, a label outside [1, n], a self-loop, a repeated edge,
+    a wrong edge count, or an edge set that does not connect [n].
     """
+    if type(n) is not int:
+        raise ValueError(f"n must be an int, got {n!r}")
     adj: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
     for a, b in edges:
+        if type(a) is not int or type(b) is not int:
+            raise ValueError(f"edge {(a, b)} has a label that is not an int")
         if a not in adj or b not in adj:
             raise ValueError(f"edge {(a, b)} has a label outside [1, {n}]")
         if a == b:
@@ -155,49 +177,15 @@ def prufer_encode(n: int, edges: Iterable[tuple[int, int]]) -> PruferCode:
     return PruferCode(n, seq)
 
 
-def _adjacency(n: int, seq: tuple[int, ...]) -> list[list[int]]:
-    # fused decode straight into adjacency lists
-    adj: list[list[int]] = [[] for _ in range(n + 1)]
-    if n == 2:
-        adj[1].append(2)
-        adj[2].append(1)
-        return adj
-    deg = [1] * (n + 1)
-    for x in seq:
-        deg[x] += 1
-    idx = 1
-    while deg[idx] != 1:
-        idx += 1
-    leaf = idx
-    for x in seq:
-        adj[leaf].append(x)
-        adj[x].append(leaf)
-        deg[x] -= 1
-        if deg[x] == 1 and x < idx:
-            leaf = x
-        else:
-            idx += 1
-            while deg[idx] != 1:
-                idx += 1
-            leaf = idx
-    adj[leaf].append(n)
-    adj[n].append(leaf)
-    return adj
-
-
-def _oriented_parent(n: int, adj: list[list[int]], root: int) -> tuple[int, ...]:
-    parent = [0] * (n + 1)
-    stack = [root]
-    seen = [False] * (n + 1)
-    seen[root] = True
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                parent[v] = u
-                stack.append(v)
-    return tuple(parent)
+def _reroot(parent: list[int], root: int) -> tuple[int, ...]:
+    # reverse the path from root up to the old root, so root ends on top
+    par = list(parent)
+    child, x = 0, root
+    while x:
+        up = par[x]
+        par[x] = child
+        child, x = x, up
+    return tuple(par)
 
 
 def enumerate_rooted_trees(n: int, cap: int = DEFAULT_CAP) -> Iterator[RootedTree]:
@@ -215,8 +203,8 @@ def enumerate_rooted_trees(n: int, cap: int = DEFAULT_CAP) -> Iterator[RootedTre
         return
     for root in range(1, n + 1):
         for seq in product(range(1, n + 1), repeat=n - 2):
-            adj = _adjacency(n, seq)
-            yield RootedTree(n, root, _oriented_parent(n, adj, root))
+            parent, _ = _decode(n, seq)
+            yield RootedTree(n, root, _reroot(parent, root))
 
 
 def des(t: RootedTree) -> int:
@@ -236,25 +224,17 @@ def complement(t: RootedTree) -> RootedTree:
 
 
 def _descent_counts_for_seq(n: int, seq: tuple[int, ...], counts: list[int]) -> None:
-    # one decode, then des for every root via the +-1 edge rule
-    adj = _adjacency(n, seq)
-    des1 = 0
-    stack = [(1, 0)]
-    order = []
-    while stack:
-        u, p = stack.pop()
-        order.append((u, p))
-        for v in adj[u]:
-            if v != p:
-                if u > v:
-                    des1 += 1
-                stack.append((v, u))
-    counts[des1] += 1
+    # des at root n, then at every other root by the +-1 rule in reverse
+    # removal order
+    parent, order = _decode(n, seq)
+    d = sum(parent[x] > x for x in order)
+    counts[d] += 1
     desv = [0] * (n + 1)
-    desv[1] = des1
-    for u, p in order[1:]:
-        d = desv[p] + (1 if u > p else -1)
-        desv[u] = d
+    desv[n] = d
+    for x in reversed(order):
+        p = parent[x]
+        d = desv[p] + (1 if x > p else -1)
+        desv[x] = d
         counts[d] += 1
 
 
@@ -281,11 +261,8 @@ def descent_polynomial(n: int, threads: int = 1, cap: int = DEFAULT_CAP) -> IntP
         raise LimitExceededError("descent_polynomial", n, cap)
     if n == 1:
         return IntPolynomial([1])
-    if n == 2:
-        return IntPolynomial([1, 1])
     if threads > 1 and n >= 7:
-        plen = min(2, n - 2)
-        tasks = [(n, prefix) for prefix in product(range(1, n + 1), repeat=plen)]
+        tasks = [(n, prefix) for prefix in product(range(1, n + 1), repeat=2)]
         partials = map_shards(_descent_chunk, tasks, threads)
         counts = [sum(col) for col in zip(*partials)]
         return IntPolynomial(counts)

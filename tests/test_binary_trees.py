@@ -136,11 +136,23 @@ class TestStatistics:
 
     @pytest.mark.parametrize(
         "text, pos",
-        [("(1,2", 4), ("(1", 2), ("", 0), ("(", 1), ("(1,2)x", 5), ("(1;2)", 2), ("(1,²)", 3)],
+        [
+            ("(1,2", 4), ("(1", 2), ("", 0), ("(", 1), ("(1,2)x", 5), ("(1;2)", 2), ("(1,²)", 3),
+            pytest.param("(" * 1200, 1200, id="1200-open"),
+        ],
     )
     def test_malformed_string_names_position(self, text, pos):
         with pytest.raises(ValueError, match=f"at position {pos} in"):
             tree_from_string(text)
+
+    def test_deep_string_parses(self):
+        # a left comb deeper than the recursion limit; walk its spine
+        # iteratively, since tuple == recurses too
+        node = tree_from_string("(" * 2999 + "1" + "".join(f",{i})" for i in range(2, 3001)))
+        for i in range(3000, 1, -1):
+            assert node[1] == i
+            node = node[0]
+        assert node == 1
 
 
 class TestJointEngine:

@@ -108,6 +108,9 @@ class TestPruferCodec:
             (4, [(1, 2), (2, 3)], "expected 3 edges"),
             (4, [(1, 2), (2, 3), (1, 3)], "do not connect"),
             (5, [(1, 2), (2, 3), (3, 1), (4, 5)], "do not connect"),
+            (3, [(1.0, 2), (2, 3)], "not an int"),
+            (3, [(True, 2), (2, 3)], "not an int"),
+            (3.0, [(1, 2), (2, 3)], "must be an int"),
         ],
     )
     def test_encode_rejects_edge_sets_that_are_not_trees(self, n, edges, fault):
@@ -121,6 +124,11 @@ class TestPruferCodec:
             PruferCode(4, (0, 1))  # label out of range
         with pytest.raises(ValueError):
             PruferCode(1, ())  # needs two vertices
+        for seq in ((True, 2), (2.0, 3), ("2", 3)):
+            with pytest.raises(ValueError, match="is not an int"):
+                PruferCode(4, seq)
+        with pytest.raises(ValueError, match="must be an int"):
+            PruferCode(4.0, (2, 3))
 
 
 class TestRootedTree:
