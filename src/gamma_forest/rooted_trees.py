@@ -178,14 +178,13 @@ def prufer_encode(n: int, edges: Iterable[tuple[int, int]]) -> PruferCode:
 
 
 def _reroot(parent: list[int], root: int) -> tuple[int, ...]:
-    # reverse the path from root up to the old root, so root ends on top
-    par = list(parent)
+    # reverse the path from root up to the old root in place, so root ends on top
     child, x = 0, root
     while x:
-        up = par[x]
-        par[x] = child
+        up = parent[x]
+        parent[x] = child
         child, x = x, up
-    return tuple(par)
+    return tuple(parent)
 
 
 def enumerate_rooted_trees(n: int, cap: int = DEFAULT_CAP) -> Iterator[RootedTree]:
