@@ -1,12 +1,20 @@
-"""Normalized binary trees: statistics, colorings, the incremental engine."""
+"""Normalized binary trees: statistics, colorings, the incremental engine.
 
+The SHA-256 digests pin the engines' full outputs, double-pair counts and row
+order included; they were recorded from the code that ran the joint tally on
+one backtracking engine and the rows and comb-type tally on tuple trees.
+"""
+
+import hashlib
 import math
 from collections import Counter
 from itertools import product
 
 import pytest
 
+from gamma_forest import binary_trees
 from gamma_forest.binary_trees import (
+    ROW_STATS,
     bicolored_comb_census,
     bicolored_lyndon_census,
     comb_type,
@@ -33,6 +41,32 @@ from gamma_forest.binary_trees import (
 )
 from gamma_forest.errors import LimitExceededError
 from gamma_forest.poly import drake_polynomial, evaluate, gamma_closed_form
+
+
+# sha256 of repr(sorted(joint_statistics(n).items()))
+JOINT_DIGESTS = {
+    1: "7d71a286db4009112d220b6e5a089a15dce5e0fb05b4b4f4ad28f10f9ab9eb83",
+    2: "4de60d9a79744d67d2f907c78bbbcb26b277e92a39c1ecf274ae89234f208e13",
+    3: "5c281c30389a5352086785ecbb45fc6752aa8dc5860f28e2da8cadfc9fc2c4f4",
+    4: "046261b4e14cb7dd06f2fc69674540e4deaa9823aac65a735b4a0593501b1226",
+    5: "9bb0f4a32c41e647e168802c3b7e0ffc03a9b70b5e23ae3304f1dd7cc6531414",
+    6: "834acaa7253fb5272abe4b0f9f939671c6bb3b9250f5fd13aea7cee51699f53c",
+    7: "ae057f08a571478a62ab51ef9deeb1fc41c1ecbe5d1fec8f253e02d1dd1d1868",
+    8: "8d62a704e6430f40cc5c730f379f94b64167e76b9b01b1253b104ee2366822db",
+}
+# sha256 of repr(sorted(comb_type_tally(8).items()))
+COMB_TALLY_8_DIGEST = "c8c40121a6b8055165a311a50b3274d4d1ca7555dfd0a5fde354446d498f1756"
+# sha256 of repr(list(normalized_rows(8, stat)))
+ROWS_8_DIGESTS = {
+    "rdes": "75a9d186550ee05cac2346bf245a9c410202c5000058aabad347fdf8a52c24c5",
+    "nlyn": "9dd3eefd81d8eb14c755daec6f9f714503c43526921e784ff263bf83576976b9",
+    "free": "0330a0a8115eee1030427f1f2d94166c924898d54ff1cb8b2c3a86e883f4a368",
+    "combtype": "112af1e6a3e7bfbe06897d0d0f2b80fd0f32128f541437c06406b75549871135",
+}
+
+
+def sha256_of(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
 
 
 def double_factorial(m: int) -> int:
@@ -197,6 +231,26 @@ class TestJointEngine:
     def test_parallel_matches_sequential(self):
         for n in (7, 8):
             assert joint_statistics(n, threads=3) == joint_statistics(n)
+
+    @pytest.mark.parametrize("n", sorted(JOINT_DIGESTS))
+    def test_joint_digest(self, n):
+        assert sha256_of(sorted(joint_statistics(n).items())) == JOINT_DIGESTS[n]
+
+    def test_comb_tally_digest(self):
+        assert sha256_of(sorted(comb_type_tally(8).items())) == COMB_TALLY_8_DIGEST
+
+    @pytest.mark.parametrize("stat", ROW_STATS)
+    def test_rows_digest(self, stat):
+        assert sha256_of(list(normalized_rows(8, stat))) == ROWS_8_DIGESTS[stat]
+
+    def test_shards_in_process_match_sequential(self, monkeypatch):
+        # every shard prefix, without forking a pool
+        serial = joint_statistics(8)
+        monkeypatch.setattr(
+            binary_trees, "map_shards", lambda fn, tasks, threads: [fn(t) for t in tasks]
+        )
+        for threads in (2, 3, 4):
+            assert joint_statistics(8, threads=threads) == serial, threads
 
     def test_total_mass(self):
         for n in range(1, 9):
