@@ -21,15 +21,19 @@ Statistics:
   comb type   partition of n - 1 by sizes of maximal chains of internal
               nodes linked by right-child edges
 
-Distribution queries run on a backtracking array engine that maintains all
-five statistics incrementally across insertions, so a full pass over the two
-million trees at n=9 takes seconds.  JOINT_KEY, the one place that names the
-positions of a tally key, is read by the views of one tally: marginal, the
-gamma vectors ndrd_rdes and ndnl_nlyn, and the censuses comb_census and
-lyndon_census.  distribution_ndrd_rdes, distribution_ndnl_nlyn,
-bicolored_comb_census and bicolored_lyndon_census each apply one view to a
-fresh tally.  The per-tree functions below are independent implementations
-used to cross-check the engine.
+joint_statistics, normalized_rows and comb_type_tally run on one walker: it
+backtracks over flat arrays, yielding every tree on [n - 1] with its five
+statistics maintained incrementally across insertions, and each of the three
+inserts leaf n itself, so a full pass over the two million trees at n=9
+takes seconds.  The update rules of the statistics are written once, in
+_child_keys.  JOINT_KEY, the one place that names the positions of a tally
+key, is read by the views of one tally: marginal, the gamma vectors
+ndrd_rdes and ndnl_nlyn, and the censuses comb_census and lyndon_census.
+distribution_ndrd_rdes, distribution_ndnl_nlyn, bicolored_comb_census and
+bicolored_lyndon_census each apply one view to a fresh tally.  The per-tree
+functions below, enumerate_normalized and insert_leaf included, are
+independent implementations used to cross-check the walker; it calls none
+of them.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from itertools import combinations, product
 from typing import Iterator, Union
 
 from ._pool import map_shards
-from .errors import LimitExceededError
+from .errors import check_size
 from .poly import GammaVector, IntPolynomial, add_binomial_row
 
 Tree = Union[int, tuple]
@@ -80,10 +84,7 @@ def insert_leaf(t: Tree, pos: int, label: int) -> Tree:
 
 def enumerate_normalized(n: int, cap: int = DEFAULT_CAP) -> Iterator[Tree]:
     """Yield every normalized tree on [n] exactly once; (2n-3)!! of them for n >= 2."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    if n > cap:
-        raise LimitExceededError("enumerate_normalized", n, cap)
+    check_size("enumerate_normalized", n, cap)
 
     def rec(m: int) -> Iterator[Tree]:
         if m == 1:
@@ -294,10 +295,7 @@ def enumerate_bicolored_combs(
     with a double right descent admit no coloring, so the underlying trees
     have no double right descents, and each contributes 2^free pairs.
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    if n > cap:
-        raise LimitExceededError("enumerate_bicolored_combs", n, cap)
+    check_size("enumerate_bicolored_combs", n, cap)
     for t in enumerate_normalized(n, cap):
         info = _InternalInfo(t)
         m = len(info.nodes)
@@ -332,10 +330,7 @@ def enumerate_bicolored_lyndon(
     A conflicted tree is exactly one with a double non-Lyndon pair, so the
     underlying trees are the NDNL ones.
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    if n > cap:
-        raise LimitExceededError("enumerate_bicolored_lyndon", n, cap)
+    check_size("enumerate_bicolored_lyndon", n, cap)
     for t in enumerate_normalized(n, cap):
         info = _InternalInfo(t)
         m = len(info.nodes)
@@ -384,12 +379,8 @@ def enumerate_colored_combs(
     arrangement is forced, so a chain of length L contributes C(k, L)
     choices; chains are independent.
     """
-    if n < 1 or k < 1:
-        raise ValueError("n and k must be positive integers")
-    if n > cap_n:
-        raise LimitExceededError("enumerate_colored_combs", n, cap_n)
-    if k > cap_k:
-        raise LimitExceededError("enumerate_colored_combs (colors)", k, cap_k)
+    check_size("enumerate_colored_combs", n, cap_n)
+    check_size("enumerate_colored_combs (colors)", k, cap_k, "k")
     palette = range(1, k + 1)
     for t in enumerate_normalized(n, cap_n):
         info = _InternalInfo(t)
@@ -408,102 +399,119 @@ def enumerate_colored_combs(
 
 
 # ---------------------------------------------------------------------------
-# Incremental statistics engine.
+# Insertion walker.
 #
-# State lives in flat arrays indexed by creation order: node 0 is leaf 1, and
-# inserting leaf m at node v adds internal node x (taking v's slot, with v as
-# left child) and leaf node lf.  All five statistics admit local updates
-# because the inserted leaf carries the largest label: no valency below the
-# insertion point changes, so only v, its parent p, and the new nodes can
-# change status.
+# One walker serves the joint tally, the rows and the comb-type tally.  State
+# lives in flat arrays indexed by creation order: node 0 is leaf 1, and
+# inserting leaf m adds internal node 2m - 3 and leaf node 2m - 2, so a node
+# is internal iff its index is odd, and leaf node v carries label v // 2 + 1.
+# Inserting at node v puts the new internal node x in v's slot, with v as its
+# left child and the new leaf as its right child.  All five statistics admit
+# local updates because the inserted leaf carries the largest label: no
+# valency below the insertion point changes, so only v, its parent p, and the
+# new nodes can change status.  _child_keys states those updates once; the
+# walker takes its own steps from it, and each consumer makes the last
+# insertion, of leaf n, itself.
+#
+# No check compares the rows, the comb types and the joint tally with one
+# another: each is compared with the per-tree functions above or with
+# drake_polynomial, so the three may share this one traversal.
 # ---------------------------------------------------------------------------
 
 
-def _joint_tally(n: int, prefix: tuple[int, ...]) -> Counter:
-    """Counter over (rdes, drd, nlyn, dnl, free) for all normalized trees on [n]
-    whose first insertion choices follow prefix (positions for leaves 3, 4, ...)."""
-    tally: Counter = Counter()
-    if n == 1:
-        tally[(0, 0, 0, 0, 0)] += 1
-        return tally
-    size = 2 * n - 1
-    left = [-1] * size
-    right = [-1] * size
-    parent = [-1] * size
-    is_right = [False] * size
-    internal = [False] * size
-    nonlyn = [False] * size
-
-    def rec(m: int, nodes: int, r: int, d: int, nl: int, dl: int, fr: int) -> None:
-        if m > n:
-            tally[(r, d, nl, dl, fr)] += 1
-            return
-        if 0 <= m - 3 < len(prefix):
-            candidates: range | tuple[int, ...] = (prefix[m - 3],)
+def _child_keys(arrays: tuple[list, ...], nodes: int, key: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The joint key of each tree made by inserting the new maximum leaf at a
+    node of the tree in the arrays, indexed by node; key is the tree's own."""
+    _left, right, parent, is_right, nonlyn = arrays
+    r, d, nl, dl, fr = key
+    out = []
+    for v in range(nodes):
+        p = parent[v]
+        if is_right[v]:
+            if v & 1:
+                # x replaces v as a right descent and v moves to a left slot:
+                # a double pair over an internal R(v) dissolves, v turns free
+                # over a leaf R(v), and x is non-Lyndon over v, forming the
+                # pair (v, x) iff v is non-Lyndon
+                below = right[v] & 1
+                out.append((r, d - below, nl + 1, dl + nonlyn[v], fr + 1 - below))
+            else:
+                # x is a new right descent, doubled iff p is one, and p's
+                # right child stops being a leaf
+                out.append((r + 1, d + is_right[p], nl, dl, fr - (not is_right[p])))
         else:
-            candidates = range(nodes)
+            # x sits in a non-right slot over a leaf, so it is free; it is
+            # non-Lyndon iff v is internal, forming the pair (v, x) iff v is
+            # non-Lyndon
+            k_nl = nl + (v & 1)
+            k_dl = dl + nonlyn[v]
+            if p >= 0 and nonlyn[p]:
+                # R(L(p)) is now the maximum label, so p turns Lyndon, and
+                # its pairs with v and with its own parent dissolve
+                p2 = parent[p]
+                k_nl -= 1
+                k_dl -= nonlyn[v] + (p2 >= 0 and not is_right[p] and nonlyn[p2])
+            out.append((r, d, k_nl, k_dl, fr + 1))
+    return out
+
+
+def _preorder_nodes(arrays: tuple[list, ...], root: int) -> list[int]:
+    left, right = arrays[0], arrays[1]
+    order = []
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        if v & 1:
+            stack.append(right[v])
+            stack.append(left[v])
+    return order
+
+
+def _walk(n: int, prefix: tuple[int, ...] = ()) -> Iterator[tuple[tuple[list, ...], int, int, tuple[int, ...]]]:
+    """Yield (arrays, nodes, root, key) for each normalized tree on [n - 1],
+    n >= 2, in enumerate_normalized order: its arrays (left, right, parent,
+    is_right, nonlyn), node count, root and joint key.  The arrays change in
+    place, so they hold the tree only until the walk resumes.
+
+    Leaf m goes in at the nodes of the tree on [m - 1] in preorder, the
+    positions of insert_leaf; prefix fixes the positions of leaves 3, 4, ...
+    """
+    size = 2 * n - 1
+    arrays = left, right, parent, is_right, nonlyn = (
+        [-1] * size, [-1] * size, [-1] * size, [False] * size, [False] * size
+    )
+
+    def rec(m: int, nodes: int, root: int, key: tuple[int, ...]) -> Iterator:
+        # the arrays hold a tree on [m - 1]
+        if m == n:
+            yield arrays, nodes, root, key
+            return
+        order = _preorder_nodes(arrays, root)
+        if 0 <= m - 3 < len(prefix):
+            order = [order[prefix[m - 3]]]
+        keys = _child_keys(arrays, nodes, key)
         x = nodes
-        lf = nodes + 1
-        for v in candidates:
+        right[x] = x + 1
+        parent[x + 1] = x
+        is_right[x + 1] = True
+        for v in order:
             p = parent[v]
-            v_int = internal[v]
             v_right = is_right[v]
-            v_nonlyn = nonlyn[v]
-            d_r = 0
-            d_d = 0
-            if v_right:
-                # x replaces v as the right child; rdes moves from v to x
-                d_r = 1 - (1 if v_int else 0)
-                if not v_int:
-                    if p >= 0 and is_right[p]:
-                        d_d += 1  # new double pair (x, p)
-                elif internal[right[v]]:
-                    d_d -= 1  # v stops being a right descent over R(v)
-            # x is non-Lyndon iff its left child v is internal: R(x) is the
-            # new leaf, the current maximum, so the Lyndon inequality fails
-            d_nl = 1 if v_int else 0
-            d_dl = 1 if v_nonlyn else 0  # pair (v, x) forms iff v was non-Lyndon
-            p_was_nonlyn = False
-            if p >= 0 and not v_right:
-                # R(x) is the maximum label, so p turns Lyndon when we insert
-                # at its left child
-                p_was_nonlyn = nonlyn[p]
-                if p_was_nonlyn:
-                    d_nl -= 1
-                    if v_nonlyn:
-                        d_dl -= 1  # pair (v, p) dissolves
-                    p2 = parent[p]
-                    if p2 >= 0 and not is_right[p] and nonlyn[p2]:
-                        d_dl -= 1  # pair (p, p2) dissolves
-            d_f = 0
-            if not v_right:
-                d_f += 1  # x sits in a non-right slot with a leaf right child
-            if v_int and v_right and not internal[right[v]]:
-                d_f += 1  # v moves to a left slot, keeping its leaf right child
-            if not v_int and v_right and p >= 0 and not is_right[p]:
-                d_f -= 1  # p's right child was leaf v and is now internal x
-            # apply
             left[x] = v
-            right[x] = lf
             parent[x] = p
             is_right[x] = v_right
-            internal[x] = True
-            nonlyn[x] = v_int
+            nonlyn[x] = v & 1  # R(x) is the maximum label
             parent[v] = x
             is_right[v] = False
-            parent[lf] = x
-            is_right[lf] = True
-            internal[lf] = False
-            nonlyn[lf] = False
             if p >= 0:
+                p_nonlyn = nonlyn[p]
                 if v_right:
                     right[p] = x
                 else:
                     left[p] = x
-            if p_was_nonlyn:
-                nonlyn[p] = False
-            rec(m + 1, nodes + 2, r + d_r, d + d_d, nl + d_nl, dl + d_dl, fr + d_f)
-            # undo
+                    nonlyn[p] = False
+            yield from rec(m + 1, nodes + 2, root if p >= 0 else x, keys[v])
             parent[v] = p
             is_right[v] = v_right
             if p >= 0:
@@ -511,15 +519,17 @@ def _joint_tally(n: int, prefix: tuple[int, ...]) -> Counter:
                     right[p] = v
                 else:
                     left[p] = v
-            if p_was_nonlyn:
-                nonlyn[p] = True
+                    nonlyn[p] = p_nonlyn
 
-    rec(2, 1, 0, 0, 0, 0, 0)
-    return tally
+    yield from rec(2, 1, 0, (0, 0, 0, 0, 0))
 
 
 def _tally_task(args: tuple[int, tuple[int, ...]]) -> Counter:
-    return _joint_tally(*args)
+    n, prefix = args
+    tally: Counter = Counter()
+    for arrays, nodes, _root, key in _walk(n, prefix):
+        tally.update(_child_keys(arrays, nodes, key))
+    return tally
 
 
 def joint_statistics(n: int, threads: int = 1, cap: int = DEFAULT_CAP) -> Counter:
@@ -527,15 +537,14 @@ def joint_statistics(n: int, threads: int = 1, cap: int = DEFAULT_CAP) -> Counte
     normalized trees on [n], positions as in JOINT_KEY.  threads > 1 spreads
     prefix shards over a process pool from n = 8 on; below that the serial
     pass is faster than the pool's start."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    if n > cap:
-        raise LimitExceededError("joint_statistics", n, cap)
+    check_size("joint_statistics", n, cap)
+    if n == 1:
+        return Counter({(0, 0, 0, 0, 0): 1})
     if threads > 1 and n >= 8:
         levels: list[range] = []
         width = 1
         m = 3
-        while width < 4 * threads and m <= n:
+        while width < 4 * threads and m < n:
             levels.append(range(2 * m - 3))
             width *= 2 * m - 3
             m += 1
@@ -544,7 +553,7 @@ def joint_statistics(n: int, threads: int = 1, cap: int = DEFAULT_CAP) -> Counte
         for part in map_shards(_tally_task, tasks, threads):
             total.update(part)
         return total
-    return _joint_tally(n, ())
+    return _tally_task((n, ()))
 
 
 def marginal(tally: Counter, stat: str) -> dict:
@@ -629,81 +638,48 @@ def bicolored_lyndon_census(n: int, threads: int = 1, cap: int = DEFAULT_CAP) ->
 
 
 # ---------------------------------------------------------------------------
-# Insertion rows engine.
+# Rows and comb types.
 #
-# Rows come in enumerate_normalized order: every tree on [n - 1], and under
-# it the insertions of leaf n at its nodes in preorder.  One pass over the
-# parent gives its string, each node's span in that string, and the parent's
-# statistic; each child then costs one string splice and the local change of
-# the statistic that the joint tally's update rules describe.
+# Rows come in enumerate_normalized order: every tree on [n - 1] from the
+# walker, and under it the insertions of leaf n at its nodes in preorder.
+# One pass over the tree gives its string and each node's span in it; each
+# child then costs one string splice, and its statistic is read off
+# _child_keys or, for the comb type, off one split of the tree's own.
 # ---------------------------------------------------------------------------
 
 ROW_STATS = ("rdes", "nlyn", "free", "combtype")
 
-# per node of the preorder pass
-_START, _END, _RIGHT, _PARENT, _LEFT_CHILD, _RIGHT_CHILD, _VALENCY = range(7)
 
-
-def _preorder(t: Tree) -> tuple[str, list[list]]:
-    """tree_to_string(t), and per node in preorder [start, end, is_right,
-    parent, left child, right child, valency]; children are -1 at a leaf."""
+def _spans(arrays: tuple[list, ...], root: int) -> tuple[str, list[tuple[int, int, int]]]:
+    """tree_to_string of the tree in the arrays, and per node in preorder
+    (node, start, end) of its substring."""
+    left, right = arrays[0], arrays[1]
     parts: list[str] = []
-    nodes: list[list] = []
+    spans: list = []
     pos = 0
 
-    def walk(node: Tree, parent: int, is_right: bool) -> None:
+    def walk(v: int) -> None:
         nonlocal pos
-        rec = [pos, 0, is_right, parent, -1, -1, node]
-        me = len(nodes)
-        nodes.append(rec)
-        if isinstance(node, int):  # its own valency, set above
-            label = str(node)
-            parts.append(label)
-            pos += len(label)
-        else:
+        start = pos
+        me = len(spans)
+        spans.append(None)
+        if v & 1:
             parts.append("(")
             pos += 1
-            rec[_LEFT_CHILD] = len(nodes)
-            walk(node[0], me, False)
+            walk(left[v])
             parts.append(",")
             pos += 1
-            rec[_RIGHT_CHILD] = len(nodes)
-            walk(node[1], me, True)
+            walk(right[v])
             parts.append(")")
             pos += 1
-            rec[_VALENCY] = nodes[me + 1][_VALENCY]
-        rec[_END] = pos
-
-    walk(t, -1, False)
-    return "".join(parts), nodes
-
-
-def _comb_splits(nodes: list[list]) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
-    """The comb type of the tree, and per node the (L, a) by which inserting
-    there edits it: a part L becomes a + 1 and L - a, zero parts dropped.
-
-    A node that is not a right child gives (0, 0): the new internal node heads
-    a chain of its own.  A right child at depth a of a chain of length L
-    splits that chain below its parent; a leaf right child, at depth L, makes
-    the chain one longer.
-    """
-    chain = [0] * len(nodes)  # chain head of each internal node
-    depth = [0] * len(nodes)
-    lengths: dict[int, int] = {}
-    for i, rec in enumerate(nodes):
-        if rec[_LEFT_CHILD] >= 0:
-            head = chain[rec[_PARENT]] if rec[_RIGHT] else i
-            chain[i] = head
-            depth[i] = depth[rec[_PARENT]] + 1 if rec[_RIGHT] else 0
-            lengths[head] = depth[i] + 1
-    splits = []
-    for i, rec in enumerate(nodes):
-        if not rec[_RIGHT]:
-            splits.append((0, 0))
         else:
-            length = lengths[chain[rec[_PARENT]]]
-            splits.append((length, depth[i] if rec[_LEFT_CHILD] >= 0 else length))
-    return tuple(sorted(lengths.values(), reverse=True)), splits
+            label = str(v // 2 + 1)
+            parts.append(label)
+            pos += len(label)
+        spans[me] = (v, start, pos)
+
+    walk(root)
+    return "".join(parts), spans
 
 
 def _split(parts: tuple[int, ...], length: int, a: int) -> tuple[int, ...]:
@@ -716,65 +692,43 @@ def _split(parts: tuple[int, ...], length: int, a: int) -> tuple[int, ...]:
     return tuple(sorted(out, reverse=True))
 
 
-def _child_stats(nodes: list[list], stat: str, splits: dict) -> list:
-    """The statistic of each tree made by inserting the new maximum leaf at a
-    node of this tree, in preorder.  splits memoizes comb-type edits."""
-    if stat == "combtype":
-        parts, edits = _comb_splits(nodes)
-        out = []
-        for length, a in edits:
-            key = (parts, length, a)
-            child = splits.get(key)
-            if child is None:
-                child = splits[key] = _split(parts, length, a)
-            out.append(child)
-        return out
-    internal = [rec[_LEFT_CHILD] >= 0 for rec in nodes]
-    if stat == "rdes":
-        total = sum(1 for i, rec in enumerate(nodes) if internal[i] and rec[_RIGHT])
-        return [total + (rec[_RIGHT] and not internal[i]) for i, rec in enumerate(nodes)]
-    if stat == "free":
-        frees = [
-            internal[i] and not rec[_RIGHT] and not internal[rec[_RIGHT_CHILD]]
-            for i, rec in enumerate(nodes)
-        ]
-        total = sum(frees)
-        out = []
-        for i, rec in enumerate(nodes):
-            if not rec[_RIGHT]:
-                out.append(total + 1)  # the new node is free
-            elif internal[i]:
-                # the node moves to a left slot, keeping its right child
-                out.append(total + (not internal[rec[_RIGHT_CHILD]]))
+def _comb_children(arrays: tuple[list, ...], order: list[int], splits: dict) -> list[tuple[int, ...]]:
+    """The comb type of each tree made by inserting the new maximum leaf at a
+    node of the tree in the arrays, indexed by node; order lists the tree's
+    nodes in preorder, and splits memoizes the edits.
+
+    Each insertion splits one part: a part L becomes a + 1 and L - a, zero
+    parts dropped.  A node that is not a right child gives L = a = 0: the new
+    internal node heads a chain of its own.  A right child at depth a of a
+    chain of length L splits that chain below its parent; a leaf right child,
+    at depth L, makes the chain one longer.
+    """
+    parent, is_right = arrays[2], arrays[3]
+    head = [0] * len(order)  # chain head of each internal node
+    depth = [0] * len(order)
+    lengths: dict[int, int] = {}
+    for v in order:
+        if v & 1:
+            if is_right[v]:
+                head[v] = head[parent[v]]
+                depth[v] = depth[parent[v]] + 1
             else:
-                # the parent's right child stops being a leaf
-                out.append(total - frees[rec[_PARENT]])
-        return out
-    # nlyn: x is non-Lyndon iff its left child is internal and
-    # valency(R(L(x))) <= valency(R(x))
-    nonlyn = [
-        internal[i]
-        and internal[rec[_LEFT_CHILD]]
-        and nodes[nodes[rec[_LEFT_CHILD]][_RIGHT_CHILD]][_VALENCY] <= nodes[rec[_RIGHT_CHILD]][_VALENCY]
-        for i, rec in enumerate(nodes)
-    ]
-    total = sum(nonlyn)
-    # the new node is non-Lyndon iff the node it takes over is internal; the
-    # parent of a left child turns Lyndon, as R(L(parent)) is now the maximum
-    return [
-        total + internal[i] - (not rec[_RIGHT] and rec[_PARENT] >= 0 and nonlyn[rec[_PARENT]])
-        for i, rec in enumerate(nodes)
-    ]
-
-
-def _parent_trees(n: int, cap: int, caller: str) -> Iterator[Tree]:
-    # the trees on [n - 1] whose insertions give the trees on [n], in order;
-    # none for n = 1
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    if n > cap:
-        raise LimitExceededError(caller, n, cap)
-    return enumerate_normalized(n - 1, cap) if n > 1 else iter(())
+                head[v] = v
+            lengths[head[v]] = depth[v] + 1
+    parts = tuple(sorted(lengths.values(), reverse=True))
+    out: list[tuple[int, ...]] = [()] * len(order)
+    for v in order:
+        if is_right[v]:
+            length = lengths[head[parent[v]]]
+            a = depth[v] if v & 1 else length
+        else:
+            length = a = 0
+        edit = (parts, length, a)
+        child = splits.get(edit)
+        if child is None:
+            child = splits[edit] = _split(parts, length, a)
+        out[v] = child
+    return out
 
 
 def normalized_rows(n: int, stat: str, cap: int = DEFAULT_CAP) -> Iterator[tuple[str, object]]:
@@ -785,23 +739,30 @@ def normalized_rows(n: int, stat: str, cap: int = DEFAULT_CAP) -> Iterator[tuple
     """
     if stat not in ROW_STATS:
         raise ValueError(f"unknown statistic {stat!r}; choose from {', '.join(ROW_STATS)}")
-    parents = _parent_trees(n, cap, "normalized_rows")
+    check_size("normalized_rows", n, cap)
     if n == 1:
         yield "1", () if stat == "combtype" else 0
+        return
     leaf = f",{n})"
     splits: dict = {}
-    for t in parents:
-        s, nodes = _preorder(t)
-        for rec, value in zip(nodes, _child_stats(nodes, stat, splits)):
-            a, b = rec[_START], rec[_END]
-            yield s[:a] + "(" + s[a:b] + leaf + s[b:], value
+    for arrays, nodes, root, key in _walk(n):
+        s, spans = _spans(arrays, root)
+        if stat == "combtype":
+            values = _comb_children(arrays, [v for v, _, _ in spans], splits)
+        else:
+            i = JOINT_KEY[stat]
+            values = [k[i] for k in _child_keys(arrays, nodes, key)]
+        for v, a, b in spans:
+            yield s[:a] + "(" + s[a:b] + leaf + s[b:], values[v]
 
 
 def comb_type_tally(n: int, cap: int = DEFAULT_CAP) -> Counter:
     """Counter of comb types over all normalized trees on [n]."""
-    parents = _parent_trees(n, cap, "comb_type_tally")
-    tally: Counter = Counter({(): 1} if n == 1 else {})
+    check_size("comb_type_tally", n, cap)
+    if n == 1:
+        return Counter({(): 1})
+    tally: Counter = Counter()
     splits: dict = {}
-    for t in parents:
-        tally.update(_child_stats(_preorder(t)[1], "combtype", splits))
+    for arrays, _nodes, root, _key in _walk(n):
+        tally.update(_comb_children(arrays, _preorder_nodes(arrays, root), splits))
     return tally

@@ -13,3 +13,16 @@ class LimitExceededError(ValueError):
         self.what = what
         self.n = n
         self.cap = cap
+
+
+def check_size(what: str, n: object, cap: int | None = None, name: str = "n") -> None:
+    """Refuse a size that is not a positive int, or that is above cap.
+
+    Raises ValueError when type(n) is not int (floats and bools included) or
+    n < 1, and LimitExceededError when n > cap.  what names the caller in the
+    LimitExceededError; name is the size's name in the ValueError.
+    """
+    if type(n) is not int or n < 1:
+        raise ValueError(f"{name} must be a positive integer")
+    if cap is not None and n > cap:
+        raise LimitExceededError(what, n, cap)

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterable
 
+from .errors import check_size
+
 
 class NotPalindromicError(ValueError):
     """Raised when a gamma-basis conversion is asked of an asymmetric polynomial."""
@@ -222,8 +224,7 @@ def drake_polynomial(n: int) -> IntPolynomial:
     >>> drake_polynomial(1).coeffs
     (1,)
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    check_size("drake_polynomial", n)
     cs = [1]
     for i in range(1, n):
         cs = [(n - i) * lo + i * hi for lo, hi in zip(cs + [0], [0] + cs)]
@@ -248,8 +249,7 @@ def gamma_closed_form(n: int) -> GammaVector:
     >>> gamma_closed_form(4).gammas
     (6, 8)
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    check_size("gamma_closed_form", n)
     gammas = [1 if n % 2 else n // 2]
     for s in range(1, (n - 1) // 2 + 1):
         a, b = s * (n - s), (n - 2 * s) ** 2
@@ -271,8 +271,7 @@ def eulerian_polynomial(n: int) -> IntPolynomial:
     >>> eulerian_polynomial(4).coeffs
     (1, 11, 11, 1)
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    check_size("eulerian_polynomial", n)
     counts = [0] * n
     for sigma in permutations(range(1, n + 1)):
         counts[_descents(sigma)] += 1
@@ -291,8 +290,7 @@ def eulerian_gamma_count(n: int) -> GammaVector:
     >>> eulerian_gamma_count(4).gammas
     (1, 8)
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    check_size("eulerian_gamma_count", n)
     counts = [0] * ((n - 1) // 2 + 1)
     for sigma in permutations(range(1, n + 1)):
         prev_desc = False

@@ -26,7 +26,7 @@ from itertools import product
 from typing import Iterable, Iterator
 
 from ._pool import map_shards
-from .errors import LimitExceededError
+from .errors import check_size
 from .poly import IntPolynomial
 
 DEFAULT_CAP = 9
@@ -193,10 +193,7 @@ def enumerate_rooted_trees(n: int, cap: int = DEFAULT_CAP) -> Iterator[RootedTre
     Raises LimitExceededError above the cap; n=9 already means 43 million
     trees, so anything larger needs an explicit opt-in and patience.
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    if n > cap:
-        raise LimitExceededError("enumerate_rooted_trees", n, cap)
+    check_size("enumerate_rooted_trees", n, cap)
     if n == 1:
         yield RootedTree(1, 1, (0, 0))
         return
@@ -254,10 +251,7 @@ def descent_polynomial(n: int, threads: int = 1, cap: int = DEFAULT_CAP) -> IntP
     process pool from n = 7 on; below that the serial pass is quicker than
     starting the pool.
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    if n > cap:
-        raise LimitExceededError("descent_polynomial", n, cap)
+    check_size("descent_polynomial", n, cap)
     if n == 1:
         return IntPolynomial([1])
     if threads > 1 and n >= 7:

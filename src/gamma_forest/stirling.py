@@ -38,7 +38,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, Iterator, Sequence, Union
 
-from .errors import LimitExceededError
+from .errors import check_size
 from .poly import GammaVector
 
 Word = tuple[int, ...]
@@ -114,10 +114,7 @@ def enumerate_stirling(n: int, cap: int = DEFAULT_CAP) -> Iterator[Word]:
     word of order m - 1; gaps are taken right to left, which makes the
     order-2 stream come out as 1122, 1221, 2211.
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    if n > cap:
-        raise LimitExceededError("enumerate_stirling", n, cap)
+    check_size("enumerate_stirling", n, cap)
     word = [1, 1]
     if n == 1:
         yield tuple(word)
@@ -271,10 +268,7 @@ def _child_profiles(w: Word) -> list[tuple[int, int, bool, bool]]:
 
 def _parents(n: int, cap: int, caller: str) -> Iterator[Word]:
     # the words of order n - 1 whose insertions give order n, in enumeration order
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    if n > cap:
-        raise LimitExceededError(caller, n, cap)
+    check_size(caller, n, cap)
     return enumerate_stirling(n - 1, cap) if n > 1 else iter([()])
 
 

@@ -17,7 +17,7 @@ from math import comb
 from typing import Iterable, Mapping
 
 from . import binary_trees
-from .errors import LimitExceededError
+from .errors import check_size
 from .poly import IntPolynomial, add_binomial_row
 
 FMC_CAP_N = 8
@@ -160,10 +160,7 @@ def comb_type_expansion(n: int, cap: int = binary_trees.DEFAULT_CAP) -> ESymExpa
     The coefficient of e_lambda counts the trees with comb type lambda; the
     coefficients add up to (2n-3)!! for n >= 2.
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    if n > cap:
-        raise LimitExceededError("comb_type_expansion", n, cap)
+    check_size("comb_type_expansion", n, cap)
     tally = binary_trees.comb_type_tally(n, cap)
     return ESymExpansion({Partition(parts): c for parts, c in tally.items()})
 
@@ -176,12 +173,8 @@ def f_mcomb_direct(
     Each coloring contributes the monomial whose j-th exponent counts the
     internal nodes colored j.
     """
-    if n < 1 or k < 1:
-        raise ValueError("n and k must be positive integers")
-    if n > cap_n:
-        raise LimitExceededError("f_mcomb_direct", n, cap_n)
-    if k > cap_k:
-        raise LimitExceededError("f_mcomb_direct (colors)", k, cap_k)
+    check_size("f_mcomb_direct", n, cap_n)
+    check_size("f_mcomb_direct (colors)", k, cap_k, "k")
     acc: dict[tuple[int, ...], int] = {}
     for _t, colors in binary_trees.enumerate_colored_combs(n, k, cap_n, cap_k):
         exps = [0] * k

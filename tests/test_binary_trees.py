@@ -113,6 +113,15 @@ class TestEnumeration:
             list(enumerate_normalized(11))
         with pytest.raises(LimitExceededError):
             list(enumerate_normalized(5, cap=4))
+        for bad in (2.5, 3.0, True):
+            with pytest.raises(ValueError, match="positive integer"):
+                list(enumerate_normalized(bad))
+        for bad in (2.5, 3.0, True):
+            with pytest.raises(ValueError, match="positive integer"):
+                list(enumerate_bicolored_combs(bad))
+        for bad in (2.5, 3.0, True):
+            with pytest.raises(ValueError, match="positive integer"):
+                list(enumerate_bicolored_lyndon(bad))
 
 
 class TestStatistics:
@@ -219,6 +228,12 @@ class TestJointEngine:
             comb_type_tally(5, cap=4)
         with pytest.raises(ValueError):
             list(normalized_rows(4, "des"))
+        for bad in (2.5, 3.0, True):
+            with pytest.raises(ValueError, match="positive integer"):
+                list(normalized_rows(bad, "rdes"))
+        for bad in (2.5, 3.0, True):
+            with pytest.raises(ValueError, match="positive integer"):
+                comb_type_tally(bad)
 
     def test_marginal_matches_per_tree_statistics(self):
         oracles = {"rdes": rdes, "nlyn": nlyn, "free": free_count}
@@ -243,6 +258,61 @@ class TestJointEngine:
     def test_rows_digest(self, stat):
         assert sha256_of(list(normalized_rows(8, stat))) == ROWS_8_DIGESTS[stat]
 
+    def test_engines_call_no_per_tree_function(self, monkeypatch):
+        # the per-tree functions are the engines' oracles, so no engine may
+        # lean on them
+        def engines():
+            return (
+                joint_statistics(6),
+                comb_type_tally(6),
+                {stat: list(normalized_rows(6, stat)) for stat in ROW_STATS},
+            )
+
+        expected = engines()
+
+        def banned(*args, **kwargs):
+            raise AssertionError("an engine called a per-tree function")
+
+        for name in (
+            "enumerate_normalized", "insert_leaf", "tree_to_string", "leaf_count", "node_count",
+            "valency", "rdes", "is_ndrd", "nlyn", "is_ndnl", "free_count", "comb_type",
+        ):
+            monkeypatch.setattr(binary_trees, name, banned)
+        assert engines() == expected
+
+    @pytest.mark.parametrize(
+        "n, prefix",
+        [
+            (11, (2, 0, 4, 3, 8, 10)),
+            (11, (2, 4, 6, 8, 10, 12)),  # always the last leaf: one long chain
+            (12, (1, 4, 6, 0, 9, 12, 5)),
+            (12, (0, 0, 0, 0, 0, 0, 0)),  # always the root: a left comb
+        ],
+    )
+    def test_sampled_shard_above_cap(self, n, prefix):
+        # the walker's children against the per-tree functions on the same
+        # trees, built by insert_leaf at the same positions, above the cap
+        trees = [1]
+        for m in range(2, n + 1):
+            fixed = 0 <= m - 3 < len(prefix)
+            positions = (prefix[m - 3],) if fixed else range(2 * m - 3)
+            trees = [insert_leaf(t, pos, m) for t in trees for pos in positions]
+        expected = [
+            (rdes(t), is_ndrd(t), nlyn(t), is_ndnl(t), free_count(t), comb_type(t)) for t in trees
+        ]
+        engine = []
+        splits: dict = {}
+        for arrays, nodes, root, key in binary_trees._walk(n, prefix):
+            keys = binary_trees._child_keys(arrays, nodes, key)
+            combs = binary_trees._comb_children(
+                arrays, binary_trees._preorder_nodes(arrays, root), splits
+            )
+            for v in binary_trees._preorder_nodes(arrays, root):
+                r, d, nl, dl, f = keys[v]
+                engine.append((r, d == 0, nl, dl == 0, f, combs[v]))
+        assert 3000 < len(engine) < 8000
+        assert engine == expected
+
     def test_shards_in_process_match_sequential(self, monkeypatch):
         # every shard prefix, without forking a pool
         serial = joint_statistics(8)
@@ -261,6 +331,12 @@ class TestJointEngine:
             joint_statistics(11)
         with pytest.raises(LimitExceededError):
             joint_statistics(5, cap=4)
+        for bad in (2.5, 3.0, True):
+            with pytest.raises(ValueError, match="positive integer"):
+                joint_statistics(bad)
+        for bad in (2.5, 3.0, True):
+            with pytest.raises(ValueError, match="positive integer"):
+                distribution_ndrd_rdes(bad)
 
 
 class TestDistributions:
@@ -387,3 +463,9 @@ class TestColoredCombs:
             list(enumerate_colored_combs(9, 2))
         with pytest.raises(LimitExceededError):
             list(enumerate_colored_combs(3, 6))
+        for bad in (2.5, 3.0, True):
+            with pytest.raises(ValueError, match="positive integer"):
+                list(enumerate_colored_combs(bad, 2))
+        for bad in (2.5, 3.0, True):
+            with pytest.raises(ValueError, match="positive integer"):
+                list(enumerate_colored_combs(3, bad))

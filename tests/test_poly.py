@@ -218,6 +218,10 @@ class TestDrakePolynomial:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             drake_polynomial(0)
+        for fn in (drake_polynomial, gamma_closed_form, eulerian_polynomial, eulerian_gamma_count):
+            for bad in (2.5, 3.0, True):
+                with pytest.raises(ValueError, match="positive integer"):
+                    fn(bad)
 
 
 class TestGammaClosedForm:

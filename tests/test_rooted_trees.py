@@ -178,6 +178,9 @@ class TestEnumeration:
         assert sum(1 for _ in enumerate_rooted_trees(4, cap=4)) == 64
         with pytest.raises(LimitExceededError):
             list(enumerate_rooted_trees(5, cap=4))
+        for bad in (2.5, 3.0, True):
+            with pytest.raises(ValueError, match="positive integer"):
+                list(enumerate_rooted_trees(bad))
 
 
 class TestDescentPolynomial:
@@ -213,4 +216,7 @@ class TestDescentPolynomial:
             descent_polynomial(10)
         with pytest.raises(LimitExceededError):
             descent_polynomial(6, cap=5)
+        for bad in (2.5, 3.0, True):
+            with pytest.raises(ValueError, match="positive integer"):
+                descent_polynomial(bad)
         assert descent_polynomial(6, cap=6).coeffs == drake_polynomial(6).coeffs

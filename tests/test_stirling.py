@@ -179,6 +179,9 @@ class TestEnumeration:
             list(enumerate_stirling(9))
         with pytest.raises(LimitExceededError):
             list(enumerate_stirling(5, cap=4))
+        for bad in (2.5, 3.0, True):
+            with pytest.raises(ValueError, match="positive integer"):
+                list(enumerate_stirling(bad))
 
 
 class TestPairStatistics:
@@ -220,6 +223,12 @@ class TestPairStatistics:
             list(statistics_rows(9))
         with pytest.raises(LimitExceededError):
             pair_statistics(5, cap=4)
+        for bad in (2.5, 3.0, True):
+            with pytest.raises(ValueError, match="positive integer"):
+                pair_statistics(bad)
+        for bad in (2.5, 3.0, True):
+            with pytest.raises(ValueError, match="positive integer"):
+                list(statistics_rows(bad))
 
     def test_matches_naive_exhaustive(self):
         for w in enumerate_stirling(5):
@@ -270,6 +279,9 @@ class TestDistributions:
             distribution_naas_aapair(9)
         with pytest.raises(LimitExceededError):
             distribution_ntns_tnpair(5, cap=4)
+        for bad in (2.5, 3.0, True):
+            with pytest.raises(ValueError, match="positive integer"):
+                distribution_naas_aapair(bad)
 
 
 class TestEquidistribution:

@@ -100,6 +100,9 @@ class TestCombTypeExpansion:
     def test_cap(self):
         with pytest.raises(LimitExceededError):
             comb_type_expansion(11)
+        for bad in (2.5, 3.0, True):
+            with pytest.raises(ValueError, match="positive integer"):
+                comb_type_expansion(bad)
 
 
 class TestSpecialization:
@@ -148,6 +151,12 @@ class TestFMComb:
             f_mcomb_direct(9, 2)
         with pytest.raises(LimitExceededError):
             f_mcomb_direct(3, 7)
+        for bad in (2.5, 3.0, True):
+            with pytest.raises(ValueError, match="positive integer"):
+                f_mcomb_direct(bad, 2)
+        for bad in (2.5, 3.0, True):
+            with pytest.raises(ValueError, match="positive integer"):
+                f_mcomb_direct(3, bad)
 
 
 class TestProductFormCount:
