@@ -412,10 +412,6 @@ def enumerate_colored_combs(
 # new nodes can change status.  _child_keys states those updates once; the
 # walker takes its own steps from it, and each consumer makes the last
 # insertion, of leaf n, itself.
-#
-# No check compares the rows, the comb types and the joint tally with one
-# another: each is compared with the per-tree functions above or with
-# drake_polynomial, so the three may share this one traversal.
 # ---------------------------------------------------------------------------
 
 
@@ -468,7 +464,9 @@ def _preorder_nodes(arrays: tuple[list, ...], root: int) -> list[int]:
     return order
 
 
-def _walk(n: int, prefix: tuple[int, ...] = ()) -> Iterator[tuple[tuple[list, ...], int, int, tuple[int, ...]]]:
+def _walk(
+    n: int, prefix: tuple[int, ...] = ()
+) -> Iterator[tuple[tuple[list, ...], int, int, tuple[int, ...]]]:
     """Yield (arrays, nodes, root, key) for each normalized tree on [n - 1],
     n >= 2, in enumerate_normalized order: its arrays (left, right, parent,
     is_right, nonlyn), node count, root and joint key.  The arrays change in
@@ -476,6 +474,10 @@ def _walk(n: int, prefix: tuple[int, ...] = ()) -> Iterator[tuple[tuple[list, ..
 
     Leaf m goes in at the nodes of the tree on [m - 1] in preorder, the
     positions of insert_leaf; prefix fixes the positions of leaves 3, 4, ...
+
+    joint_statistics, normalized_rows and comb_type_tally share this one
+    traversal.  That is safe because no check compares any two of them: each
+    is compared with the per-tree functions or with drake_polynomial.
     """
     size = 2 * n - 1
     arrays = left, right, parent, is_right, nonlyn = (
@@ -544,7 +546,7 @@ def joint_statistics(n: int, threads: int = 1, cap: int = DEFAULT_CAP) -> Counte
         levels: list[range] = []
         width = 1
         m = 3
-        while width < 4 * threads and m < n:
+        while width < 4 * threads and m < n:  # the walker places leaves below n
             levels.append(range(2 * m - 3))
             width *= 2 * m - 3
             m += 1
@@ -744,13 +746,13 @@ def normalized_rows(n: int, stat: str, cap: int = DEFAULT_CAP) -> Iterator[tuple
         yield "1", () if stat == "combtype" else 0
         return
     leaf = f",{n})"
+    i = JOINT_KEY.get(stat)  # None for the comb type
     splits: dict = {}
     for arrays, nodes, root, key in _walk(n):
         s, spans = _spans(arrays, root)
-        if stat == "combtype":
+        if i is None:
             values = _comb_children(arrays, [v for v, _, _ in spans], splits)
         else:
-            i = JOINT_KEY[stat]
             values = [k[i] for k in _child_keys(arrays, nodes, key)]
         for v, a, b in spans:
             yield s[:a] + "(" + s[a:b] + leaf + s[b:], values[v]

@@ -303,11 +303,10 @@ class TestJointEngine:
         engine = []
         splits: dict = {}
         for arrays, nodes, root, key in binary_trees._walk(n, prefix):
+            order = binary_trees._preorder_nodes(arrays, root)
             keys = binary_trees._child_keys(arrays, nodes, key)
-            combs = binary_trees._comb_children(
-                arrays, binary_trees._preorder_nodes(arrays, root), splits
-            )
-            for v in binary_trees._preorder_nodes(arrays, root):
+            combs = binary_trees._comb_children(arrays, order, splits)
+            for v in order:
                 r, d, nl, dl, f = keys[v]
                 engine.append((r, d == 0, nl, dl == 0, f, combs[v]))
         assert 3000 < len(engine) < 8000
