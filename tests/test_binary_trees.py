@@ -116,10 +116,8 @@ class TestEnumeration:
         for bad in (2.5, 3.0, True):
             with pytest.raises(ValueError, match="positive integer"):
                 list(enumerate_normalized(bad))
-        for bad in (2.5, 3.0, True):
             with pytest.raises(ValueError, match="positive integer"):
                 list(enumerate_bicolored_combs(bad))
-        for bad in (2.5, 3.0, True):
             with pytest.raises(ValueError, match="positive integer"):
                 list(enumerate_bicolored_lyndon(bad))
 
@@ -231,7 +229,6 @@ class TestJointEngine:
         for bad in (2.5, 3.0, True):
             with pytest.raises(ValueError, match="positive integer"):
                 list(normalized_rows(bad, "rdes"))
-        for bad in (2.5, 3.0, True):
             with pytest.raises(ValueError, match="positive integer"):
                 comb_type_tally(bad)
 
@@ -333,7 +330,6 @@ class TestJointEngine:
         for bad in (2.5, 3.0, True):
             with pytest.raises(ValueError, match="positive integer"):
                 joint_statistics(bad)
-        for bad in (2.5, 3.0, True):
             with pytest.raises(ValueError, match="positive integer"):
                 distribution_ndrd_rdes(bad)
 
@@ -465,6 +461,5 @@ class TestColoredCombs:
         for bad in (2.5, 3.0, True):
             with pytest.raises(ValueError, match="positive integer"):
                 list(enumerate_colored_combs(bad, 2))
-        for bad in (2.5, 3.0, True):
             with pytest.raises(ValueError, match="positive integer"):
                 list(enumerate_colored_combs(3, bad))

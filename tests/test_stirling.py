@@ -226,7 +226,6 @@ class TestPairStatistics:
         for bad in (2.5, 3.0, True):
             with pytest.raises(ValueError, match="positive integer"):
                 pair_statistics(bad)
-        for bad in (2.5, 3.0, True):
             with pytest.raises(ValueError, match="positive integer"):
                 list(statistics_rows(bad))
 

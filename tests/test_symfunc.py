@@ -154,7 +154,6 @@ class TestFMComb:
         for bad in (2.5, 3.0, True):
             with pytest.raises(ValueError, match="positive integer"):
                 f_mcomb_direct(bad, 2)
-        for bad in (2.5, 3.0, True):
             with pytest.raises(ValueError, match="positive integer"):
                 f_mcomb_direct(3, bad)
 
