@@ -2,13 +2,17 @@
 
 The SHA-256 digests pin the engines' full outputs, double-pair counts and row
 order included; they were recorded from the code that ran the joint tally on
-one backtracking engine and the rows and comb-type tally on tuple trees.
+one backtracking engine and the rows and comb-type tally on tuple trees.  The
+digests of the three coloring enumerators were recorded from the code that
+built each coloring from an in-order table of the tree and a product over its
+free nodes or chains; the colored-comb digests sort each tree's colorings, so
+they pin the set of colorings per tree.
 """
 
 import hashlib
 import math
 from collections import Counter
-from itertools import product
+from itertools import groupby, product
 
 import pytest
 
@@ -63,10 +67,88 @@ ROWS_8_DIGESTS = {
     "free": "0330a0a8115eee1030427f1f2d94166c924898d54ff1cb8b2c3a86e883f4a368",
     "combtype": "112af1e6a3e7bfbe06897d0d0f2b80fd0f32128f541437c06406b75549871135",
 }
+# sha256 of repr(list(enumerate_bicolored_combs(n)))
+BICOLORED_COMBS_DIGESTS = {
+    1: "851c366d8b71b994bb7d64152273c50eb73ffbb7367ab0b3bc6b4e39c02a6cbf",
+    2: "b67f90b858d07e61295bae7eca068e8ea4934499d389cbf24089c0746f12374f",
+    3: "ee94364c4fc7072b5b2e4175b0a7de52ff6aa0fd2a32a8d80e22f7f0a8e9b7c0",
+    4: "0562bba43411d9eb5374397147601661d2282724d9419729369d64d807566116",
+    5: "66c4be60491a7449c5f21a3ee1834740daf267c984ae17125d2a3b33ee1b2178",
+    6: "f5296032f1be9ca3dbb029c3ffb40b37270c8cc58ce07b98e982beeeeac63135",
+    7: "84f5dbaa21211084734ccae31acad381529a1e4a8afbb70a0058ed67747405af",
+}
+# sha256 of repr(list(enumerate_bicolored_lyndon(n)))
+BICOLORED_LYNDON_DIGESTS = {
+    1: "851c366d8b71b994bb7d64152273c50eb73ffbb7367ab0b3bc6b4e39c02a6cbf",
+    2: "b67f90b858d07e61295bae7eca068e8ea4934499d389cbf24089c0746f12374f",
+    3: "f300aa7f55af20722a2837a82f18d36a5f5fba019669625329fa07cd35507b5d",
+    4: "50db9d480da2e33c28bbdb4d431e66858661ecbe5a85c64a9682223bdaa40c1e",
+    5: "172999a746032a48727d3339846294efc89bde2c27b048bc0160c2bc41e11172",
+    6: "ddd922c6d22e8819ec415b1ef26c21c7dc4485dded4f8b7bf812419ebcf69141",
+    7: "6de99d508421e266cee0fef5d548c5c08db3ed62ff68e8222ae6cfb0868ce698",
+}
+# sha256 of repr(sorted_per_tree(enumerate_colored_combs(n, k))), keyed by (n, k)
+COLORED_COMBS_DIGESTS = {
+    (1, 1): "851c366d8b71b994bb7d64152273c50eb73ffbb7367ab0b3bc6b4e39c02a6cbf",
+    (1, 2): "851c366d8b71b994bb7d64152273c50eb73ffbb7367ab0b3bc6b4e39c02a6cbf",
+    (1, 3): "851c366d8b71b994bb7d64152273c50eb73ffbb7367ab0b3bc6b4e39c02a6cbf",
+    (1, 4): "851c366d8b71b994bb7d64152273c50eb73ffbb7367ab0b3bc6b4e39c02a6cbf",
+    (1, 5): "851c366d8b71b994bb7d64152273c50eb73ffbb7367ab0b3bc6b4e39c02a6cbf",
+    (2, 1): "73652c185547e7697eb381860b9d1eb290c7fdd01c0162bf732baf687504c14b",
+    (2, 2): "3a6e650322cf74bca2ce2c5b63d1aa278c0739c94b675b6787d68348d20e7c52",
+    (2, 3): "56ead3876738edb015b389b7a1e4ef67aefcc73c31a6964aad17a4b8cc1ba652",
+    (2, 4): "e8c0efbe16911eb405b27866d708bb67bdcf8e7c1f16008ae22b6f29a295f864",
+    (2, 5): "58c6f5a68d5580f33410262a8c6fff65e8050d824fc446f31be488e624df003d",
+    (3, 1): "0eb4df6278a0d4f112dcced119cee58fa4320559fe072dab0d1835d7838be599",
+    (3, 2): "364197f71fd63eba022032a5604c33ccccfe22c725795f35b3e477a03b0e9af8",
+    (3, 3): "11c08374207f1b301f378c55b58abb11cc4e6e3dbcc06a82769c7f1b00576429",
+    (3, 4): "f8b24bbdbeed117ab46d9ab55477f275c8c6d76830d9eeb7216bf96ffb39278d",
+    (3, 5): "3d428d1c14ffe68cf034978bed5759ec79d7f3126f332a6168048ea3a02a6313",
+    (4, 1): "567843535b90ba2a40ddeda20f007109b5d1f4ccb5c9a13f583b1b0b89b5044a",
+    (4, 2): "441ef9d273de8e227f9c7a4a76edcd4cc7988fb48ec313dd818d8601c9bcf879",
+    (4, 3): "430b969c01a3ae341b81959e515154c0d919a5ea7fef9a9a8f2a3734107b555d",
+    (4, 4): "1c4dee60f9c2afe37f8f9aa507a613cfe448d5ee354289930b4924c458776255",
+    (4, 5): "d500205522ccdc61621585f30ded31c68cd3d7c979c6b52b3a200c116e097b5e",
+    (5, 1): "eb30e0229334118e299c1f163107f89101f9182bda2bd6e684b8862bd5499df5",
+    (5, 2): "2499792192893f34c24ce6a7b4f71f8219f44a83982212d97c4b62337eb1ed95",
+    (5, 3): "cac5098a2a9463e6d6f7280bb98254da02784eae63476be927bc6733db8a99c3",
+    (5, 4): "6f078ae4dae287f2eb5db933f1db1fa8813b75ddc1e401b8b57c30a5396ea919",
+    (5, 5): "6127b91452dbcad4cf78ec9783459ab85cdd13d0e0c54e5cdb2085f7a47fed26",
+    (6, 1): "4a3e39b1b60db9d17d9fc6434d247abba153ed536c204f92707cbef4766b8f46",
+    (6, 2): "d9e70e47ffe13a036c659a209839dcf14913c1878803256bbb37e25d1bf05804",
+    (6, 3): "01ce8ce714621e53d9a1f0a587c0720ce23dc3b5d29b90b2a72884f8e517e763",
+}
 
 
 def sha256_of(obj) -> str:
     return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+def sorted_per_tree(pairs):
+    """The (tree, coloring) pairs with each tree's colorings sorted, trees kept
+    in stream order."""
+    out = []
+    for t, group in groupby(pairs, key=lambda pair: pair[0]):
+        out.extend((t, colors) for colors in sorted(colors for _t, colors in group))
+    return out
+
+
+def internal_nodes(t):
+    """(subtree, left, right) per internal node of t in left-to-right order,
+    the order of a coloring; left and right index an internal child, -1 a leaf."""
+    out = []
+
+    def walk(node):
+        if isinstance(node, int):
+            return -1
+        left = walk(node[0])
+        i = len(out)
+        out.append(None)
+        out[i] = (node, left, walk(node[1]))
+        return i
+
+    walk(t)
+    return out
 
 
 def double_factorial(m: int) -> int:
@@ -387,6 +469,10 @@ class TestBicoloredCombs:
             total = sum(1 for _ in enumerate_bicolored_combs(n))
             assert total == n ** (n - 1)
 
+    @pytest.mark.parametrize("n", sorted(BICOLORED_COMBS_DIGESTS))
+    def test_stream_digest(self, n):
+        assert sha256_of(list(enumerate_bicolored_combs(n))) == BICOLORED_COMBS_DIGESTS[n]
+
 
 class TestBicoloredLyndon:
     def test_explicit_matches_census(self):
@@ -417,21 +503,26 @@ class TestBicoloredLyndon:
             total = sum(1 for _ in enumerate_bicolored_lyndon(n))
             assert total == n ** (n - 1)
 
+    @pytest.mark.parametrize("n", sorted(BICOLORED_LYNDON_DIGESTS))
+    def test_stream_digest(self, n):
+        assert sha256_of(list(enumerate_bicolored_lyndon(n))) == BICOLORED_LYNDON_DIGESTS[n]
+
 
 class TestColoredCombs:
     def test_reference_count(self):
         assert sum(1 for _ in enumerate_colored_combs(3, 3)) == 21
 
     def test_colors_decrease_along_chains(self):
-        from gamma_forest.binary_trees import _InternalInfo
-
         for t, coloring in enumerate_colored_combs(4, 3):
             assert all(1 <= c <= 3 for c in coloring)
-            info = _InternalInfo(t)
-            for i in range(len(coloring)):
-                j = info.right_child[i]
+            for i, (_node, _left, j) in enumerate(internal_nodes(t)):
                 if j >= 0:
                     assert coloring[i] > coloring[j]
+
+    @pytest.mark.parametrize("n, k", sorted(COLORED_COMBS_DIGESTS))
+    def test_stream_digest(self, n, k):
+        pairs = sorted_per_tree(enumerate_colored_combs(n, k))
+        assert sha256_of(pairs) == COLORED_COMBS_DIGESTS[n, k]
 
     def test_count_matches_product_formula(self):
         # summing over trees the product of binomials reproduces the
