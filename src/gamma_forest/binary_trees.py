@@ -34,12 +34,17 @@ bicolored_lyndon_census each apply one view to a fresh tally.  The per-tree
 functions below, enumerate_normalized and insert_leaf included, are
 independent implementations used to cross-check the walker; it calls none
 of them.
+
+The three colored models state their rules recursively over the trees of
+enumerate_normalized, one short generator each, and share nothing with the
+walker, so the checks that compare them with its tallies compare two
+independent computations.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations, product
+from itertools import product
 from typing import Iterator, Union
 
 from ._pool import map_shards
@@ -247,42 +252,64 @@ def tree_from_string(s: str) -> Tree:
     return node
 
 
-class _InternalInfo:
-    """Structure table over internal nodes in left-to-right (in-order) order."""
+# ---------------------------------------------------------------------------
+# Colorings.
+#
+# Each colored model states its rule once, as a recursive generator over the
+# tuple tree that yields the colorings of a subtree as tuples over its
+# internal nodes in left-to-right order: the colorings of the left subtree,
+# then the root's admissible colors, then the colorings of the right subtree.
+# The loops nest in that order, so each tree's colorings come out in
+# lexicographic order.  A subtree that yields nothing has no admissible
+# coloring, and neither has any tree that contains it.
+# ---------------------------------------------------------------------------
 
-    __slots__ = ("nodes", "parent", "is_right", "right_child", "left_child", "nonlyn")
 
-    def __init__(self, t: Tree):
-        nodes: list[tuple] = []
+def _comb_colorings(t: Tree, is_right: bool = False) -> Iterator[tuple[int, ...]]:
+    # a right descent is 0 and its parent 1; a right descent over another
+    # one would have to be both
+    if isinstance(t, int):
+        yield ()
+        return
+    left, right = t
+    has_descent = not isinstance(right, int)
+    if is_right and has_descent:
+        return
+    colors = (0,) if is_right else (1,) if has_descent else (0, 1)
+    for lc in _comb_colorings(left):
+        for c in colors:
+            for rc in _comb_colorings(right, True):
+                yield lc + (c,) + rc
 
-        def inorder(node: Tree) -> None:
-            if isinstance(node, int):
-                return
-            inorder(node[0])
-            nodes.append(node)
-            inorder(node[1])
 
-        inorder(t)
-        index = {id(node): i for i, node in enumerate(nodes)}
-        m = len(nodes)
-        self.nodes = nodes
-        self.parent = [-1] * m
-        self.is_right = [False] * m
-        self.right_child = [-1] * m
-        self.left_child = [-1] * m
-        self.nonlyn = [False] * m
-        for i, node in enumerate(nodes):
-            left, right = node
-            if not isinstance(left, int):
-                j = index[id(left)]
-                self.left_child[i] = j
-                self.parent[j] = i
-                self.nonlyn[i] = not (valency(left[1]) > valency(right))
-            if not isinstance(right, int):
-                j = index[id(right)]
-                self.right_child[i] = j
-                self.parent[j] = i
-                self.is_right[j] = True
+def _lyndon_colorings(t: Tree, forced: bool = False) -> Iterator[tuple[int, ...]]:
+    # a non-Lyndon node is 0 and its left child 1; forced marks that left
+    # child, which cannot be non-Lyndon as well
+    if isinstance(t, int):
+        yield ()
+        return
+    left, right = t
+    nonlyn = not isinstance(left, int) and valency(left[1]) <= valency(right)
+    if forced and nonlyn:
+        return
+    colors = (0,) if nonlyn else (1,) if forced else (0, 1)
+    for lc in _lyndon_colorings(left, nonlyn):
+        for c in colors:
+            for rc in _lyndon_colorings(right):
+                yield lc + (c,) + rc
+
+
+def _chain_colorings(t: Tree, k: int, top: int) -> Iterator[tuple[int, ...]]:
+    # colors lie in [1, top - 1], and the right child's lie below the node's,
+    # so they strictly decrease along right-child edges
+    if isinstance(t, int):
+        yield ()
+        return
+    left, right = t
+    for lc in _chain_colorings(left, k, k + 1):
+        for c in range(1, top):
+            for rc in _chain_colorings(right, k, c):
+                yield lc + (c,) + rc
 
 
 def enumerate_bicolored_combs(
@@ -291,34 +318,15 @@ def enumerate_bicolored_combs(
     """All (tree, {0,1} coloring) pairs where every right descent is colored 0
     under a parent colored 1.
 
-    Colorings are tuples over internal nodes in left-to-right order.  Trees
-    with a double right descent admit no coloring, so the underlying trees
-    have no double right descents, and each contributes 2^free pairs.
+    Colorings are tuples over internal nodes in left-to-right order, each
+    tree's in lexicographic order.  Trees with a double right descent admit
+    no coloring, so the underlying trees have no double right descents, and
+    each contributes 2^free pairs.
     """
     check_size("enumerate_bicolored_combs", n, cap)
     for t in enumerate_normalized(n, cap):
-        info = _InternalInfo(t)
-        m = len(info.nodes)
-        colors: list[int] = [-1] * m
-        conflict = False
-        for i in range(m):
-            if info.is_right[i] and info.right_child[i] >= 0:
-                conflict = True  # forced 0 as a right descent, forced 1 as its parent
-                break
-        if conflict:
-            continue
-        free_slots = []
-        for i in range(m):
-            if info.is_right[i]:
-                colors[i] = 0
-            elif info.right_child[i] >= 0:
-                colors[i] = 1
-            else:
-                free_slots.append(i)
-        for bits in product((0, 1), repeat=len(free_slots)):
-            for slot, b in zip(free_slots, bits):
-                colors[slot] = b
-            yield t, tuple(colors)
+        for colors in _comb_colorings(t):
+            yield t, colors
 
 
 def enumerate_bicolored_lyndon(
@@ -327,46 +335,14 @@ def enumerate_bicolored_lyndon(
     """All (tree, {0,1} coloring) pairs where every non-Lyndon node is colored 0
     and its left child is colored 1.
 
-    A conflicted tree is exactly one with a double non-Lyndon pair, so the
-    underlying trees are the NDNL ones.
+    Colorings are as in enumerate_bicolored_combs.  A conflicted tree is
+    exactly one with a double non-Lyndon pair, so the underlying trees are
+    the NDNL ones.
     """
     check_size("enumerate_bicolored_lyndon", n, cap)
     for t in enumerate_normalized(n, cap):
-        info = _InternalInfo(t)
-        m = len(info.nodes)
-        colors: list[int] = [-1] * m
-        conflict = False
-        for i in range(m):
-            if info.nonlyn[i] and info.nonlyn[info.left_child[i]]:
-                conflict = True
-                break
-        if conflict:
-            continue
-        forced: set[int] = set()
-        for i in range(m):
-            if info.nonlyn[i]:
-                colors[i] = 0
-                colors[info.left_child[i]] = 1
-                forced.add(i)
-                forced.add(info.left_child[i])
-        free_slots = [i for i in range(m) if i not in forced]
-        for bits in product((0, 1), repeat=len(free_slots)):
-            for slot, b in zip(free_slots, bits):
-                colors[slot] = b
-            yield t, tuple(colors)
-
-
-def _chains(info: _InternalInfo) -> list[list[int]]:
-    chains = []
-    for i in range(len(info.nodes)):
-        if not info.is_right[i]:
-            chain = [i]
-            j = info.right_child[i]
-            while j >= 0:
-                chain.append(j)
-                j = info.right_child[j]
-            chains.append(chain)
-    return chains
+        for colors in _lyndon_colorings(t):
+            yield t, colors
 
 
 def enumerate_colored_combs(
@@ -375,27 +351,16 @@ def enumerate_colored_combs(
     """All (tree, coloring) pairs with colors in [1, k] that strictly decrease
     along right-child edges between internal nodes.
 
-    Within each maximal right-child chain the colors are distinct and their
-    arrangement is forced, so a chain of length L contributes C(k, L)
-    choices; chains are independent.
+    Colorings are as in enumerate_bicolored_combs.  Within each maximal
+    right-child chain the colors are distinct and their arrangement is
+    forced, so a chain of length L contributes C(k, L) choices; chains are
+    independent.
     """
     check_size("enumerate_colored_combs", n, cap_n)
     check_size("enumerate_colored_combs (colors)", k, cap_k, "k")
-    palette = range(1, k + 1)
     for t in enumerate_normalized(n, cap_n):
-        info = _InternalInfo(t)
-        chains = _chains(info)
-        if any(len(c) > k for c in chains):
-            continue
-        m = len(info.nodes)
-        per_chain = [list(combinations(palette, len(c))) for c in chains]
-        colors = [0] * m
-        for pick in product(*per_chain):
-            for chain, chosen in zip(chains, pick):
-                # head gets the largest color, descending along the chain
-                for node_idx, color in zip(chain, reversed(chosen)):
-                    colors[node_idx] = color
-            yield t, tuple(colors)
+        for colors in _chain_colorings(t, k, k + 1):
+            yield t, colors
 
 
 # ---------------------------------------------------------------------------

@@ -554,3 +554,63 @@ class TestColoredCombs:
                 list(enumerate_colored_combs(bad, 2))
             with pytest.raises(ValueError, match="positive integer"):
                 list(enumerate_colored_combs(3, bad))
+
+
+def min_leaf(t):
+    return t if isinstance(t, int) else min(min_leaf(t[0]), min_leaf(t[1]))
+
+
+def comb_rule(nodes, colors):
+    # a right descent is colored 0 and its parent 1
+    assert set(colors) <= {0, 1}
+    for i, (_node, _left, right) in enumerate(nodes):
+        if right >= 0:
+            assert colors[right] == 0 and colors[i] == 1
+
+
+def lyndon_rule(nodes, colors):
+    # a non-Lyndon node is colored 0 and its left child 1
+    assert set(colors) <= {0, 1}
+    for i, (node, left, _right) in enumerate(nodes):
+        if left >= 0 and min_leaf(node[0][1]) <= min_leaf(node[1]):
+            assert colors[i] == 0 and colors[left] == 1
+
+
+def chain_rule(k):
+    # colors in [1, k] strictly decrease along right-child edges
+    def rule(nodes, colors):
+        assert all(1 <= c <= k for c in colors)
+        for i, (_node, _left, right) in enumerate(nodes):
+            if right >= 0:
+                assert colors[i] > colors[right]
+
+    return rule
+
+
+class TestColoringRules:
+    """Every yielded coloring obeys its model's rule, checked on a test-local
+    in-order walk; each tree's colorings are distinct and in lexicographic
+    order."""
+
+    @staticmethod
+    def check(pairs, rule):
+        for t, group in groupby(pairs, key=lambda pair: pair[0]):
+            colorings = [colors for _t, colors in group]
+            assert colorings == sorted(set(colorings))
+            nodes = internal_nodes(t)
+            for colors in colorings:
+                assert len(colors) == len(nodes)
+                rule(nodes, colors)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_bicolored_combs(self, n):
+        self.check(enumerate_bicolored_combs(n), comb_rule)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_bicolored_lyndon(self, n):
+        self.check(enumerate_bicolored_lyndon(n), lyndon_rule)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_colored_combs(self, n):
+        for k in range(1, 5):
+            self.check(enumerate_colored_combs(n, k), chain_rule(k))
