@@ -393,17 +393,18 @@ def _object_rows(pairs, key: str, fmt: str):
 
 
 def _rooted_objects(n: int, cap: int):
-    # (tree_to_json_dict(t) as compact JSON, des(t)) in one loop over the parent array
+    # (tree_to_json_dict(t) as compact JSON, des(t)) in one loop over the parent
+    # array, read off the decoder's stream without building RootedTrees
     edge_text = [[f"[{p},{x}]" for p in range(n + 1)] for x in range(n + 1)]
     head = f'{{"n":{n},"root":'
-    for t in rooted_trees.enumerate_rooted_trees(n, cap):
+    for root, parent in rooted_trees._rooted_parents(n, cap):
         edges = []
         descents = 0
-        for x, p in enumerate(t.parent):
+        for x, p in enumerate(parent):
             if p:
                 edges.append(edge_text[x][p])
                 descents += p > x
-        yield f'{head}{t.root},"edges":[{",".join(edges)}]}}', descents
+        yield f'{head}{root},"edges":[{",".join(edges)}]}}', descents
 
 
 def _rooted_rows(stat: str, n: int, cap: int, fmt: str):

@@ -187,20 +187,28 @@ def _reroot(parent: list[int], root: int) -> tuple[int, ...]:
     return tuple(parent)
 
 
+def _rooted_parents(n: int, cap: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    # (root, parent array) of every rooted tree on [n], lexicographic in
+    # (root, seq), unvalidated: the one enumeration loop, read by
+    # enumerate_rooted_trees and by the rows of the command line
+    check_size("enumerate_rooted_trees", n, cap)
+    if n == 1:
+        yield 1, (0, 0)
+        return
+    for root in range(1, n + 1):
+        for seq in product(range(1, n + 1), repeat=n - 2):
+            yield root, _reroot(_decode(n, seq)[0], root)
+
+
 def enumerate_rooted_trees(n: int, cap: int = DEFAULT_CAP) -> Iterator[RootedTree]:
-    """Yield all n^(n-1) rooted trees on [n], lexicographic in (root, seq).
+    """Yield all n^(n-1) rooted trees on [n], lexicographic in (root, seq),
+    each checked by RootedTree.
 
     Raises LimitExceededError above the cap; n=9 already means 43 million
     trees, so anything larger needs an explicit opt-in and patience.
     """
-    check_size("enumerate_rooted_trees", n, cap)
-    if n == 1:
-        yield RootedTree(1, 1, (0, 0))
-        return
-    for root in range(1, n + 1):
-        for seq in product(range(1, n + 1), repeat=n - 2):
-            parent, _ = _decode(n, seq)
-            yield RootedTree(n, root, _reroot(parent, root))
+    for root, parent in _rooted_parents(n, cap):
+        yield RootedTree(n, root, parent)
 
 
 def des(t: RootedTree) -> int:

@@ -314,6 +314,20 @@ class TestEnumerateCommand:
         b = run_cli("enumerate", "--family", "normalized", "--n", "5", "--mode", "rows")
         assert a.stdout == b.stdout
 
+    def test_rooted_json_rows_match_validated_trees(self):
+        # rows read the decoder's stream without building RootedTrees; the
+        # validated trees, tree_to_json_dict and des are the oracle
+        from gamma_forest.rooted_trees import des, enumerate_rooted_trees, tree_to_json_dict
+
+        for n in range(1, 7):
+            chunks, refused = cli.cmd_enumerate("rooted", n, None, "json", "rows", 1, False)
+            expected = "".join(
+                json.dumps({**tree_to_json_dict(t), "stat": des(t)}, separators=(",", ":")) + "\n"
+                for t in enumerate_rooted_trees(n)
+            )
+            assert not refused
+            assert "".join(chunks) == expected
+
     def test_json_rows(self):
         r = run_cli(
             "enumerate", "--family", "lyndon", "--n", "3", "--format", "json"
