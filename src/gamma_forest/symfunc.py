@@ -142,8 +142,7 @@ def expand_e_lambda(lam: Partition, k: int) -> MultivariatePoly:
     Any part above k makes the whole product zero; that is a valid result,
     not an error.
     """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
+    check_size("expand_e_lambda", k, name="k")
     acc: dict[tuple[int, ...], int] = {(0,) * k: 1}
     for part in lam:
         if part > k:
@@ -187,6 +186,7 @@ def f_mcomb_direct(
 
 def expansion_in_variables(f: ESymExpansion, k: int) -> MultivariatePoly:
     """Evaluate an e-expansion as an explicit polynomial in x_1 .. x_k."""
+    check_size("expansion_in_variables", k, name="k")
     acc: dict[tuple[int, ...], int] = {}
     for lam, c in f.terms:
         for exps, ce in expand_e_lambda(lam, k).terms:
@@ -216,8 +216,7 @@ def product_form_count(t: binary_trees.Tree, k: int) -> int:
     Within each maximal right-child chain the colors are distinct and forced
     into decreasing order, so each block of size L contributes C(k, L).
     """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
+    check_size("product_form_count", k, name="k")
     result = 1
     for part in binary_trees.comb_type(t):
         result *= comb(k, part)

@@ -65,6 +65,11 @@ class TestExpandELambda:
         p = expand_e_lambda(Partition(()), 3)
         assert p.as_dict() == {(0, 0, 0): 1}
 
+    def test_rejects_k_that_is_not_a_positive_int(self):
+        for bad in (0, -1, 2.5, 2.0, True):
+            with pytest.raises(ValueError, match="k must be a positive integer"):
+                expand_e_lambda(Partition((1,)), bad)
+
     @given(
         st.lists(st.integers(min_value=1, max_value=3), max_size=3),
         st.integers(min_value=1, max_value=4),
@@ -146,6 +151,12 @@ class TestFMComb:
     def test_reference_mass(self):
         assert f_mcomb_direct(3, 3).evaluate_all_ones() == 21
 
+    def test_expansion_rejects_k_that_is_not_a_positive_int(self):
+        f = comb_type_expansion(3)
+        for bad in (0, -1, 2.5, 2.0, True):
+            with pytest.raises(ValueError, match="k must be a positive integer"):
+                expansion_in_variables(f, bad)
+
     def test_caps(self):
         with pytest.raises(LimitExceededError):
             f_mcomb_direct(9, 2)
@@ -164,6 +175,11 @@ class TestProductFormCount:
         assert product_form_count(((1, 2), 3), 3) == 9
         # comb type (2): a chain of length 2 picks an unordered pair
         assert product_form_count((1, (2, 3)), 3) == 3
+
+    def test_rejects_k_that_is_not_a_positive_int(self):
+        for bad in (0, -1, 2.5, 2.0, True):
+            with pytest.raises(ValueError, match="k must be a positive integer"):
+                product_form_count(((1, 2), 3), bad)
 
     def test_totals_match_enumeration(self):
         for n in range(1, 6):
