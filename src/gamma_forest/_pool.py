@@ -1,20 +1,38 @@
-"""The process pool that the enumeration engines spread their shards over."""
+"""The one way into a process pool: prefix shards of an enumeration walk."""
 
 from __future__ import annotations
 
+from itertools import product
+from math import prod
 from typing import Callable, Sequence, TypeVar
 
-Task = TypeVar("Task")
+from .errors import check_size
+
 Result = TypeVar("Result")
 
+# Smaller walks run serially, as a pool costs more: rooted trees pool from n = 7
+# (7^5 Prufer sequences, 6^4 at n = 6), binary trees from n = 8 (11!! vs 9!!).
+POOL_FROM = 10**4
 
-def map_shards(fn: Callable[[Task], Result], tasks: Sequence[Task], threads: int) -> list[Result]:
-    """[fn(task) for task in tasks], computed by `threads` worker processes.
 
-    Workers are forked, so they start with the package already imported.
-    Where the platform has no fork start method the shards run serially in
-    this process instead; the results are the same either way.
-    """
+def map_prefixes(fn: Callable[[tuple], Result], n: int, levels: Sequence[range], threads: int) -> list[Result]:
+    """Partial results of fn((n, prefix)) over a walk taking one choice from
+    each range of levels in turn, prefix fixing the first choices: one call
+    fn((n, ())) when threads is 1 or the walk is small, else at least
+    4 * threads shards for map_shards.  ValueError unless threads is a
+    positive int."""
+    check_size("threads", threads, name="threads")
+    if threads == 1 or prod(map(len, levels)) < POOL_FROM:
+        return [fn((n, ()))]
+    cut = 1
+    while prod(map(len, levels[:cut])) < 4 * threads and cut < len(levels):
+        cut += 1
+    return map_shards(fn, [(n, prefix) for prefix in product(*levels[:cut])], threads)
+
+
+def map_shards(fn: Callable[[tuple], Result], tasks: Sequence[tuple], threads: int) -> list[Result]:
+    """[fn(task) for task in tasks] over `threads` forked workers, which start
+    with the package imported; serially where the platform cannot fork."""
     # imported here: multiprocessing is a fifth of the package's import time,
     # and most commands never start a pool
     import multiprocessing

@@ -44,10 +44,9 @@ independent computations.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import product
 from typing import Iterator, Union
 
-from ._pool import map_shards
+from ._pool import map_prefixes
 from .errors import check_size
 from .poly import GammaVector, IntPolynomial, add_binomial_row
 
@@ -501,26 +500,14 @@ def _tally_task(args: tuple[int, tuple[int, ...]]) -> Counter:
 
 def joint_statistics(n: int, threads: int = 1, cap: int = DEFAULT_CAP) -> Counter:
     """Tally of (rdes, double-rd count, nlyn, double-nl count, free) over all
-    normalized trees on [n], positions as in JOINT_KEY.  threads > 1 spreads
-    prefix shards over a process pool from n = 8 on; below that the serial
-    pass is faster than the pool's start."""
+    normalized trees on [n], positions as in JOINT_KEY.  _pool.map_prefixes
+    shards the walk by the positions of leaves 3, 4, ... over `threads`
+    workers where it is large enough to pay for a pool."""
     check_size("joint_statistics", n, cap)
     if n == 1:
         return Counter({(0, 0, 0, 0, 0): 1})
-    if threads > 1 and n >= 8:
-        levels: list[range] = []
-        width = 1
-        m = 3
-        while width < 4 * threads and m < n:  # the walker places leaves below n
-            levels.append(range(2 * m - 3))
-            width *= 2 * m - 3
-            m += 1
-        tasks = [(n, prefix) for prefix in product(*levels)]
-        total: Counter = Counter()
-        for part in map_shards(_tally_task, tasks, threads):
-            total.update(part)
-        return total
-    return _tally_task((n, ()))
+    levels = [range(2 * m - 3) for m in range(3, n)]  # the walker places leaves below n
+    return sum(map_prefixes(_tally_task, n, levels, threads), Counter())
 
 
 def marginal(tally: Counter, stat: str) -> dict:

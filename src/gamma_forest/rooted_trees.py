@@ -14,8 +14,8 @@ reversing the path from that root up to n.  The descent tally never
 materializes trees: it counts the descents at root n, then walks the removal
 order backwards, so that every parent comes before its children; moving the
 root from p down to its child x changes the count by +1 if x > p and by -1
-otherwise.  That keeps the n=8 run (about two million trees) near a second
-and parallelizes by splitting on a prefix of the sequence.
+otherwise.  That keeps the n=8 run (about two million trees) near a second,
+and _pool.map_prefixes shards it by fixing a prefix of the sequence.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator
 
-from ._pool import map_shards
+from ._pool import map_prefixes
 from .errors import check_size
 from .poly import IntPolynomial
 
@@ -255,19 +255,14 @@ def descent_polynomial(n: int, threads: int = 1, cap: int = DEFAULT_CAP) -> IntP
     """Descent generating polynomial over all rooted trees on [n], by enumeration.
 
     Independent of the product form; this is the brute-force side of that
-    identity.  threads > 1 splits the Prufer sequences by prefix across a
-    process pool from n = 7 on; below that the serial pass is quicker than
-    starting the pool.
+    identity.  _pool.map_prefixes shards the Prufer sequences by prefix over
+    `threads` workers where the walk is large enough to pay for a pool.
     """
     check_size("descent_polynomial", n, cap)
     if n == 1:
         return IntPolynomial([1])
-    if threads > 1 and n >= 7:
-        tasks = [(n, prefix) for prefix in product(range(1, n + 1), repeat=2)]
-        partials = map_shards(_descent_chunk, tasks, threads)
-        counts = [sum(col) for col in zip(*partials)]
-        return IntPolynomial(counts)
-    return IntPolynomial(_descent_chunk((n, ())))
+    partials = map_prefixes(_descent_chunk, n, [range(1, n + 1)] * (n - 2), threads)
+    return IntPolynomial([sum(col) for col in zip(*partials)])
 
 
 def tree_to_json_dict(t: RootedTree) -> dict:

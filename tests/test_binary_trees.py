@@ -16,6 +16,7 @@ from itertools import groupby, product
 
 import pytest
 
+import gamma_forest._pool as pool
 from gamma_forest import binary_trees
 from gamma_forest.binary_trees import (
     ROW_STATS,
@@ -394,10 +395,8 @@ class TestJointEngine:
     def test_shards_in_process_match_sequential(self, monkeypatch):
         # every shard prefix, without forking a pool
         serial = joint_statistics(8)
-        monkeypatch.setattr(
-            binary_trees, "map_shards", lambda fn, tasks, threads: [fn(t) for t in tasks]
-        )
-        for threads in (2, 3, 4):
+        monkeypatch.setattr(pool, "map_shards", lambda fn, tasks, threads: [fn(t) for t in tasks])
+        for threads in (2, 3, 4, 16):
             assert joint_statistics(8, threads=threads) == serial, threads
 
     def test_total_mass(self):

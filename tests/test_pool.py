@@ -1,14 +1,20 @@
-"""The shard pool runs serially where the platform cannot fork, and the
-engines start it only where it pays."""
+"""The shard pool runs serially where the platform cannot fork, the engines
+start it only where it pays, and the package imports multiprocessing only
+when a pool starts."""
 
 import multiprocessing
+import subprocess
+import sys
 
 import pytest
 
 import gamma_forest._pool as pool
-from gamma_forest import binary_trees, rooted_trees
 from gamma_forest.binary_trees import joint_statistics
 from gamma_forest.rooted_trees import descent_polynomial
+
+
+def no_pool(fn, tasks, threads):
+    raise AssertionError("pool started")
 
 
 def test_serial_fallback_without_fork(monkeypatch):
@@ -23,15 +29,36 @@ def test_serial_fallback_without_fork(monkeypatch):
 
 def test_small_n_runs_serially(monkeypatch):
     # below n = 7 (rooted) and n = 8 (binary) a pool costs more than the work
-    def no_pool(fn, tasks, threads):
-        raise AssertionError("pool started")
-
     serial = descent_polynomial(6), joint_statistics(7)
-    monkeypatch.setattr(rooted_trees, "map_shards", no_pool)
-    monkeypatch.setattr(binary_trees, "map_shards", no_pool)
+    monkeypatch.setattr(pool, "map_shards", no_pool)
     assert descent_polynomial(6, threads=2) == serial[0]
     assert joint_statistics(7, threads=2) == serial[1]
     with pytest.raises(AssertionError, match="pool started"):
         descent_polynomial(7, threads=2)
     with pytest.raises(AssertionError, match="pool started"):
         joint_statistics(8, threads=2)
+
+
+@pytest.mark.parametrize("bad", [0, -1, 2.5, True])
+@pytest.mark.parametrize(
+    "engine, n",
+    [(descent_polynomial, 4), (descent_polynomial, 7), (joint_statistics, 4), (joint_statistics, 8)],
+    ids=["rooted-small", "rooted-pooled", "binary-small", "binary-pooled"],
+)
+def test_rejects_threads_that_are_not_a_positive_int(monkeypatch, engine, n, bad):
+    monkeypatch.setattr(pool, "map_shards", no_pool)
+    with pytest.raises(ValueError, match="threads must be a positive integer"):
+        engine(n, threads=bad)
+
+
+def test_verify_without_a_pool_never_imports_multiprocessing():
+    # a run that starts no pool does not pay for importing multiprocessing
+    code = (
+        "import sys\n"
+        "from gamma_forest import cli\n"
+        "rc = cli.main(['verify', '--suite', 'all', '--n-max', '6', '--threads', '2'])\n"
+        "assert rc == 0, rc\n"
+        "assert 'multiprocessing' not in sys.modules\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr[-2000:]

@@ -12,6 +12,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gamma_forest._pool as pool
 from gamma_forest.errors import LimitExceededError
 from gamma_forest.poly import drake_polynomial
 from gamma_forest.rooted_trees import (
@@ -210,6 +211,20 @@ class TestDescentPolynomial:
                 == descent_polynomial(n).coeffs
             )
         assert descent_polynomial(7, threads=4).coeffs == drake_polynomial(7).coeffs
+
+    def test_shards_in_process_match_sequential(self, monkeypatch):
+        # every shard prefix, without forking a pool
+        serial = descent_polynomial(7)
+        shard_counts = []
+
+        def in_process(fn, tasks, threads):
+            shard_counts.append(len(tasks))
+            return [fn(t) for t in tasks]
+
+        monkeypatch.setattr(pool, "map_shards", in_process)
+        for threads in (2, 3, 4, 16):
+            assert descent_polynomial(7, threads=threads) == serial, threads
+        assert shard_counts == [49, 49, 49, 343]
 
     def test_cap(self):
         with pytest.raises(LimitExceededError):
