@@ -18,7 +18,7 @@ from typing import Iterable, Mapping
 
 from . import binary_trees
 from .errors import check_size
-from .poly import IntPolynomial, add_binomial_row
+from .poly import IntPolynomial, _exact_ints, add_binomial_row
 
 FMC_CAP_N = 8
 FMC_CAP_K = 4
@@ -35,7 +35,7 @@ class Partition:
     parts: tuple[int, ...]
 
     def __init__(self, parts: Iterable[int] = ()):
-        ps = sorted((p for p in parts if p != 0), reverse=True)
+        ps = sorted((p for p in _exact_ints(parts, "parts") if p != 0), reverse=True)
         if ps and ps[-1] < 0:
             raise ValueError("parts must be positive")
         object.__setattr__(self, "parts", tuple(ps))
@@ -64,6 +64,7 @@ class ESymExpansion:
 
     def __init__(self, terms: Mapping[Partition, int] | Iterable[tuple[Partition, int]]):
         items = dict(terms)
+        _exact_ints(items.values(), "coefficients")
         cleaned = {lam: c for lam, c in items.items() if c != 0}
         weights = {lam.weight for lam in cleaned}
         if len(weights) > 1:
@@ -95,12 +96,11 @@ class MultivariatePoly:
 
     def __init__(self, k: int, terms: Mapping[tuple[int, ...], int] | Iterable[tuple[tuple[int, ...], int]] = ()):
         items = dict(terms)
-        cleaned = {}
-        for exps, c in items.items():
-            if len(exps) != k:
+        _exact_ints(items.values(), "coefficients")
+        for exps in items:
+            if len(_exact_ints(exps, "exponents")) != k:
                 raise ValueError(f"exponent vector {exps} does not have length {k}")
-            if c != 0:
-                cleaned[tuple(exps)] = c
+        cleaned = {tuple(exps): c for exps, c in items.items() if c != 0}
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "terms", tuple(sorted(cleaned.items())))
 

@@ -1,6 +1,7 @@
 """Elementary symmetric expansions and the colored-comb generating function."""
 
 import math
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -35,6 +36,33 @@ class TestPartition:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             Partition((2, -1))
+
+
+# accepted before: a float part or coefficient made weights and counts floats,
+# and a bool stood in for 1 or 0
+INEXACT = [1.5, 2.0, Fraction(2), True, False]
+
+
+class TestExactInts:
+    @pytest.mark.parametrize("bad", INEXACT)
+    def test_partition_rejects_parts_that_are_not_ints(self, bad):
+        with pytest.raises(TypeError, match="parts must be ints"):
+            Partition((2, bad))
+
+    @pytest.mark.parametrize("bad", INEXACT)
+    def test_expansion_rejects_coefficients_that_are_not_ints(self, bad):
+        with pytest.raises(TypeError, match="coefficients must be ints"):
+            ESymExpansion({Partition((2, 1)): bad})
+
+    @pytest.mark.parametrize("bad", INEXACT)
+    def test_multivariate_rejects_coefficients_that_are_not_ints(self, bad):
+        with pytest.raises(TypeError, match="coefficients must be ints"):
+            MultivariatePoly(2, {(1, 0): 1, (0, 1): bad})
+
+    @pytest.mark.parametrize("bad", INEXACT)
+    def test_multivariate_rejects_exponents_that_are_not_ints(self, bad):
+        with pytest.raises(TypeError, match="exponents must be ints"):
+            MultivariatePoly(2, {(1, 0): 1, (bad, 1): 1})
 
 
 class TestExpandELambda:
