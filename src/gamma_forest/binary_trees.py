@@ -300,7 +300,8 @@ def _lyndon_colorings(t: Tree, forced: bool = False) -> Iterator[tuple[int, ...]
 
 def _chain_colorings(t: Tree, k: int, top: int) -> Iterator[tuple[int, ...]]:
     # colors lie in [1, top - 1], and the right child's lie below the node's,
-    # so they strictly decrease along right-child edges
+    # so they strictly decrease along right-child edges; only the tree's
+    # shape is read, never a leaf label
     if isinstance(t, int):
         yield ()
         return
@@ -492,6 +493,8 @@ def _walk(
 
 def _tally_task(args: tuple[int, tuple[int, ...]]) -> Counter:
     n, prefix = args
+    if n == 1:
+        return Counter({(0, 0, 0, 0, 0): 1})
     tally: Counter = Counter()
     for arrays, nodes, _root, key in _walk(n, prefix):
         tally.update(_child_keys(arrays, nodes, key))
@@ -504,8 +507,6 @@ def joint_statistics(n: int, threads: int = 1, cap: int = DEFAULT_CAP) -> Counte
     shards the walk by the positions of leaves 3, 4, ... over `threads`
     workers where it is large enough to pay for a pool."""
     check_size("joint_statistics", n, cap)
-    if n == 1:
-        return Counter({(0, 0, 0, 0, 0): 1})
     levels = [range(2 * m - 3) for m in range(3, n)]  # the walker places leaves below n
     return sum(map_prefixes(_tally_task, n, levels, threads), Counter())
 

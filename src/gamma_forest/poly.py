@@ -128,9 +128,6 @@ class GammaVector:
         object.__setattr__(self, "gammas", gs)
         object.__setattr__(self, "degree", degree)
 
-    def is_nonnegative(self) -> bool:
-        return all(g >= 0 for g in self.gammas)
-
 
 def evaluate(p: IntPolynomial, t):
     """Evaluate p at t by Horner's rule; exact big-integer arithmetic."""

@@ -244,6 +244,8 @@ def _descent_counts_for_seq(n: int, seq: tuple[int, ...], counts: list[int]) -> 
 
 def _descent_chunk(args: tuple[int, tuple[int, ...]]) -> list[int]:
     n, prefix = args
+    if n == 1:
+        return [1]  # the one tree on [1] has no descent
     counts = [0] * n
     rest = n - 2 - len(prefix)
     for tail in product(range(1, n + 1), repeat=rest):
@@ -259,8 +261,6 @@ def descent_polynomial(n: int, threads: int = 1, cap: int = DEFAULT_CAP) -> IntP
     `threads` workers where the walk is large enough to pay for a pool.
     """
     check_size("descent_polynomial", n, cap)
-    if n == 1:
-        return IntPolynomial([1])
     partials = map_prefixes(_descent_chunk, n, [range(1, n + 1)] * (n - 2), threads)
     return IntPolynomial([sum(col) for col in zip(*partials)])
 

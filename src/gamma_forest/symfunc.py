@@ -11,6 +11,7 @@ since e_(2^j 1^m) maps to t^j (1+t)^m and every other e_lambda vanishes.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -164,23 +165,33 @@ def comb_type_expansion(n: int, cap: int = binary_trees.DEFAULT_CAP) -> ESymExpa
     return ESymExpansion({Partition(parts): c for parts, c in tally.items()})
 
 
+def _shape(t: binary_trees.Tree) -> binary_trees.Tree:
+    # the tree with every leaf label replaced by 0
+    if isinstance(t, int):
+        return 0
+    return (_shape(t[0]), _shape(t[1]))
+
+
 def f_mcomb_direct(
     n: int, k: int, cap_n: int = FMC_CAP_N, cap_k: int = FMC_CAP_K
 ) -> MultivariatePoly:
     """Color-count generating polynomial of colored combs, by direct enumeration.
 
     Each coloring contributes the monomial whose j-th exponent counts the
-    internal nodes colored j.
+    internal nodes colored j.  Colorings read only a tree's shape, so each
+    shape's colorings are enumerated once and weighted by its tree count.
     """
     check_size("f_mcomb_direct", n, cap_n)
     check_size("f_mcomb_direct (colors)", k, cap_k, "k")
+    shapes = Counter(map(_shape, binary_trees.enumerate_normalized(n, cap_n)))
     acc: dict[tuple[int, ...], int] = {}
-    for _t, colors in binary_trees.enumerate_colored_combs(n, k, cap_n, cap_k):
-        exps = [0] * k
-        for c in colors:
-            exps[c - 1] += 1
-        key = tuple(exps)
-        acc[key] = acc.get(key, 0) + 1
+    for shape, count in shapes.items():
+        for colors in binary_trees._chain_colorings(shape, k, k + 1):
+            exps = [0] * k
+            for c in colors:
+                exps[c - 1] += 1
+            key = tuple(exps)
+            acc[key] = acc.get(key, 0) + count
     return MultivariatePoly(k, acc)
 
 

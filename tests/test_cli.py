@@ -87,6 +87,13 @@ class TestVerifyCommand:
             assert r.returncode == 0, (suite, r.stdout, r.stderr)
             assert "failed=0" in r.stdout.strip().splitlines()[-1]
 
+    def test_symfunc_suite_through_colored_combs_of_order_7(self):
+        # the top of the fmcomb block: n = 7, k = 1..3
+        r = run_cli("verify", "--suite", "symfunc", "--n-max", "7")
+        assert r.returncode == 0, r.stderr
+        assert "PASS symfunc.fmcomb-vs-expansion n=7 k=3 " in r.stdout
+        assert "failed=0" in r.stdout.strip().splitlines()[-1]
+
     def test_invalid_suite(self):
         r = run_cli("verify", "--suite", "nonsense")
         assert r.returncode == 2

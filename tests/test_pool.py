@@ -42,8 +42,15 @@ def test_small_n_runs_serially(monkeypatch):
 @pytest.mark.parametrize("bad", [0, -1, 2.5, True])
 @pytest.mark.parametrize(
     "engine, n",
-    [(descent_polynomial, 4), (descent_polynomial, 7), (joint_statistics, 4), (joint_statistics, 8)],
-    ids=["rooted-small", "rooted-pooled", "binary-small", "binary-pooled"],
+    [
+        (descent_polynomial, 1),
+        (descent_polynomial, 4),
+        (descent_polynomial, 7),
+        (joint_statistics, 1),
+        (joint_statistics, 4),
+        (joint_statistics, 8),
+    ],
+    ids=["rooted-one", "rooted-small", "rooted-pooled", "binary-one", "binary-small", "binary-pooled"],
 )
 def test_rejects_threads_that_are_not_a_positive_int(monkeypatch, engine, n, bad):
     monkeypatch.setattr(pool, "map_shards", no_pool)

@@ -1,19 +1,22 @@
 """Elementary symmetric expansions and the colored-comb generating function."""
 
 import math
+from collections import Counter
 from fractions import Fraction
-from itertools import permutations
+from itertools import groupby, permutations
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gamma_forest.binary_trees import enumerate_colored_combs, enumerate_normalized
+from gamma_forest.binary_trees import _chain_colorings, enumerate_colored_combs, enumerate_normalized
 from gamma_forest.errors import LimitExceededError
 from gamma_forest.poly import drake_polynomial, gamma_closed_form, to_gamma_basis
 from gamma_forest.symfunc import (
     ESymExpansion,
     MultivariatePoly,
     Partition,
+    _shape,
     comb_type_expansion,
     expand_e_lambda,
     expansion_in_variables,
@@ -167,6 +170,28 @@ class TestFMComb:
                 assert f_mcomb_direct(n, k).evaluate_all_ones() == sum(
                     1 for _ in enumerate_colored_combs(n, k)
                 )
+
+    def test_shape_grouping_matches_per_tree_colorings(self):
+        # f_mcomb_direct colors each shape once; here every tree is colored
+        # on its own, and trees without a coloring are kept as well
+        for n in range(1, 7):
+            trees = list(enumerate_normalized(n))
+            for k in range(1, 5):
+                per_tree = dict.fromkeys(trees, [])
+                for t, pairs in groupby(enumerate_colored_combs(n, k), itemgetter(0)):
+                    per_tree[t] = list(map(itemgetter(1), pairs))
+                by_shape: dict = {}
+                colorings: Counter = Counter()
+                for t, cs in per_tree.items():
+                    s = _shape(t)
+                    if s not in by_shape:
+                        by_shape[s] = list(_chain_colorings(s, k, k + 1))
+                    assert cs == by_shape[s], (t, k)
+                    colorings.update(cs)
+                tally: Counter = Counter()
+                for colors, c in colorings.items():
+                    tally[tuple(colors.count(j) for j in range(1, k + 1))] += c
+                assert f_mcomb_direct(n, k).terms == tuple(sorted(tally.items()))
 
     def test_symmetric_under_variable_permutation(self):
         for n in (3, 4, 5):
