@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from itertools import product
 from math import prod
 from typing import Callable, Sequence, TypeVar
@@ -30,9 +31,16 @@ def map_prefixes(fn: Callable[[tuple], Result], n: int, levels: Sequence[range],
     return map_shards(fn, [(n, prefix) for prefix in product(*levels[:cut])], threads)
 
 
+def available_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):  # not on every platform
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def map_shards(fn: Callable[[tuple], Result], tasks: Sequence[tuple], threads: int) -> list[Result]:
-    """[fn(task) for task in tasks] over `threads` forked workers, which start
-    with the package imported; serially where the platform cannot fork."""
+    """[fn(task) for task in tasks] over min(threads, tasks, available CPUs)
+    forked workers; serially where the platform cannot fork."""
     # imported here: multiprocessing is a fifth of the package's import time,
     # and most commands never start a pool
     import multiprocessing
@@ -41,5 +49,5 @@ def map_shards(fn: Callable[[tuple], Result], tasks: Sequence[tuple], threads: i
         context = multiprocessing.get_context("fork")
     except ValueError:
         return [fn(task) for task in tasks]
-    with context.Pool(threads) as pool:
+    with context.Pool(min(threads, len(tasks), available_cpus())) as pool:
         return pool.map(fn, tasks)

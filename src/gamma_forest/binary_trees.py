@@ -21,19 +21,19 @@ Statistics:
   comb type   partition of n - 1 by sizes of maximal chains of internal
               nodes linked by right-child edges
 
-joint_statistics, normalized_rows and comb_type_tally run on one walker: it
-backtracks over flat arrays, yielding every tree on [n - 1] with its five
-statistics maintained incrementally across insertions, and each of the three
-inserts leaf n itself, so a full pass over the two million trees at n=9
-takes seconds.  The update rules of the statistics are written once, in
-_child_keys.  JOINT_KEY, the one place that names the positions of a tally
-key, is read by the views of one tally: marginal, the gamma vectors
-ndrd_rdes and ndnl_nlyn, and the censuses comb_census and lyndon_census.
-distribution_ndrd_rdes, distribution_ndnl_nlyn, bicolored_comb_census and
-bicolored_lyndon_census each apply one view to a fresh tally.  The per-tree
-functions below, enumerate_normalized and insert_leaf included, are
-independent implementations used to cross-check the walker; it calls none
-of them.
+joint_statistics and normalized_rows run on one walker: it backtracks over
+flat arrays, yielding every tree on [n - 1] with its five statistics
+maintained incrementally across insertions, and each inserts leaf n itself,
+so a full pass over the two million trees at n=9 takes seconds.
+comb_type_tally walks no tree: it runs a recurrence over comb types.  The
+update rules of the statistics are written once, in _child_keys.  JOINT_KEY,
+the one place that names the positions of a tally key, is read by the views
+of one tally: marginal, the gamma vectors ndrd_rdes and ndnl_nlyn, and the
+censuses comb_census and lyndon_census.  distribution_ndrd_rdes,
+distribution_ndnl_nlyn, bicolored_comb_census and bicolored_lyndon_census
+each apply one view to a fresh tally.  The per-tree functions below,
+enumerate_normalized and insert_leaf included, are independent
+implementations used to cross-check the walker; it calls none of them.
 
 The three colored models state their rules recursively over the trees of
 enumerate_normalized, one short generator each, and share nothing with the
@@ -44,6 +44,7 @@ independent computations.
 from __future__ import annotations
 
 from collections import Counter
+from functools import cache
 from typing import Iterator, Union
 
 from ._pool import map_prefixes
@@ -366,10 +367,10 @@ def enumerate_colored_combs(
 # ---------------------------------------------------------------------------
 # Insertion walker.
 #
-# One walker serves the joint tally, the rows and the comb-type tally.  State
-# lives in flat arrays indexed by creation order: node 0 is leaf 1, and
-# inserting leaf m adds internal node 2m - 3 and leaf node 2m - 2, so a node
-# is internal iff its index is odd, and leaf node v carries label v // 2 + 1.
+# One walker serves the joint tally and the rows.  State lives in flat arrays
+# indexed by creation order: node 0 is leaf 1, and inserting leaf m adds
+# internal node 2m - 3 and leaf node 2m - 2, so a node is internal iff its
+# index is odd, and leaf node v carries label v // 2 + 1.
 # Inserting at node v puts the new internal node x in v's slot, with v as its
 # left child and the new leaf as its right child.  All five statistics admit
 # local updates because the inserted leaf carries the largest label: no
@@ -440,9 +441,8 @@ def _walk(
     Leaf m goes in at the nodes of the tree on [m - 1] in preorder, the
     positions of insert_leaf; prefix fixes the positions of leaves 3, 4, ...
 
-    joint_statistics, normalized_rows and comb_type_tally share this one
-    traversal.  That is safe because no check compares any two of them: each
-    is compared with the per-tree functions or with drake_polynomial.
+    joint_statistics and normalized_rows share this traversal; no check compares
+    the two, as each is held against the per-tree functions or drake_polynomial.
     """
     size = 2 * n - 1
     arrays = left, right, parent, is_right, nonlyn = (
@@ -637,6 +637,7 @@ def _spans(arrays: tuple[list, ...], root: int) -> tuple[str, list[tuple[int, in
     return "".join(parts), spans
 
 
+@cache  # the one statement of the edit, read by the rows and the tally
 def _split(parts: tuple[int, ...], length: int, a: int) -> tuple[int, ...]:
     out = list(parts)
     if length:
@@ -647,10 +648,10 @@ def _split(parts: tuple[int, ...], length: int, a: int) -> tuple[int, ...]:
     return tuple(sorted(out, reverse=True))
 
 
-def _comb_children(arrays: tuple[list, ...], order: list[int], splits: dict) -> list[tuple[int, ...]]:
+def _comb_children(arrays: tuple[list, ...], order: list[int]) -> list[tuple[int, ...]]:
     """The comb type of each tree made by inserting the new maximum leaf at a
-    node of the tree in the arrays, indexed by node; order lists the tree's
-    nodes in preorder, and splits memoizes the edits.
+    node of the tree in the arrays, indexed by node; order lists its nodes,
+    parents first.
 
     Each insertion splits one part: a part L becomes a + 1 and L - a, zero
     parts dropped.  A node that is not a right child gives L = a = 0: the new
@@ -671,18 +672,11 @@ def _comb_children(arrays: tuple[list, ...], order: list[int], splits: dict) -> 
                 head[v] = v
             lengths[head[v]] = depth[v] + 1
     parts = tuple(sorted(lengths.values(), reverse=True))
-    out: list[tuple[int, ...]] = [()] * len(order)
+    out = [_split(parts, 0, 0)] * len(order)
     for v in order:
         if is_right[v]:
             length = lengths[head[parent[v]]]
-            a = depth[v] if v & 1 else length
-        else:
-            length = a = 0
-        edit = (parts, length, a)
-        child = splits.get(edit)
-        if child is None:
-            child = splits[edit] = _split(parts, length, a)
-        out[v] = child
+            out[v] = _split(parts, length, depth[v] if v & 1 else length)
     return out
 
 
@@ -700,11 +694,10 @@ def normalized_rows(n: int, stat: str, cap: int = DEFAULT_CAP) -> Iterator[tuple
         return
     leaf = f",{n})"
     i = JOINT_KEY.get(stat)  # None for the comb type
-    splits: dict = {}
     for arrays, nodes, root, key in _walk(n):
         s, spans = _spans(arrays, root)
         if i is None:
-            values = _comb_children(arrays, [v for v, _, _ in spans], splits)
+            values = _comb_children(arrays, [v for v, _, _ in spans])
         else:
             values = [k[i] for k in _child_keys(arrays, nodes, key)]
         for v, a, b in spans:
@@ -712,12 +705,20 @@ def normalized_rows(n: int, stat: str, cap: int = DEFAULT_CAP) -> Iterator[tuple
 
 
 def comb_type_tally(n: int, cap: int = DEFAULT_CAP) -> Counter:
-    """Counter of comb types over all normalized trees on [n]."""
+    """Counter of comb types over all normalized trees on [n].
+
+    A recurrence over comb types, exact as each tree on [j + 1] is one
+    insertion into one tree on [j], and that tree's comb type alone fixes
+    the _split: a part 1 at each of its j nodes that are not right children,
+    and a split of each part L at each of its right children, depths 1..L."""
     check_size("comb_type_tally", n, cap)
-    if n == 1:
-        return Counter({(): 1})
-    tally: Counter = Counter()
-    splits: dict = {}
-    for arrays, _nodes, root, _key in _walk(n):
-        tally.update(_comb_children(arrays, _preorder_nodes(arrays, root), splits))
+    tally = Counter({(): 1})
+    for j in range(1, n):
+        children: Counter = Counter()
+        for parts, count in tally.items():
+            children[_split(parts, 0, 0)] += j * count
+            for length in parts:
+                for a in range(1, length + 1):
+                    children[_split(parts, length, a)] += count
+        tally = children
     return tally

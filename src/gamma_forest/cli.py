@@ -23,7 +23,7 @@ from itertools import chain, islice
 from types import ModuleType
 from typing import Callable, Iterable, Iterator
 
-from . import binary_trees, poly, rooted_trees, stirling, symfunc
+from . import _pool, binary_trees, poly, rooted_trees, stirling, symfunc
 from .errors import LimitExceededError
 
 HISTOGRAM_THRESHOLD = 10**5
@@ -69,10 +69,7 @@ def resolve_threads(value: int | None) -> int:
         if n < 1:
             raise ValueError("GAMMA_FOREST_THREADS must be at least 1")
         return n
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
+    return _pool.available_cpus()
 
 
 def _check(report: SuiteReport, check_id: str, params: str, expected, actual) -> None:

@@ -78,10 +78,6 @@ class ESymExpansion:
     def as_dict(self) -> dict[tuple[int, ...], int]:
         return {lam.parts: c for lam, c in self.terms}
 
-    def coefficient(self, lam: Partition | tuple[int, ...]) -> int:
-        key = lam.parts if isinstance(lam, Partition) else Partition(lam).parts
-        return self.as_dict().get(key, 0)
-
 
 @dataclass(frozen=True, init=False)
 class MultivariatePoly:

@@ -46,6 +46,7 @@ from gamma_forest.binary_trees import (
 )
 from gamma_forest.errors import LimitExceededError
 from gamma_forest.poly import drake_polynomial, evaluate, gamma_closed_form
+from gamma_forest.symfunc import comb_type_expansion, specialize_two_vars
 
 
 # sha256 of repr(sorted(joint_statistics(n).items()))
@@ -334,6 +335,26 @@ class TestJointEngine:
     def test_comb_tally_digest(self):
         assert sha256_of(sorted(comb_type_tally(8).items())) == COMB_TALLY_8_DIGEST
 
+    def test_comb_tally_matches_rows(self):
+        # the recurrence over comb types against the walker's per-tree rows
+        for n in range(1, 9):
+            assert Counter(v for _, v in normalized_rows(n, "combtype")) == comb_type_tally(n), n
+
+    @pytest.mark.parametrize("n", range(11, 21))
+    def test_comb_tally_above_cap(self, n):
+        # the tally counts every tree, and its e-expansion specializes to the
+        # descent polynomial, far above the enumeration cap
+        assert sum(comb_type_tally(n, cap=n).values()) == double_factorial(2 * n - 3)
+        assert specialize_two_vars(comb_type_expansion(n, n)) == drake_polynomial(n)
+
+    def test_comb_tally_walks_no_tree(self, monkeypatch):
+        def banned(*args, **kwargs):
+            raise AssertionError("comb_type_tally walked the trees")
+
+        monkeypatch.setattr(binary_trees, "_walk", banned)
+        monkeypatch.setattr(binary_trees, "_comb_children", banned)
+        assert sum(comb_type_tally(10).values()) == double_factorial(17)
+
     @pytest.mark.parametrize("stat", ROW_STATS)
     def test_rows_digest(self, stat):
         assert sha256_of(list(normalized_rows(8, stat))) == ROWS_8_DIGESTS[stat]
@@ -381,11 +402,10 @@ class TestJointEngine:
             (rdes(t), is_ndrd(t), nlyn(t), is_ndnl(t), free_count(t), comb_type(t)) for t in trees
         ]
         engine = []
-        splits: dict = {}
         for arrays, nodes, root, key in binary_trees._walk(n, prefix):
             order = binary_trees._preorder_nodes(arrays, root)
             keys = binary_trees._child_keys(arrays, nodes, key)
-            combs = binary_trees._comb_children(arrays, order, splits)
+            combs = binary_trees._comb_children(arrays, order)
             for v in order:
                 r, d, nl, dl, f = keys[v]
                 engine.append((r, d == 0, nl, dl == 0, f, combs[v]))

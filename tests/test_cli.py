@@ -88,10 +88,12 @@ class TestVerifyCommand:
             assert "failed=0" in r.stdout.strip().splitlines()[-1]
 
     def test_symfunc_suite_through_colored_combs_of_order_7(self):
-        # the top of the fmcomb block: n = 7, k = 1..3
-        r = run_cli("verify", "--suite", "symfunc", "--n-max", "7")
+        # the top of the fmcomb block, n = 7 and k = 1..3, and the comb-type
+        # tally at the tree cap
+        r = run_cli("verify", "--suite", "symfunc", "--n-max", "10")
         assert r.returncode == 0, r.stderr
         assert "PASS symfunc.fmcomb-vs-expansion n=7 k=3 " in r.stdout
+        assert "PASS symfunc.specialization-vs-product n=10 " in r.stdout
         assert "failed=0" in r.stdout.strip().splitlines()[-1]
 
     def test_invalid_suite(self):

@@ -1,6 +1,7 @@
-"""The shard pool runs serially where the platform cannot fork, the engines
-start it only where it pays, and the package imports multiprocessing only
-when a pool starts."""
+"""The shard pool runs serially where the platform cannot fork, starts no
+more workers than there are tasks or available CPUs, the engines start it
+only where it pays, and the package imports multiprocessing only when a pool
+starts."""
 
 import multiprocessing
 import subprocess
@@ -25,6 +26,50 @@ def test_serial_fallback_without_fork(monkeypatch):
     assert pool.map_shards(abs, [-3, 1, -2], 2) == [3, 1, 2]
     assert descent_polynomial(7, threads=2) == descent_polynomial(7)
     assert joint_statistics(8, threads=2) == joint_statistics(8)
+
+
+class RecordingContext:
+    """A fork context whose Pool records its size and maps serially, so that
+    no process starts whatever size is asked for."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def Pool(self, processes):
+        self.sizes.append(processes)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return [fn(task) for task in tasks]
+
+
+@pytest.mark.parametrize(
+    "threads, tasks, cpus, size",
+    [(100_000, 3, 2, 2), (100_000, 3, 64, 3), (2, 10, 64, 2), (4, 10, 1, 1)],
+)
+def test_pool_size_is_bounded_by_tasks_and_cpus(monkeypatch, threads, tasks, cpus, size):
+    context = RecordingContext()
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: context)
+    monkeypatch.setattr(pool, "available_cpus", lambda: cpus)
+    assert pool.map_shards(abs, range(-tasks, 0), threads) == list(range(tasks, 0, -1))
+    assert context.sizes == [size]
+
+
+def test_huge_threads_value_starts_at_most_the_available_cpus(monkeypatch):
+    # the shard cut still follows threads; only the worker count is bounded
+    serial = descent_polynomial(7), joint_statistics(8)
+    context = RecordingContext()
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: context)
+    monkeypatch.setattr(pool, "available_cpus", lambda: 2)
+    assert descent_polynomial(7, threads=100_000) == serial[0]
+    assert joint_statistics(8, threads=100_000) == serial[1]
+    assert context.sizes == [2, 2]
 
 
 def test_small_n_runs_serially(monkeypatch):
