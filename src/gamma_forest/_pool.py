@@ -40,7 +40,11 @@ def available_cpus() -> int:
 
 def map_shards(fn: Callable[[tuple], Result], tasks: Sequence[tuple], threads: int) -> list[Result]:
     """[fn(task) for task in tasks] over min(threads, tasks, available CPUs)
-    forked workers; serially where the platform cannot fork."""
+    forked workers; serially in this process where that is one worker or the
+    platform cannot fork."""
+    workers = min(threads, len(tasks), available_cpus())
+    if workers <= 1:  # a pool of one would only add a fork and the pickling
+        return [fn(task) for task in tasks]
     # imported here: multiprocessing is a fifth of the package's import time,
     # and most commands never start a pool
     import multiprocessing
@@ -49,5 +53,5 @@ def map_shards(fn: Callable[[tuple], Result], tasks: Sequence[tuple], threads: i
         context = multiprocessing.get_context("fork")
     except ValueError:
         return [fn(task) for task in tasks]
-    with context.Pool(min(threads, len(tasks), available_cpus())) as pool:
+    with context.Pool(workers) as pool:
         return pool.map(fn, tasks)

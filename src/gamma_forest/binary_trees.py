@@ -596,10 +596,11 @@ def bicolored_lyndon_census(n: int, threads: int = 1, cap: int = DEFAULT_CAP) ->
 # Rows and comb types.
 #
 # Rows come in enumerate_normalized order: every tree on [n - 1] from the
-# walker, and under it the insertions of leaf n at its nodes in preorder.
-# One pass over the tree gives its string and each node's span in it; each
-# child then costs one string splice, and its statistic is read off
-# _child_keys or, for the comb type, off one split of the tree's own.
+# walker, and under it the insertions of leaf n at its nodes in preorder,
+# as one block per tree.  One pass over the tree gives its string and each
+# node's span in it; each child then costs one string splice, and its
+# statistic is read off _child_keys or, for the comb type, off one split of
+# the tree's own.
 # ---------------------------------------------------------------------------
 
 ROW_STATS = ("rdes", "nlyn", "free", "combtype")
@@ -680,9 +681,10 @@ def _comb_children(arrays: tuple[list, ...], order: list[int]) -> list[tuple[int
     return out
 
 
-def normalized_rows(n: int, stat: str, cap: int = DEFAULT_CAP) -> Iterator[tuple[str, object]]:
-    """(tree_to_string(t), statistic of t) for the normalized trees on [n], in
-    enumerate_normalized order.
+def _row_blocks(n: int, stat: str, cap: int = DEFAULT_CAP) -> Iterator[tuple[list[str], list]]:
+    """One block per normalized tree on [n - 1], in walk order: the strings of
+    the 2n - 3 trees made by inserting leaf n at its nodes in preorder, and
+    their statistics (one block of the tree 1 when n is 1).
 
     stat is one of ROW_STATS; comb types are partitions as in comb_type.
     """
@@ -690,18 +692,25 @@ def normalized_rows(n: int, stat: str, cap: int = DEFAULT_CAP) -> Iterator[tuple
         raise ValueError(f"unknown statistic {stat!r}; choose from {', '.join(ROW_STATS)}")
     check_size("normalized_rows", n, cap)
     if n == 1:
-        yield "1", () if stat == "combtype" else 0
+        yield ["1"], [() if stat == "combtype" else 0]
         return
     leaf = f",{n})"
     i = JOINT_KEY.get(stat)  # None for the comb type
     for arrays, nodes, root, key in _walk(n):
         s, spans = _spans(arrays, root)
+        order = [v for v, _, _ in spans]
         if i is None:
-            values = _comb_children(arrays, [v for v, _, _ in spans])
+            values = _comb_children(arrays, order)
         else:
             values = [k[i] for k in _child_keys(arrays, nodes, key)]
-        for v, a, b in spans:
-            yield s[:a] + "(" + s[a:b] + leaf + s[b:], values[v]
+        yield [f"{s[:a]}({s[a:b]}{leaf}{s[b:]}" for _, a, b in spans], [values[v] for v in order]
+
+
+def normalized_rows(n: int, stat: str, cap: int = DEFAULT_CAP) -> Iterator[tuple[str, object]]:
+    """(tree_to_string(t), statistic of t) for the normalized trees on [n], in
+    enumerate_normalized order: a flat view of _row_blocks."""
+    for trees, values in _row_blocks(n, stat, cap):
+        yield from zip(trees, values)
 
 
 def comb_type_tally(n: int, cap: int = DEFAULT_CAP) -> Counter:

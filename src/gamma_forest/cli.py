@@ -9,17 +9,16 @@ doubles long before n reaches 20.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
+import operator
 import os
 import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import groupby
 from types import ModuleType
 from typing import Callable, Iterable, Iterator
 
@@ -350,50 +349,99 @@ def _render_histogram(family: str, stat: str, n: int, hist: dict, fmt: str) -> s
         }
         return json.dumps(doc, separators=(",", ":")) + "\n"
     if fmt == "csv":
-        return _csv_text(chain([("stat", "count")], ((_stat_text(k), v) for k, v in items)))
+        rows = [("stat", "count"), *((_stat_text(k), v) for k, v in items)]
+        return "".join(map(_csv_line, rows))
     return "".join(f"{_stat_text(k)} {v}\n" for k, v in items)
 
 
-ROW_CHUNK = 4096  # rows per stdout write in rows mode
-
-
-@functools.cache
 def _stat_text(value) -> str:
     if isinstance(value, tuple):  # a partition
         return "+".join(map(str, value)) if value else "0"
     return str(value)
 
 
-@functools.cache
 def _stat_json(value) -> str:
     return json.dumps(list(value) if isinstance(value, tuple) else value, separators=(",", ":"))
 
 
-def _csv_text(rows) -> str:
-    buf = io.StringIO()
-    csv.writer(buf).writerows(rows)
-    return buf.getvalue()
+def _csv_cell(value) -> str:
+    """value as one cell the way csv.writer writes it under QUOTE_MINIMAL:
+    quoted when it holds a comma, a quote, CR or LF, inner quotes doubled.
+    Every csv row here has at least two cells, so the one row where the two
+    differ, a single empty cell, which csv.writer writes as a quoted empty
+    string, never comes up."""
+    text = str(value)
+    if '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    if "," in text or "\n" in text or "\r" in text:
+        return '"' + text + '"'
+    return text
 
 
-# Row sources: each returns an iterator over the lines of the requested format,
-# or for csv over the cell tuples, header first.  The bytes of each format
-# differ by family, so each family keeps its own.
+def _csv_line(cells) -> str:
+    return ",".join(map(_csv_cell, cells)) + "\r\n"
 
 
-def _object_rows(pairs, key: str, fmt: str):
-    """Rows of (object string, statistic) pairs."""
+def _csv_cells(texts: list[str]) -> list[str]:
+    # texts that need no quotes, seen in one test of their join, stay as they are
+    joined = "".join(texts)
+    return texts if _csv_cell(joined) == joined else [_csv_cell(text) for text in texts]
+
+
+# Rows mode.  Each row source yields blocks of finished lines, header first
+# in csv: the rows of one parent object's children, or of one object, each
+# block formatted in one comprehension.  _render_rows gathers whole blocks
+# into chunks of at least ROW_CHUNK rows.
+
+ROW_CHUNK = 4096  # rows per stdout write in rows mode, plus less than a block
+
+
+class _Memo(dict):
+    """fn(key) for each key, computed on its first lookup."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+def _stat_tails(fmt: str, stat: Callable, csv_cells: Callable) -> Callable[[object], str]:
+    """A line's text after its object, from the line's value: stat(value) in
+    text and json, the cells csv_cells(value) in csv."""
     if fmt == "csv":
-        return chain([("object", "stat")], ((obj, _stat_text(v)) for obj, v in pairs))
+        return lambda value: "," + _csv_line(csv_cells(value))
     if fmt == "json":
-        return (f'{{"{key}":"{obj}","stat":{_stat_json(v)}}}\n' for obj, v in pairs)
-    return (f"{obj}\t{_stat_text(v)}\n" for obj, v in pairs)
+        return lambda value: f'","stat":{_stat_json(stat(value))}}}\n'
+    return lambda value: f"\t{_stat_text(stat(value))}\n"
 
 
-def _rooted_objects(n: int, cap: int):
-    # (tree_to_json_dict(t) as compact JSON, des(t)) in one loop over the parent
-    # array, read off the decoder's stream without building RootedTrees
+def _block_lines(blocks, fmt: str, key: str, header: tuple, tail: Callable) -> Iterator[list[str]]:
+    """The lines of (objects, values) blocks: each object as a cell, then
+    tail(value), formatted once per distinct value.  In json the object is
+    the string under key; in csv header names the columns."""
+    tails = _Memo(tail)
+    if fmt == "csv":
+        yield [_csv_line(header)]
+        for objects, values in blocks:
+            yield [obj + tails[value] for obj, value in zip(_csv_cells(objects), values)]
+        return
+    head = f'{{"{key}":"' if fmt == "json" else ""
+    for objects, values in blocks:
+        yield [f"{head}{obj}{tails[value]}" for obj, value in zip(objects, values)]
+
+
+def _rooted_rows(stat: str, n: int, cap: int, fmt: str) -> Iterator[list[str]]:
+    # tree_to_json_dict(t) as compact JSON, and des(t), in one loop over the
+    # decoder's parent arrays without building RootedTrees.  A rooted tree is
+    # not an insertion into a parent, so blocks are runs of n lines: for
+    # n >= 3, the trees of one root whose Prufer sequences differ in the last
+    # entry only
     edge_text = [[f"[{p},{x}]" for p in range(n + 1)] for x in range(n + 1)]
     head = f'{{"n":{n},"root":'
+    block = [_csv_line(("object", "stat"))] if fmt == "csv" else []
     for root, parent in rooted_trees._rooted_parents(n, cap):
         edges = []
         descents = 0
@@ -401,39 +449,55 @@ def _rooted_objects(n: int, cap: int):
             if p:
                 edges.append(edge_text[x][p])
                 descents += p > x
-        yield f'{head}{root},"edges":[{",".join(edges)}]}}', descents
+        obj = f'{head}{root},"edges":[{",".join(edges)}]'  # json puts the stat before "}"
+        if fmt == "json":
+            block.append(f'{obj},"stat":{descents}}}\n')
+        elif fmt == "csv":
+            block.append(f"{_csv_cell(obj + '}')},{descents}\r\n")
+        else:
+            block.append(f"{obj}}}\t{descents}\n")
+        if len(block) >= n:
+            yield block
+            block = []
+    if block:
+        yield block
 
 
-def _rooted_rows(stat: str, n: int, cap: int, fmt: str):
-    objects = _rooted_objects(n, cap)
-    if fmt == "csv":
-        return chain([("object", "stat")], objects)
-    if fmt == "json":
-        return (f'{obj[:-1]},"stat":{d}}}\n' for obj, d in objects)
-    return (f"{obj}\t{d}\n" for obj, d in objects)
+def _normalized_rows(stat: str, n: int, cap: int, fmt: str) -> Iterator[list[str]]:
+    tail = _stat_tails(fmt, lambda value: value, lambda value: (_stat_text(value),))
+    blocks = binary_trees._row_blocks(n, stat, cap)
+    return _block_lines(blocks, fmt, "tree", ("object", "stat"), tail)
 
 
-def _stirling_rows(stat: str, n: int, cap: int, fmt: str):
-    rows = stirling.statistics_rows(n, cap)
-    if fmt == "csv":
-        return chain(
-            [("word", "aapair", "tnpair", "is_naas", "is_ntns")],
-            ((w, aa, tn, int(naas), int(ntns)) for w, aa, tn, naas, ntns in rows),
-        )
-    col = 1 if stat == "aapair" else 2
-    return _object_rows(((row[0], row[col]) for row in rows), "word", fmt)
-
-
-def _colored_rows(colorings, fmt: str):
-    rows = (
-        (binary_trees.tree_to_string(t), ",".join(map(str, colors)), sum(colors))
-        for t, colors in colorings
+def _stirling_rows(stat: str, n: int, cap: int, fmt: str) -> Iterator[list[str]]:
+    # a block's values are profiles (aapair, tnpair, is_naas, is_ntns)
+    tail = _stat_tails(
+        fmt,
+        operator.itemgetter(stirling.PAIR_KEY[stat]),
+        lambda p: (p[0], p[1], int(p[2]), int(p[3])),
     )
-    if fmt == "csv":
-        return chain([("tree", "colors", "stat")], ((t, c.replace(",", " "), v) for t, c, v in rows))
-    if fmt == "json":
-        return (f'{{"tree":"{t}","colors":[{c}],"stat":{v}}}\n' for t, c, v in rows)
-    return (f"{t}\t{c}\t{v}\n" for t, c, v in rows)
+    header = ("word", "aapair", "tnpair", "is_naas", "is_ntns")
+    return _block_lines(stirling._row_blocks(n, cap), fmt, "word", header, tail)
+
+
+# a colored line's text after its tree, from the coloring
+_COLORED_TAILS = {
+    "text": lambda c: f"\t{','.join(map(str, c))}\t{sum(c)}\n",
+    "json": lambda c: f'","colors":[{",".join(map(str, c))}],"stat":{sum(c)}}}\n',
+    "csv": lambda c: "," + _csv_line((" ".join(map(str, c)), sum(c))),
+}
+
+
+def _colored_blocks(colorings) -> Iterator[tuple[list[str], list[tuple[int, ...]]]]:
+    # one block per tree: its string, made once, against each of its colorings
+    for t, group in groupby(colorings, key=operator.itemgetter(0)):
+        colors = [c for _, c in group]
+        yield [binary_trees.tree_to_string(t)] * len(colors), colors
+
+
+def _colored_rows(colorings, fmt: str) -> Iterator[list[str]]:
+    header = ("tree", "colors", "stat")
+    return _block_lines(_colored_blocks(colorings), fmt, "tree", header, _COLORED_TAILS[fmt])
 
 
 def _normalized_histogram(stat: str, n: int, threads: int, cap: int) -> dict:
@@ -446,14 +510,15 @@ def _normalized_histogram(stat: str, n: int, threads: int, cap: int) -> dict:
 class _Family:
     """An enumerate family: its statistics (the default first), the module whose
     DEFAULT_CAP bounds n, the object count that --mode auto compares with
-    HISTOGRAM_THRESHOLD, and its histogram and row source.  Engines are looked
-    up on their module at call time, so a rebound attribute is the one that runs."""
+    HISTOGRAM_THRESHOLD, its histogram, and its row source, which yields blocks
+    of lines.  Engines are looked up on their module at call time, so a
+    rebound attribute is the one that runs."""
 
     stats: tuple[str, ...]
     module: ModuleType
     count: Callable[[int], int]
     histogram: Callable[[str, int, int, int], dict]
-    rows: Callable[[str, int, int, str], Iterator]
+    rows: Callable[[str, int, int, str], Iterator[list[str]]]
 
 
 FAMILIES = {
@@ -469,7 +534,7 @@ FAMILIES = {
         binary_trees,
         lambda n: _double_factorial(2 * n - 3),
         _normalized_histogram,
-        lambda stat, n, cap, fmt: _object_rows(binary_trees.normalized_rows(n, stat, cap), "tree", fmt),
+        _normalized_rows,
     ),
     "combs": _Family(
         ("ones",),
@@ -496,11 +561,17 @@ FAMILIES = {
 
 
 def _render_rows(family: str, stat: str, n: int, cap: int, fmt: str) -> Iterator[str]:
-    """Rows-mode stdout in chunks of ROW_CHUNK rows, so memory stays bounded."""
-    rows = FAMILIES[family].rows(stat, n, cap, fmt)
-    join = _csv_text if fmt == "csv" else "".join
-    while chunk := list(islice(rows, ROW_CHUNK)):
-        yield join(chunk)
+    """Rows-mode stdout in chunks of whole blocks, each chunk (the last aside)
+    at least ROW_CHUNK rows and less than one block more, so memory stays
+    bounded."""
+    chunk: list[str] = []
+    for block in FAMILIES[family].rows(stat, n, cap, fmt):
+        chunk += block
+        if len(chunk) >= ROW_CHUNK:
+            yield "".join(chunk)
+            chunk = []
+    if chunk:
+        yield "".join(chunk)
 
 
 def _refusal(name: str, module: ModuleType, n: int, cap_override: bool) -> str | None:
@@ -562,7 +633,7 @@ def cmd_symfunc(n: int, fmt: str, cap_override: bool) -> tuple[str, bool]:
         rows = [("lambda", "coeff")]
         rows += [(_stat_text(lam.parts), c) for lam, c in expansion.terms]
         rows.append(("specialization", " ".join(str(c) for c in specialized.coeffs)))
-        return _csv_text(rows), False
+        return "".join(map(_csv_line, rows)), False
     lines = [f"e-expansion n={n} weight={expansion.weight}"]
     for lam, c in expansion.terms:
         lines.append(f"e[{','.join(str(p) for p in lam.parts)}] {c}")

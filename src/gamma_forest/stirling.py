@@ -24,7 +24,9 @@ element of another.
 
 Rows and distributions run on an insertion engine: every word of order n is
 a word of order n - 1 with the pair "n n" inserted, and the statistics of
-the new word follow from its parent's in O(1) (see _child_profiles).
+the new word follow from its parent's in O(1) (see _child_profiles).  Rows
+come one parent word at a time, as a block of its 2n - 1 children
+(_row_blocks); statistics_rows is a flat view of the blocks.
 PAIR_KEY, the one place that names the positions of a pair_statistics key,
 is read by the views of one tally: marginal and the gamma vectors
 naas_aapair and ntns_tnpair.  distribution_naas_aapair and
@@ -330,16 +332,24 @@ def word_to_string(w: Sequence[int]) -> str:
     return ",".join(str(c) for c in w)
 
 
-def statistics_rows(n: int, cap: int = DEFAULT_CAP) -> Iterator[tuple[str, int, int, bool, bool]]:
-    """(word, aapair, tnpair, is_naas, is_ntns) rows in enumeration order."""
+def _row_blocks(n: int, cap: int = DEFAULT_CAP) -> Iterator[tuple[list[str], list[tuple]]]:
+    """One block per word w of order n - 1, in enumeration order: the strings
+    of the 2n - 1 words made by inserting n n into w, gaps right to left, and
+    their _child_profiles."""
     pair, mm = (n, n), str(n) * 2
     for w in _parents(n, cap, "statistics_rows"):
-        children = zip(range(len(w), -1, -1), _child_profiles(w))
+        gaps = range(len(w), -1, -1)
         if n <= 9:
             # one digit per letter: gap g of the word is offset g of its string
             s = "".join(map(str, w))
-            for g, (aa, tn, naas, ntns) in children:
-                yield s[:g] + mm + s[g:], aa, tn, naas, ntns
+            words = [s[:g] + mm + s[g:] for g in gaps]
         else:
-            for g, (aa, tn, naas, ntns) in children:
-                yield word_to_string(w[:g] + pair + w[g:]), aa, tn, naas, ntns
+            words = [word_to_string(w[:g] + pair + w[g:]) for g in gaps]
+        yield words, _child_profiles(w)
+
+
+def statistics_rows(n: int, cap: int = DEFAULT_CAP) -> Iterator[tuple[str, int, int, bool, bool]]:
+    """(word, aapair, tnpair, is_naas, is_ntns) rows in enumeration order."""
+    for words, profiles in _row_blocks(n, cap):
+        for word, (aa, tn, naas, ntns) in zip(words, profiles):
+            yield word, aa, tn, naas, ntns

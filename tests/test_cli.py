@@ -1,12 +1,16 @@
 """Command-line interface: formats, exit codes, determinism."""
 
+import csv
+import io
 import json
 import subprocess
 import sys
+from itertools import islice
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from gamma_forest import cli
+from gamma_forest import cli, stirling
 
 
 def run_cli(*args, env=None, timeout=None):
@@ -344,6 +348,70 @@ class TestEnumerateCommand:
         docs = [json.loads(line) for line in r.stdout.splitlines()]
         assert sum(1 for _ in docs) == 9
         assert all(set(d) == {"tree", "colors", "stat"} for d in docs)
+
+
+def csv_writer_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+# cell text made of what csv quotes (comma, quote, CR, LF) and what it does not
+CSV_TEXT = st.text(alphabet=[",", '"', "\r", "\n", " ", "a", "7", "+"], max_size=6)
+CSV_CELLS = st.one_of(CSV_TEXT, st.integers())
+
+
+class TestRowsMode:
+    @given(st.lists(CSV_CELLS, min_size=1, max_size=5))
+    @settings(derandomize=True, max_examples=200)
+    def test_csv_line_matches_csv_writer(self, row):
+        # csv.writer writes a row of one empty cell as "" (a quoted empty
+        # string); no csv row here has fewer than two cells
+        assume(row != [""])
+        assert cli._csv_line(row) == csv_writer_text([row])
+
+    @given(st.lists(CSV_TEXT, max_size=6))
+    @settings(derandomize=True, max_examples=100)
+    def test_block_of_cells_quotes_each_cell(self, texts):
+        assert cli._csv_cells(texts) == [cli._csv_cell(text) for text in texts]
+
+    def test_stirling_csv_rows_with_two_digit_letters(self):
+        # from order 10 on, word_to_string separates letters with commas, so
+        # the word cell is quoted
+        chunk = next(cli._render_rows("stirling", "tnpair", 10, 10, "csv"))
+        count = chunk.count("\n")
+        rows = islice(stirling.statistics_rows(10, cap=10), count - 1)
+        expected = csv_writer_text(
+            [("word", "aapair", "tnpair", "is_naas", "is_ntns")]
+            + [(w, aa, tn, int(naas), int(ntns)) for w, aa, tn, naas, ntns in rows]
+        )
+        assert chunk == expected
+        assert chunk.splitlines()[1].startswith('"1,1,2,2,3,3,4,4,5,5,6,6,7,7,8,8,9,9,10,10",')
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    @pytest.mark.parametrize(
+        "family, n, block",
+        # the most rows one block holds: rooted n trees (and the csv header),
+        # normalized and Stirling the children of one parent, colored trees
+        # at most 2^(n - 1) colorings of one tree
+        [
+            ("rooted", 6, 7),
+            ("normalized", 7, 11),
+            ("stirling", 6, 11),
+            ("combs", 6, 32),
+            ("lyndon", 6, 32),
+        ],
+    )
+    def test_chunks_hold_whole_blocks(self, family, n, block, fmt):
+        spec = cli.FAMILIES[family]
+        cap = cli._cap(spec.module, n)
+        blocks = list(spec.rows(spec.stats[0], n, cap, fmt))
+        assert max(map(len, blocks)) <= block
+        chunks = list(cli._render_rows(family, spec.stats[0], n, cap, fmt))
+        assert "".join(chunks) == "".join(map("".join, blocks))
+        assert len(chunks) >= 2
+        for chunk in chunks[:-1]:
+            assert cli.ROW_CHUNK <= chunk.count("\n") < cli.ROW_CHUNK + block
 
 
 class TestSymfuncCommand:
