@@ -207,10 +207,21 @@ def comb_type(t: Tree) -> tuple[int, ...]:
 
 
 def tree_to_string(t: Tree) -> str:
-    """Nested parenthesized form, e.g. "(1,(2,3))"."""
-    if isinstance(t, int):
-        return str(t)
-    return f"({tree_to_string(t[0])},{tree_to_string(t[1])})"
+    """Nested parenthesized form, e.g. "(1,(2,3))".
+
+    Writes with an explicit stack of subtrees and pending text, so any depth
+    writes.
+    """
+    out: list[str] = []
+    stack: list = [t]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, tuple):
+            out.append("(")
+            stack += (")", node[1], ",", node[0])
+        else:
+            out.append(str(node))
+    return "".join(out)
 
 
 def tree_from_string(s: str) -> Tree:
@@ -610,32 +621,20 @@ def _spans(arrays: tuple[list, ...], root: int) -> tuple[str, list[tuple[int, in
     """tree_to_string of the tree in the arrays, and per node in preorder
     (node, start, end) of its substring."""
     left, right = arrays[0], arrays[1]
-    parts: list[str] = []
-    spans: list = []
-    pos = 0
+    spans: list[tuple[int, int, int]] = []
 
-    def walk(v: int) -> None:
-        nonlocal pos
-        start = pos
-        me = len(spans)
-        spans.append(None)
+    def text(v: int, start: int) -> str:
+        # the right child starts after "(", the left child's text and ","
+        i = len(spans)
         if v & 1:
-            parts.append("(")
-            pos += 1
-            walk(left[v])
-            parts.append(",")
-            pos += 1
-            walk(right[v])
-            parts.append(")")
-            pos += 1
+            a = text(left[v], start + 1)
+            s = f"({a},{text(right[v], start + len(a) + 2)})"
         else:
-            label = str(v // 2 + 1)
-            parts.append(label)
-            pos += len(label)
-        spans[me] = (v, start, pos)
+            s = str(v // 2 + 1)
+        spans.insert(i, (v, start, start + len(s)))  # before its descendants
+        return s
 
-    walk(root)
-    return "".join(parts), spans
+    return text(root, 0), spans
 
 
 @cache  # the one statement of the edit, read by the rows and the tally

@@ -23,7 +23,6 @@ from types import ModuleType
 from typing import Callable, Iterable, Iterator
 
 from . import _pool, binary_trees, poly, rooted_trees, stirling, symfunc
-from .errors import LimitExceededError
 
 HISTOGRAM_THRESHOLD = 10**5
 
@@ -90,15 +89,12 @@ def _double_factorial(m: int) -> int:
     return math.prod(range(m, 0, -2))
 
 
-def _cap(module, n: int) -> int:
-    # the limit an engine is called with; the table's ranges decide what runs
-    return max(n, module.DEFAULT_CAP)
-
-
 class _Engines:
     """Engine results shared by the checks of one verify run, keyed by function
     and arguments.  Only results are kept: a call that raises is made again by
-    the next check that needs it, which then fails the same way."""
+    the next check that needs it, which then fails the same way.  Engines get
+    n as their cap, here and in enumerate: the table's ranges, or the refusal,
+    decide what runs."""
 
     def __init__(self, threads: int):
         self.threads = threads
@@ -117,13 +113,13 @@ class _Engines:
         return self._get(poly.gamma_closed_form, n)
 
     def joint(self, n: int):
-        return self._get(binary_trees.joint_statistics, n, self.threads, _cap(binary_trees, n))
+        return self._get(binary_trees.joint_statistics, n, self.threads, n)
 
     def word_pairs(self, m: int):
-        return self._get(stirling.pair_statistics, m, _cap(stirling, m))
+        return self._get(stirling.pair_statistics, m, m)
 
     def expansion(self, n: int):
-        return self._get(symfunc.comb_type_expansion, n, _cap(binary_trees, n))
+        return self._get(symfunc.comb_type_expansion, n, n)
 
     def fmcomb(self, n: int, k: int):
         return self._get(symfunc.f_mcomb_direct, n, k)
@@ -162,9 +158,7 @@ _TABLE = (
     _Block("drake", 1, rooted_trees, ("drake.descent-vs-product",), (
         ("drake.descent-vs-product",
             lambda e, n: list(e.drake(n).coeffs),
-            lambda e, n: list(
-                rooted_trees.descent_polynomial(n, e.threads, _cap(rooted_trees, n)).coeffs
-            )),
+            lambda e, n: list(rooted_trees.descent_polynomial(n, e.threads, n).coeffs)),
     )),
     _Block("gamma", 1, 20, (), (
         ("gamma.closed-vs-peel",
@@ -205,7 +199,7 @@ _TABLE = (
     _Block("stirling", 1, stirling, ("stirling.count",), (
         ("stirling.count",
             lambda e, m: _double_factorial(2 * m - 1),
-            lambda e, m: sum(1 for _ in stirling.enumerate_stirling(m, _cap(stirling, m)))),
+            lambda e, m: sum(1 for _ in stirling.enumerate_stirling(m, m))),
         ("stirling.naas-vs-gamma",
             lambda e, m: list(e.gamma(m + 1).gammas),
             lambda e, m: list(stirling.naas_aapair(e.word_pairs(m), m).gammas)),
@@ -433,7 +427,7 @@ def _block_lines(blocks, fmt: str, key: str, header: tuple, tail: Callable) -> I
         yield [f"{head}{obj}{tails[value]}" for obj, value in zip(objects, values)]
 
 
-def _rooted_rows(stat: str, n: int, cap: int, fmt: str) -> Iterator[list[str]]:
+def _rooted_rows(stat: str, n: int, fmt: str) -> Iterator[list[str]]:
     # tree_to_json_dict(t) as compact JSON, and des(t), in one loop over the
     # decoder's parent arrays without building RootedTrees.  A rooted tree is
     # not an insertion into a parent, so blocks are runs of n lines: for
@@ -442,7 +436,7 @@ def _rooted_rows(stat: str, n: int, cap: int, fmt: str) -> Iterator[list[str]]:
     edge_text = [[f"[{p},{x}]" for p in range(n + 1)] for x in range(n + 1)]
     head = f'{{"n":{n},"root":'
     block = [_csv_line(("object", "stat"))] if fmt == "csv" else []
-    for root, parent in rooted_trees._rooted_parents(n, cap):
+    for root, parent in rooted_trees._rooted_parents(n, n):
         edges = []
         descents = 0
         for x, p in enumerate(parent):
@@ -463,13 +457,13 @@ def _rooted_rows(stat: str, n: int, cap: int, fmt: str) -> Iterator[list[str]]:
         yield block
 
 
-def _normalized_rows(stat: str, n: int, cap: int, fmt: str) -> Iterator[list[str]]:
+def _normalized_rows(stat: str, n: int, fmt: str) -> Iterator[list[str]]:
     tail = _stat_tails(fmt, lambda value: value, lambda value: (_stat_text(value),))
-    blocks = binary_trees._row_blocks(n, stat, cap)
+    blocks = binary_trees._row_blocks(n, stat, n)
     return _block_lines(blocks, fmt, "tree", ("object", "stat"), tail)
 
 
-def _stirling_rows(stat: str, n: int, cap: int, fmt: str) -> Iterator[list[str]]:
+def _stirling_rows(stat: str, n: int, fmt: str) -> Iterator[list[str]]:
     # a block's values are profiles (aapair, tnpair, is_naas, is_ntns)
     tail = _stat_tails(
         fmt,
@@ -477,7 +471,7 @@ def _stirling_rows(stat: str, n: int, cap: int, fmt: str) -> Iterator[list[str]]
         lambda p: (p[0], p[1], int(p[2]), int(p[3])),
     )
     header = ("word", "aapair", "tnpair", "is_naas", "is_ntns")
-    return _block_lines(stirling._row_blocks(n, cap), fmt, "word", header, tail)
+    return _block_lines(stirling._row_blocks(n, n), fmt, "word", header, tail)
 
 
 # a colored line's text after its tree, from the coloring
@@ -500,10 +494,10 @@ def _colored_rows(colorings, fmt: str) -> Iterator[list[str]]:
     return _block_lines(_colored_blocks(colorings), fmt, "tree", header, _COLORED_TAILS[fmt])
 
 
-def _normalized_histogram(stat: str, n: int, threads: int, cap: int) -> dict:
+def _normalized_histogram(stat: str, n: int, threads: int) -> dict:
     if stat == "combtype":
-        return dict(binary_trees.comb_type_tally(n, cap))
-    return binary_trees.marginal(binary_trees.joint_statistics(n, threads, cap), stat)
+        return dict(binary_trees.comb_type_tally(n, n))
+    return binary_trees.marginal(binary_trees.joint_statistics(n, threads, n), stat)
 
 
 @dataclass(frozen=True)
@@ -517,8 +511,8 @@ class _Family:
     stats: tuple[str, ...]
     module: ModuleType
     count: Callable[[int], int]
-    histogram: Callable[[str, int, int, int], dict]
-    rows: Callable[[str, int, int, str], Iterator[list[str]]]
+    histogram: Callable[[str, int, int], dict]
+    rows: Callable[[str, int, str], Iterator[list[str]]]
 
 
 FAMILIES = {
@@ -526,7 +520,7 @@ FAMILIES = {
         ("des",),
         rooted_trees,
         lambda n: n ** (n - 1),
-        lambda stat, n, threads, cap: _nonzero(rooted_trees.descent_polynomial(n, threads, cap)),
+        lambda stat, n, threads: _nonzero(rooted_trees.descent_polynomial(n, threads, n)),
         _rooted_rows,
     ),
     "normalized": _Family(
@@ -540,32 +534,32 @@ FAMILIES = {
         ("ones",),
         binary_trees,
         lambda n: n ** (n - 1),
-        lambda stat, n, threads, cap: _nonzero(binary_trees.bicolored_comb_census(n, threads, cap)),
-        lambda stat, n, cap, fmt: _colored_rows(binary_trees.enumerate_bicolored_combs(n, cap), fmt),
+        lambda stat, n, threads: _nonzero(binary_trees.bicolored_comb_census(n, threads, n)),
+        lambda stat, n, fmt: _colored_rows(binary_trees.enumerate_bicolored_combs(n, n), fmt),
     ),
     "lyndon": _Family(
         ("ones",),
         binary_trees,
         lambda n: n ** (n - 1),
-        lambda stat, n, threads, cap: _nonzero(binary_trees.bicolored_lyndon_census(n, threads, cap)),
-        lambda stat, n, cap, fmt: _colored_rows(binary_trees.enumerate_bicolored_lyndon(n, cap), fmt),
+        lambda stat, n, threads: _nonzero(binary_trees.bicolored_lyndon_census(n, threads, n)),
+        lambda stat, n, fmt: _colored_rows(binary_trees.enumerate_bicolored_lyndon(n, n), fmt),
     ),
     "stirling": _Family(
         ("tnpair", "aapair"),
         stirling,
         lambda n: _double_factorial(2 * n - 1),
-        lambda stat, n, threads, cap: stirling.marginal(stirling.pair_statistics(n, cap), stat),
+        lambda stat, n, threads: stirling.marginal(stirling.pair_statistics(n, n), stat),
         _stirling_rows,
     ),
 }
 
 
-def _render_rows(family: str, stat: str, n: int, cap: int, fmt: str) -> Iterator[str]:
+def _render_rows(family: str, stat: str, n: int, fmt: str) -> Iterator[str]:
     """Rows-mode stdout in chunks of whole blocks, each chunk (the last aside)
     at least ROW_CHUNK rows and less than one block more, so memory stays
     bounded."""
     chunk: list[str] = []
-    for block in FAMILIES[family].rows(stat, n, cap, fmt):
+    for block in FAMILIES[family].rows(stat, n, fmt):
         chunk += block
         if len(chunk) >= ROW_CHUNK:
             yield "".join(chunk)
@@ -607,19 +601,18 @@ def cmd_enumerate(
         )
     if refusal := _refusal(family, spec.module, n, cap_override):
         return [refusal], True
-    cap = _cap(spec.module, n)
     if mode == "auto":
         mode = "histogram" if spec.count(n) > HISTOGRAM_THRESHOLD else "rows"
     if mode == "histogram":
-        hist = spec.histogram(stat, n, threads, cap)
+        hist = spec.histogram(stat, n, threads)
         return [_render_histogram(family, stat, n, hist, fmt)], False
-    return _render_rows(family, stat, n, cap, fmt), False
+    return _render_rows(family, stat, n, fmt), False
 
 
 def cmd_symfunc(n: int, fmt: str, cap_override: bool) -> tuple[str, bool]:
     if refusal := _refusal("symfunc", binary_trees, n, cap_override):
         return refusal, True
-    expansion = symfunc.comb_type_expansion(n, _cap(binary_trees, n))
+    expansion = symfunc.comb_type_expansion(n, n)
     specialized = symfunc.specialize_two_vars(expansion)
     if fmt == "json":
         doc = {
@@ -708,7 +701,7 @@ def main(argv=None) -> int:
         if refused:
             sys.stderr.write("# enumeration refused: size above cap\n")
         return 0
-    except (InvalidSuiteError, IncompatibleStatError, LimitExceededError, ValueError) as exc:
+    except ValueError as exc:  # the typed errors subclass it
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -118,9 +118,6 @@ def enumerate_stirling(n: int, cap: int = DEFAULT_CAP) -> Iterator[Word]:
     """
     check_size("enumerate_stirling", n, cap)
     word = [1, 1]
-    if n == 1:
-        yield tuple(word)
-        return
 
     def rec(m: int) -> Iterator[Word]:
         if m > n:

@@ -161,25 +161,24 @@ def comb_type_expansion(n: int, cap: int = binary_trees.DEFAULT_CAP) -> ESymExpa
     return ESymExpansion({Partition(parts): c for parts, c in tally.items()})
 
 
-def _shape(t: binary_trees.Tree) -> binary_trees.Tree:
-    # the tree with every leaf label replaced by 0
-    if isinstance(t, int):
-        return 0
-    return (_shape(t[0]), _shape(t[1]))
-
-
 def f_mcomb_direct(
     n: int, k: int, cap_n: int = FMC_CAP_N, cap_k: int = FMC_CAP_K
 ) -> MultivariatePoly:
     """Color-count generating polynomial of colored combs, by direct enumeration.
 
     Each coloring contributes the monomial whose j-th exponent counts the
-    internal nodes colored j.  Colorings read only a tree's shape, so each
-    shape's colorings are enumerated once and weighted by its tree count.
+    internal nodes colored j.  Colorings read only a tree's shape (labels 0),
+    so shapes are tallied, by insertion as in comb_type_tally, and colored once.
     """
     check_size("f_mcomb_direct", n, cap_n)
     check_size("f_mcomb_direct (colors)", k, cap_k, "k")
-    shapes = Counter(map(_shape, binary_trees.enumerate_normalized(n, cap_n)))
+    shapes = Counter({0: 1})
+    for m in range(2, n + 1):
+        children: Counter = Counter()
+        for shape, count in shapes.items():
+            for pos in range(2 * m - 3):
+                children[binary_trees.insert_leaf(shape, pos, 0)] += count
+        shapes = children
     acc: dict[tuple[int, ...], int] = {}
     for shape, count in shapes.items():
         for colors in binary_trees._chain_colorings(shape, k, k + 1):

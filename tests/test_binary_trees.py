@@ -279,6 +279,11 @@ class TestStatistics:
             node = node[0]
         assert node == 1
 
+    def test_deep_string_round_trips(self):
+        # a left comb deeper than the recursion limit reads and writes back
+        text = "(" * 2999 + "1" + "".join(f",{i})" for i in range(2, 3001))
+        assert tree_to_string(tree_from_string(text)) == text
+
 
 class TestJointEngine:
     def test_engine_matches_per_tree_statistics(self):

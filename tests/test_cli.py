@@ -244,6 +244,27 @@ class TestVerifyCommand:
                 actual(engines, *args)
                 assert not expected_reads & set(reads), check_id
 
+    def test_product_form_mass_sees_a_dropped_tree(self, monkeypatch, capsys):
+        # only the actual side of product-form-mass walks the tuple-tree
+        # stream, so a tree that the stream drops shows up as a FAIL.  The
+        # first tree, the left comb, has k^(n - 1) colorings; the last, the
+        # right comb, has none for k < n - 1 and would go unseen.
+        from gamma_forest import binary_trees
+
+        def drop_first(*args, _fn=binary_trees.enumerate_normalized):
+            return islice(_fn(*args), 1, None)
+
+        monkeypatch.setattr(binary_trees, "enumerate_normalized", drop_first)
+        assert cli.main(["verify", "--suite", "symfunc", "--n-max", "5", "--threads", "1"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        for k in (1, 2, 3):
+            assert any(
+                line.startswith(f"FAIL symfunc.product-form-mass n=5 k={k} ") for line in lines
+            )
+            assert any(
+                line.startswith(f"PASS symfunc.fmcomb-vs-expansion n=5 k={k} ") for line in lines
+            )
+
     def test_stirling_trees_stay_within_tree_cap(self):
         # stirling.*-equidistribution at n = m reads the trees on [m + 1]; while
         # the Stirling cap stays below the tree cap, no m the stirling suite runs
@@ -378,7 +399,7 @@ class TestRowsMode:
     def test_stirling_csv_rows_with_two_digit_letters(self):
         # from order 10 on, word_to_string separates letters with commas, so
         # the word cell is quoted
-        chunk = next(cli._render_rows("stirling", "tnpair", 10, 10, "csv"))
+        chunk = next(cli._render_rows("stirling", "tnpair", 10, "csv"))
         count = chunk.count("\n")
         rows = islice(stirling.statistics_rows(10, cap=10), count - 1)
         expected = csv_writer_text(
@@ -404,10 +425,9 @@ class TestRowsMode:
     )
     def test_chunks_hold_whole_blocks(self, family, n, block, fmt):
         spec = cli.FAMILIES[family]
-        cap = cli._cap(spec.module, n)
-        blocks = list(spec.rows(spec.stats[0], n, cap, fmt))
+        blocks = list(spec.rows(spec.stats[0], n, fmt))
         assert max(map(len, blocks)) <= block
-        chunks = list(cli._render_rows(family, spec.stats[0], n, cap, fmt))
+        chunks = list(cli._render_rows(family, spec.stats[0], n, fmt))
         assert "".join(chunks) == "".join(map("".join, blocks))
         assert len(chunks) >= 2
         for chunk in chunks[:-1]:

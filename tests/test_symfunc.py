@@ -9,14 +9,19 @@ from operator import itemgetter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gamma_forest.binary_trees import _chain_colorings, enumerate_colored_combs, enumerate_normalized
+from gamma_forest import binary_trees
+from gamma_forest.binary_trees import (
+    _chain_colorings,
+    enumerate_colored_combs,
+    enumerate_normalized,
+    insert_leaf,
+)
 from gamma_forest.errors import LimitExceededError
 from gamma_forest.poly import drake_polynomial, gamma_closed_form, to_gamma_basis
 from gamma_forest.symfunc import (
     ESymExpansion,
     MultivariatePoly,
     Partition,
-    _shape,
     comb_type_expansion,
     expand_e_lambda,
     expansion_in_variables,
@@ -173,8 +178,16 @@ class TestFMComb:
 
     def test_shape_grouping_matches_per_tree_colorings(self):
         # f_mcomb_direct colors each shape once; here every tree is colored
-        # on its own, and trees without a coloring are kept as well
+        # on its own, and trees without a coloring are kept as well.  Each
+        # tree's shape (labels 0) is built by the same insertions as the tree.
+        shape_of = {1: 0}
         for n in range(1, 7):
+            if n > 1:
+                shape_of = {
+                    insert_leaf(t, pos, n): insert_leaf(s, pos, 0)
+                    for t, s in shape_of.items()
+                    for pos in range(2 * n - 3)
+                }
             trees = list(enumerate_normalized(n))
             for k in range(1, 5):
                 per_tree = dict.fromkeys(trees, [])
@@ -183,7 +196,7 @@ class TestFMComb:
                 by_shape: dict = {}
                 colorings: Counter = Counter()
                 for t, cs in per_tree.items():
-                    s = _shape(t)
+                    s = shape_of[t]
                     if s not in by_shape:
                         by_shape[s] = list(_chain_colorings(s, k, k + 1))
                     assert cs == by_shape[s], (t, k)
@@ -192,6 +205,15 @@ class TestFMComb:
                 for colors, c in colorings.items():
                     tally[tuple(colors.count(j) for j in range(1, k + 1))] += c
                 assert f_mcomb_direct(n, k).terms == tuple(sorted(tally.items()))
+
+    def test_reads_no_tree_stream(self, monkeypatch):
+        # the shapes are tallied over shapes, so the tuple-tree stream that
+        # product-form-mass walks on its other side is not read here
+        def banned(*args, **kwargs):
+            raise AssertionError("f_mcomb_direct walked the trees")
+
+        monkeypatch.setattr(binary_trees, "enumerate_normalized", banned)
+        assert f_mcomb_direct(7, 3) == expansion_in_variables(comb_type_expansion(7), 3)
 
     def test_symmetric_under_variable_permutation(self):
         for n in (3, 4, 5):
