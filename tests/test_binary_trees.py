@@ -49,6 +49,17 @@ from gamma_forest.poly import drake_polynomial, evaluate, gamma_closed_form
 from gamma_forest.symfunc import comb_type_expansion, specialize_two_vars
 
 
+# sha256 of repr(list(enumerate_normalized(n)))
+TREE_STREAM_DIGESTS = {
+    1: "080a9ed428559ef602668b4c00f114f1a11c3f6b02a435f0bdc154578e4d7f22",
+    2: "d2befae1db2d4c20710e1f23f51084df36739e60fe17a2cdf44b1d2cf82f34d2",
+    3: "f10878af4ca55f5044bb19274025aee062f9aaa2b0ff08756ebd1d1da4cdb427",
+    4: "ef54785813d2d96c9c7ff42d11b5f0cd7ac72b2a441307fe84fece6852f28cc8",
+    5: "e02093e1994346888c9ad6a83374bc8c8ac1d5001ad959530481bf3374f9d95f",
+    6: "c4b5abfc79b30a46d3d4001e3110e0127a5f222ce29ceaca51f446e1af8ff5ac",
+    7: "b78de65adab9c9b40aaf9f9ae8897bdb95b8c4e20dd0c588fe918f1fbb6b39b6",
+    8: "aeafbbf06a2dda236de7281b2dd7c60c53d37520ae340e2d7fb0e0f22d9679fc",
+}
 # sha256 of repr(sorted(joint_statistics(n).items()))
 JOINT_DIGESTS = {
     1: "7d71a286db4009112d220b6e5a089a15dce5e0fb05b4b4f4ad28f10f9ab9eb83",
@@ -185,6 +196,11 @@ class TestEnumeration:
         for t in enumerate_normalized(7):
             assert t not in seen
             seen.add(t)
+
+    @pytest.mark.parametrize("n", sorted(TREE_STREAM_DIGESTS))
+    def test_stream_digest(self, n):
+        # the order of the stream, which the goldens, rows and shards rely on
+        assert sha256_of(list(enumerate_normalized(n))) == TREE_STREAM_DIGESTS[n]
 
     def test_insert_positions(self):
         # inserting into a tree on [n-1] at each preorder slot gives 2n-3 results

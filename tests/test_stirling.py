@@ -1,5 +1,6 @@
 """Stirling permutations: enumeration order, pair statistics, distributions."""
 
+import hashlib
 from collections import Counter
 from itertools import islice
 
@@ -24,6 +25,18 @@ from gamma_forest.stirling import (
     tnpair,
     word_to_string,
 )
+
+
+# sha256 of repr(list(enumerate_stirling(n)))
+WORD_STREAM_DIGESTS = {
+    1: "dba010dc185ba44cc16ac8ed5e5bbbe721e8dc9d928b5377686d1b3a9d786530",
+    2: "359fe6bb91061f05bca811b1d4e7dde79cdd388c0646250aa73022159f47155f",
+    3: "cdf208bf7e1217eaddf9a93ddb95e84a16399af384dd4e3f24a67b62d078b58f",
+    4: "6369b6ccc24595d982e9621e5055ef0f56ef1100a7634058d0f134d76ff1a992",
+    5: "f0e0517ffc8058c8aefaf946b326e974ff341d34e2b98448cfe61babc6f2e8b2",
+    6: "4d6a725ab4eaf12b2a5e40ee14087a8c6db549f94befe6110987ddaf8017b7ce",
+    7: "744aebf352c422d12f85102fa6f1b26e369827fa40e19d32876100b640cc6789",
+}
 
 
 def double_factorial(m: int) -> int:
@@ -166,6 +179,12 @@ class TestEnumeration:
             "1221",
             "2211",
         ]
+
+    @pytest.mark.parametrize("n", sorted(WORD_STREAM_DIGESTS))
+    def test_stream_digest(self, n):
+        # the order of the stream, which the goldens and rows rely on
+        digest = hashlib.sha256(repr(list(enumerate_stirling(n))).encode()).hexdigest()
+        assert digest == WORD_STREAM_DIGESTS[n]
 
     def test_all_valid_and_distinct(self):
         seen = set()
