@@ -31,9 +31,11 @@ the one place that names the positions of a tally key, is read by the views
 of one tally: marginal, the gamma vectors ndrd_rdes and ndnl_nlyn, and the
 censuses comb_census and lyndon_census.  distribution_ndrd_rdes,
 distribution_ndnl_nlyn, bicolored_comb_census and bicolored_lyndon_census
-each apply one view to a fresh tally.  The per-tree functions below,
-enumerate_normalized and insert_leaf included, are independent
-implementations used to cross-check the walker; it calls none of them.
+each apply one view to a fresh tally.  The per-tree functions below are
+independent implementations used to cross-check the walker; it calls none
+of them.  Among them, enumerate_normalized builds the trees on [m] from
+those on [m - 1] through _insertions, which yields one tree's 2m - 3
+children in one pass over it, in the preorder of their insertion points.
 
 The three colored models state their rules recursively over the trees of
 enumerate_normalized, one short generator each, and share nothing with the
@@ -67,24 +69,15 @@ def leaf_count(t: Tree) -> int:
     return leaf_count(t[0]) + leaf_count(t[1])
 
 
-def node_count(t: Tree) -> int:
-    """Total node count, leaves plus internal: 2 * leaves - 1."""
-    if isinstance(t, int):
-        return 1
-    return node_count(t[0]) + node_count(t[1]) + 1
-
-
-def insert_leaf(t: Tree, pos: int, label: int) -> Tree:
-    """Replace the node at preorder position pos by (that node, leaf label)."""
-    if pos == 0:
-        return (t, label)
-    if isinstance(t, int):
-        raise ValueError("preorder position out of range")
-    left, right = t
-    ls = node_count(left)
-    if pos - 1 < ls:
-        return (insert_leaf(left, pos - 1, label), right)
-    return (left, insert_leaf(right, pos - 1 - ls, label))
+def _insertions(t: Tree, label: int) -> Iterator[Tree]:
+    """t with (that node, leaf label) in place of each of its nodes, in preorder."""
+    yield (t, label)
+    if isinstance(t, tuple):
+        left, right = t
+        for child in _insertions(left, label):
+            yield (child, right)
+        for child in _insertions(right, label):
+            yield (left, child)
 
 
 def enumerate_normalized(n: int, cap: int = DEFAULT_CAP) -> Iterator[Tree]:
@@ -96,8 +89,7 @@ def enumerate_normalized(n: int, cap: int = DEFAULT_CAP) -> Iterator[Tree]:
             yield 1
             return
         for t in rec(m - 1):
-            for pos in range(2 * (m - 1) - 1):
-                yield insert_leaf(t, pos, m)
+            yield from _insertions(t, m)
 
     yield from rec(n)
 
@@ -450,7 +442,7 @@ def _walk(
     place, so they hold the tree only until the walk resumes.
 
     Leaf m goes in at the nodes of the tree on [m - 1] in preorder, the
-    positions of insert_leaf; prefix fixes the positions of leaves 3, 4, ...
+    order of _insertions; prefix fixes the positions of leaves 3, 4, ...
 
     joint_statistics and normalized_rows share this traversal; no check compares
     the two, as each is held against the per-tree functions or drake_polynomial.

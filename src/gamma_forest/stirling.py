@@ -22,17 +22,20 @@ endpoints determine each other through a fixed position), so a chain exists
 exactly when some letter is the larger element of one pair and the smaller
 element of another.
 
-Rows and distributions run on an insertion engine: every word of order n is
-a word of order n - 1 with the pair "n n" inserted, and the statistics of
-the new word follow from its parent's in O(1) (see _child_profiles).  Rows
-come one parent word at a time, as a block of its 2n - 1 children
-(_row_blocks); statistics_rows is a flat view of the blocks.
-PAIR_KEY, the one place that names the positions of a pair_statistics key,
-is read by the views of one tally: marginal and the gamma vectors
-naas_aapair and ntns_tnpair.  distribution_naas_aapair and
+Every word of order n is a word of order n - 1 with the pair "n n"
+inserted, and _words builds them so, one order from the last, starting at
+the empty word; enumerate_stirling reads it at order n.  Rows and
+distributions run on an insertion engine that reads the same stream one
+order down: the statistics of each child follow from its parent's in O(1)
+(see _child_profiles).  Rows come one parent word at a time, as a block of
+its 2n - 1 children (_row_blocks); statistics_rows is a flat view of the
+blocks.  PAIR_KEY, the one place that names the positions of a
+pair_statistics key, is read by the views of one tally: marginal and the
+gamma vectors naas_aapair and ntns_tnpair.  distribution_naas_aapair and
 distribution_ntns_tnpair each apply one view to a fresh tally.  The per-word
 functions are independent implementations that the tests compare the engine
-with.
+with: aapair, tnpair, is_naas and is_ntns each read the pairs of one kind
+from one validated scan of the word's occurrences (_pairs).
 """
 
 from __future__ import annotations
@@ -80,9 +83,9 @@ def _occurrences(w: Word) -> tuple[dict[int, int], dict[int, int]]:
             second[c] = i
         else:
             first[c] = i
-    missing = set(first) - set(second)
-    if missing:
-        raise MalformedWordError(f"letters {sorted(missing)} appear only once")
+    if len(second) < len(first):
+        missing = sorted(set(first) - set(second))
+        raise MalformedWordError(f"letters {missing} appear only once")
     return first, second
 
 
@@ -109,6 +112,18 @@ def is_stirling(word: Union[str, Iterable[int]]) -> bool:
     return True
 
 
+def _words(n: int) -> Iterator[Word]:
+    # the words of order n: each word of order n - 1 with "n n" inserted at
+    # its gaps, right to left; the empty word at order 0
+    if n == 0:
+        yield ()
+        return
+    pair = (n, n)
+    for w in _words(n - 1):
+        for gap in range(len(w), -1, -1):
+            yield w[:gap] + pair + w[gap:]
+
+
 def enumerate_stirling(n: int, cap: int = DEFAULT_CAP) -> Iterator[Word]:
     """Yield the (2n-1)!! Stirling permutations of order n.
 
@@ -117,94 +132,45 @@ def enumerate_stirling(n: int, cap: int = DEFAULT_CAP) -> Iterator[Word]:
     order-2 stream come out as 1122, 1221, 2211.
     """
     check_size("enumerate_stirling", n, cap)
-    word = [1, 1]
+    yield from _words(n)
 
-    def rec(m: int) -> Iterator[Word]:
-        if m > n:
-            yield tuple(word)
-            return
-        for gap in range(2 * (m - 1), -1, -1):
-            word[gap:gap] = (m, m)
-            yield from rec(m + 1)
-            del word[gap : gap + 2]
 
-    yield from rec(2)
+def _pairs(word: Union[str, Iterable[int]], nested: bool) -> list[tuple[int, int]]:
+    """The ascending adjacent pairs (a, b) of a word, or its terminally nested
+    ones when nested; MalformedWordError unless each letter appears twice."""
+    w = as_word(word)
+    first, second = _occurrences(w)
+    out = []
+    for b in first:
+        # the occurrence of a that the pair puts next to one of b's
+        j = second[b] + 1 if nested else first[b] - 1
+        if 0 <= j < len(w):
+            a = w[j]
+            if second[a] == j and a < b:
+                out.append((a, b))
+    return out
 
 
 def aapair(word: Union[str, Iterable[int]]) -> int:
     """Number of pairs a < b whose occurrences satisfy second(a) + 1 = first(b)."""
-    w = as_word(word)
-    first, second = _occurrences(w)
-    count = 0
-    for b, fb in first.items():
-        j = fb - 1
-        if j >= 0:
-            a = w[j]
-            if second[a] == j and a < b:
-                count += 1
-    return count
+    return len(_pairs(word, False))
 
 
 def tnpair(word: Union[str, Iterable[int]]) -> int:
     """Number of pairs a < b whose occurrences satisfy second(a) = second(b) + 1."""
-    w = as_word(word)
-    first, second = _occurrences(w)
-    count = 0
-    for b, sb in second.items():
-        j = sb + 1
-        if j < len(w):
-            a = w[j]
-            if second[a] == j and a < b:
-                count += 1
-    return count
-
-
-def _pair_profile(w: Word) -> tuple[int, int, bool, bool]:
-    # fused (aapair, tnpair, is_naas, is_ntns) in one occurrence scan
-    first: dict[int, int] = {}
-    second: dict[int, int] = {}
-    for i, c in enumerate(w):
-        if c in first:
-            second[c] = i
-        else:
-            first[c] = i
-    length = len(w)
-    aa = tn = 0
-    aa_small: set[int] = set()
-    aa_large: set[int] = set()
-    tn_small: set[int] = set()
-    tn_large: set[int] = set()
-    for b, fb in first.items():
-        j = fb - 1
-        if j >= 0:
-            a = w[j]
-            if second[a] == j and a < b:
-                aa += 1
-                aa_small.add(a)
-                aa_large.add(b)
-    for b, sb in second.items():
-        j = sb + 1
-        if j < length:
-            a = w[j]
-            if second[a] == j and a < b:
-                tn += 1
-                tn_small.add(a)
-                tn_large.add(b)
-    return aa, tn, not (aa_small & aa_large), not (tn_small & tn_large)
+    return len(_pairs(word, True))
 
 
 def is_naas(word: Union[str, Iterable[int]]) -> bool:
     """True iff no chain a < b < c of two ascending adjacent pairs exists."""
-    w = as_word(word)
-    _occurrences(w)
-    return _pair_profile(w)[2]
+    pairs = _pairs(word, False)
+    return not {a for a, _ in pairs} & {b for _, b in pairs}
 
 
 def is_ntns(word: Union[str, Iterable[int]]) -> bool:
     """True iff no chain a < b < c of two terminally nested pairs exists."""
-    w = as_word(word)
-    _occurrences(w)
-    return _pair_profile(w)[3]
+    pairs = _pairs(word, True)
+    return not {a for a, _ in pairs} & {b for _, b in pairs}
 
 
 def _child_profiles(w: Word) -> list[tuple[int, int, bool, bool]]:
@@ -265,17 +231,12 @@ def _child_profiles(w: Word) -> list[tuple[int, int, bool, bool]]:
     return out
 
 
-def _parents(n: int, cap: int, caller: str) -> Iterator[Word]:
-    # the words of order n - 1 whose insertions give order n, in enumeration order
-    check_size(caller, n, cap)
-    return enumerate_stirling(n - 1, cap) if n > 1 else iter([()])
-
-
 def pair_statistics(n: int, cap: int = DEFAULT_CAP) -> Counter:
     """Counter over (aapair, tnpair, is_naas, is_ntns) for all words of order n,
     positions as in PAIR_KEY."""
+    check_size("pair_statistics", n, cap)
     tally: Counter = Counter()
-    for w in _parents(n, cap, "pair_statistics"):
+    for w in _words(n - 1):
         tally.update(_child_profiles(w))
     return tally
 
@@ -333,8 +294,9 @@ def _row_blocks(n: int, cap: int = DEFAULT_CAP) -> Iterator[tuple[list[str], lis
     """One block per word w of order n - 1, in enumeration order: the strings
     of the 2n - 1 words made by inserting n n into w, gaps right to left, and
     their _child_profiles."""
+    check_size("statistics_rows", n, cap)
     pair, mm = (n, n), str(n) * 2
-    for w in _parents(n, cap, "statistics_rows"):
+    for w in _words(n - 1):
         gaps = range(len(w), -1, -1)
         if n <= 9:
             # one digit per letter: gap g of the word is offset g of its string

@@ -168,16 +168,17 @@ def f_mcomb_direct(
 
     Each coloring contributes the monomial whose j-th exponent counts the
     internal nodes colored j.  Colorings read only a tree's shape (labels 0),
-    so shapes are tallied, by insertion as in comb_type_tally, and colored once.
+    so shapes are tallied, through the insertions of enumerate_normalized, and
+    colored once.
     """
     check_size("f_mcomb_direct", n, cap_n)
     check_size("f_mcomb_direct (colors)", k, cap_k, "k")
     shapes = Counter({0: 1})
-    for m in range(2, n + 1):
+    for _ in range(n - 1):
         children: Counter = Counter()
         for shape, count in shapes.items():
-            for pos in range(2 * m - 3):
-                children[binary_trees.insert_leaf(shape, pos, 0)] += count
+            for child in binary_trees._insertions(shape, 0):
+                children[child] += count
         shapes = children
     acc: dict[tuple[int, ...], int] = {}
     for shape, count in shapes.items():

@@ -31,7 +31,6 @@ from gamma_forest.binary_trees import (
     enumerate_colored_combs,
     enumerate_normalized,
     free_count,
-    insert_leaf,
     is_ndnl,
     is_ndrd,
     joint_statistics,
@@ -205,7 +204,7 @@ class TestEnumeration:
     def test_insert_positions(self):
         # inserting into a tree on [n-1] at each preorder slot gives 2n-3 results
         base = ((1, 2), 3)
-        results = {insert_leaf(base, pos, 4) for pos in range(5)}
+        results = set(binary_trees._insertions(base, 4))
         assert len(results) == 5
 
     def test_cap(self):
@@ -396,7 +395,7 @@ class TestJointEngine:
             raise AssertionError("an engine called a per-tree function")
 
         for name in (
-            "enumerate_normalized", "insert_leaf", "tree_to_string", "leaf_count", "node_count",
+            "enumerate_normalized", "_insertions", "tree_to_string", "leaf_count",
             "valency", "rdes", "is_ndrd", "nlyn", "is_ndnl", "free_count", "comb_type",
         ):
             monkeypatch.setattr(binary_trees, name, banned)
@@ -413,12 +412,17 @@ class TestJointEngine:
     )
     def test_sampled_shard_above_cap(self, n, prefix):
         # the walker's children against the per-tree functions on the same
-        # trees, built by insert_leaf at the same positions, above the cap
+        # trees, built by _insertions at the same positions, above the cap
         trees = [1]
         for m in range(2, n + 1):
             fixed = 0 <= m - 3 < len(prefix)
             positions = (prefix[m - 3],) if fixed else range(2 * m - 3)
-            trees = [insert_leaf(t, pos, m) for t in trees for pos in positions]
+            trees = [
+                child
+                for t in trees
+                for pos, child in enumerate(binary_trees._insertions(t, m))
+                if pos in positions
+            ]
         expected = [
             (rdes(t), is_ndrd(t), nlyn(t), is_ndnl(t), free_count(t), comb_type(t)) for t in trees
         ]

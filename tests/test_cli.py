@@ -265,6 +265,22 @@ class TestVerifyCommand:
                 line.startswith(f"PASS symfunc.fmcomb-vs-expansion n=5 k={k} ") for line in lines
             )
 
+    def test_product_form_mass_counts_its_trees(self, monkeypatch, capsys):
+        # the last tree, the right comb, has no k-coloring for k < n - 1, so
+        # only the count of the trees read shows that the stream dropped it
+        from gamma_forest import binary_trees
+
+        def drop_last(*args, _fn=binary_trees.enumerate_normalized):
+            return iter(list(_fn(*args))[:-1])
+
+        monkeypatch.setattr(binary_trees, "enumerate_normalized", drop_last)
+        assert cli.main(["verify", "--suite", "symfunc", "--n-max", "5", "--threads", "1"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        for k in (1, 2, 3):
+            assert any(
+                line.startswith(f"FAIL symfunc.product-form-mass n=5 k={k} ") for line in lines
+            )
+
     def test_stirling_trees_stay_within_tree_cap(self):
         # stirling.*-equidistribution at n = m reads the trees on [m + 1]; while
         # the Stirling cap stays below the tree cap, no m the stirling suite runs

@@ -206,6 +206,10 @@ VERIFY_DIGESTS = {
     "text": "2d6d0b3c9408de02e43c79d19e2d6f2ce71122b9098ca30b70551b3b699501c7",
     "json": "505a98219cd9f8db167fc00ff1232a520a9c95c59c507a315399b1e78d534ac6",
 }
+# the uncapped run through Stirling order 8 and the trees on [8] and [9], on
+# two workers
+VERIFY_8_ARGV = ["verify", "--suite", "all", "--n-max", "8", "--threads", "2"]
+VERIFY_8_DIGEST = "a994980ae3cb110b2ad28e7fd9586e646bf1d6d7a2c842f35b8f41543b0474af"
 CAPPED_DIGESTS = {
     "all-5-text": "a2ace564e587b149095b05fa90870f82f26af44127b7eb5ad81d47c74a1036b4",
     "all-5-json": "73b1fc0df5f3155df54aab5d00beef20c92a266a4d294147e6d56e82789929a2",
@@ -281,6 +285,12 @@ def test_verify_output_unchanged(fmt):
     assert digest == VERIFY_DIGESTS[fmt]
 
 
+def test_verify_n_max_8_output_unchanged():
+    status, digest = stdout_digest(VERIFY_8_ARGV)
+    assert status == 0
+    assert digest == VERIFY_8_DIGEST
+
+
 @pytest.mark.parametrize("case", CAPPED_CASES, ids=lambda c: "-".join(map(str, c)))
 def test_capped_verify_output_unchanged(case):
     suite, n_max, fmt = case
@@ -320,6 +330,7 @@ if __name__ == "__main__":
         print(f'    "{family}-{stat}-{fmt}-{n}": "{digest}",')
     for fmt in VERIFY_FORMATS:
         print(f'    "{fmt}": "{stdout_digest(verify_argv(fmt))[1]}",')
+    print(f'VERIFY_8_DIGEST = "{stdout_digest(VERIFY_8_ARGV)[1]}"')
     for suite, n_max, fmt in CAPPED_CASES:
         digest = capped_digest(verify_argv(fmt, suite, n_max))[1]
         print(f'    "{suite}-{n_max}-{fmt}": "{digest}",')

@@ -2,11 +2,12 @@
 
 import hashlib
 from collections import Counter
-from itertools import islice
+from itertools import islice, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gamma_forest import stirling
 from gamma_forest.errors import LimitExceededError
 from gamma_forest.poly import gamma_closed_form
 from gamma_forest.stirling import (
@@ -99,6 +100,14 @@ def naive_tnpair(word) -> int:
         for b in second_occ
         if a < b and second_occ[a] == second_occ[b] + 1
     )
+
+
+def pair_oracle_inputs():
+    """The Stirling words of order 5, then all 2520 arrangements of 11223344:
+    the pair statistics are defined on any word whose letters appear twice."""
+    arrangements = sorted(set(permutations((1, 1, 2, 2, 3, 3, 4, 4))))
+    assert len(arrangements) == 2520
+    return [*enumerate_stirling(5), *arrangements]
 
 
 class TestWordValidation:
@@ -228,6 +237,20 @@ class TestPairStatistics:
                 expected = Counter(oracle(w) for w in enumerate_stirling(n))
                 assert marginal(tally, stat) == expected, (n, stat)
 
+    def test_engine_calls_no_per_word_function(self, monkeypatch):
+        # the engine reads the parent words and nothing else of the oracles
+        expected = pair_statistics(6), list(statistics_rows(6))
+
+        def banned(*args, **kwargs):
+            raise AssertionError("the engine called a per-word function")
+
+        for name in (
+            "enumerate_stirling", "_pairs", "_occurrences", "as_word", "is_stirling",
+            "aapair", "tnpair", "is_naas", "is_ntns",
+        ):
+            monkeypatch.setattr(stirling, name, banned)
+        assert (pair_statistics(6), list(statistics_rows(6))) == expected
+
     def test_insertion_engine_comma_separated_words(self):
         # from order 10 on, words are written with commas; compare a prefix
         rows = list(islice(statistics_rows(10, cap=10), 60))
@@ -249,14 +272,14 @@ class TestPairStatistics:
                 list(statistics_rows(bad))
 
     def test_matches_naive_exhaustive(self):
-        for w in enumerate_stirling(5):
+        for w in pair_oracle_inputs():
             assert aapair(w) == naive_aapair(w)
             assert tnpair(w) == naive_tnpair(w)
 
     def test_chain_freedom_characterizations(self):
         # a word is chain-free exactly when no letter is both the small end
         # of one adjacency pair and the large end of another
-        for w in enumerate_stirling(5):
+        for w in pair_oracle_inputs():
             aa_pairs = []
             tn_pairs = []
             first = {}

@@ -12,9 +12,9 @@ from hypothesis import given, settings, strategies as st
 from gamma_forest import binary_trees
 from gamma_forest.binary_trees import (
     _chain_colorings,
+    _insertions,
     enumerate_colored_combs,
     enumerate_normalized,
-    insert_leaf,
 )
 from gamma_forest.errors import LimitExceededError
 from gamma_forest.poly import drake_polynomial, gamma_closed_form, to_gamma_basis
@@ -184,9 +184,9 @@ class TestFMComb:
         for n in range(1, 7):
             if n > 1:
                 shape_of = {
-                    insert_leaf(t, pos, n): insert_leaf(s, pos, 0)
+                    child: child_shape
                     for t, s in shape_of.items()
-                    for pos in range(2 * n - 3)
+                    for child, child_shape in zip(_insertions(t, n), _insertions(s, 0))
                 }
             trees = list(enumerate_normalized(n))
             for k in range(1, 5):
