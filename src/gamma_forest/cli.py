@@ -63,7 +63,12 @@ def resolve_threads(value: int | None) -> int:
         return value
     env = os.environ.get("GAMMA_FOREST_THREADS")
     if env:
-        n = int(env)
+        try:
+            n = int(env)
+        except ValueError:
+            raise ValueError(
+                f"GAMMA_FOREST_THREADS must be a positive integer, got {env!r}"
+            ) from None
         if n < 1:
             raise ValueError("GAMMA_FOREST_THREADS must be at least 1")
         return n
@@ -393,8 +398,9 @@ def _csv_cells(texts: list[str]) -> list[str]:
 
 
 # Rows mode.  Each row source yields blocks of finished lines, header first
-# in csv: the rows of one parent object's children, or of one object, each
-# block formatted in one comprehension.  _render_rows gathers whole blocks
+# in csv: the rows of one parent object's children, of one object, or of the
+# rooted trees of one root and Prufer prefix, each block formatted in one
+# comprehension.  _render_rows gathers whole blocks
 # into chunks of at least ROW_CHUNK rows.
 
 ROW_CHUNK = 4096  # rows per stdout write in rows mode, plus less than a block
@@ -438,33 +444,32 @@ def _block_lines(blocks, fmt: str, key: str, header: tuple, tail: Callable) -> I
 
 
 def _rooted_rows(stat: str, n: int, fmt: str) -> Iterator[list[str]]:
-    # tree_to_json_dict(t) as compact JSON, and des(t), in one loop over the
-    # decoder's parent arrays without building RootedTrees.  A rooted tree is
-    # not an insertion into a parent, so blocks are runs of n lines: for
-    # n >= 3, the trees of one root whose Prufer sequences differ in the last
-    # entry only
-    edge_text = [[f"[{p},{x}]" for p in range(n + 1)] for x in range(n + 1)]
-    head = f'{{"n":{n},"root":'
-    block = [_csv_line(("object", "stat"))] if fmt == "csv" else []
-    for root, parent in rooted_trees._rooted_parents(n, n):
-        edges = []
-        descents = 0
-        for x, p in enumerate(parent):
-            if p:
-                edges.append(edge_text[x][p])
-                descents += p > x
-        obj = f'{head}{root},"edges":[{",".join(edges)}]'  # json puts the stat before "}"
-        if fmt == "json":
-            block.append(f'{obj},"stat":{descents}}}\n')
-        elif fmt == "csv":
-            block.append(f"{_csv_cell(obj + '}')},{descents}\r\n")
-        else:
-            block.append(f"{obj}}}\t{descents}\n")
-        if len(block) >= n:
-            yield block
-            block = []
-    if block:
-        yield block
+    # tree_to_json_dict(t) as compact JSON, and des(t), from the blocks of
+    # parent arrays of rooted_trees._rooted_blocks, without building
+    # RootedTrees.  A row is the block's head (n and root), each non-root
+    # node's edge text with a comma after it (the last comma cut), and the
+    # tail of its descent count; only csv quotes the object, whose quotes
+    # sit in the head.
+    nodes = range(n + 1)
+    edge_text = [[f"[{p},{x}]," if p else "" for p in nodes] for x in nodes]
+    getitem, gt = operator.getitem, operator.gt
+    if fmt == "csv":
+        yield [_csv_line(("object", "stat"))]
+        tails = [f']}}",{d}\r\n' for d in nodes]
+    elif fmt == "json":
+        tails = [f'],"stat":{d}}}\n' for d in nodes]
+    else:
+        tails = [f"]}}\t{d}\n" for d in nodes]
+    for root, parents in rooted_trees._rooted_blocks(n, n):
+        head = f'{{"n":{n},"root":{root},"edges":['
+        if fmt == "csv":
+            head = '"' + head.replace('"', '""')
+        yield [
+            head
+            + "".join(map(getitem, edge_text, parent))[:-1]
+            + tails[sum(map(gt, parent, nodes))]
+            for parent in parents
+        ]
 
 
 def _normalized_rows(stat: str, n: int, fmt: str) -> Iterator[list[str]]:
@@ -685,6 +690,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "verify":
+            if args.n_max < 1:
+                raise ValueError("--n-max must be a positive integer")
             threads = resolve_threads(args.threads)
             t0 = time.perf_counter()
             report = cmd_verify(args.suite, args.n_max, threads, args.cap_override)

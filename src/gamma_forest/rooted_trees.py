@@ -6,16 +6,19 @@ orients it, and each of the n^(n-1) rooted trees appears exactly once.  The
 descent polynomial tallies, for every tree, the number of non-root nodes
 whose parent carries a larger label.
 
-One decoder serves the module.  A Prufer decode hangs each removed leaf from
-its sequence entry, so it gives the tree rooted at n as a parent array, with
-the other nodes in removal order (each before its parent).  `prufer_decode`
-reads the edges off that array, and enumeration reroots it at each root by
-reversing the path from that root up to n.  The descent tally never
-materializes trees: it counts the descents at root n, then walks the removal
-order backwards, so that every parent comes before its children; moving the
-root from p down to its child x changes the count by +1 if x > p and by -1
-otherwise.  That keeps the n=8 run (about two million trees) near a second,
-and _pool.map_prefixes shards it by fixing a prefix of the sequence.
+A Prufer decode hangs each removed leaf from its sequence entry, so it gives
+the tree rooted at n as a parent array, with the other nodes in removal
+order (each before its parent).  Two loops decode.  `_decode` serves
+`prufer_decode`, which reads the edges off that array, and the descent
+tally, which never materializes trees: it counts the descents at root n,
+then walks the removal order backwards, so that every parent comes before
+its children; moving the root from p down to its child x changes the count
+by +1 if x > p and by -1 otherwise.  That keeps the n=8 run (about two
+million trees) near a second, and _pool.map_prefixes shards it by fixing a
+prefix of the sequence.  Enumeration decodes inline, on a fresh array per
+sequence, and reroots each tree by reversing the path from its root up to
+n; it hands over the n trees of one root and sequence prefix at a time.
+Neither side of the descent identity shares a decode with the other.
 """
 
 from __future__ import annotations
@@ -177,27 +180,51 @@ def prufer_encode(n: int, edges: Iterable[tuple[int, int]]) -> PruferCode:
     return PruferCode(n, seq)
 
 
-def _reroot(parent: list[int], root: int) -> tuple[int, ...]:
-    # reverse the path from root up to the old root in place, so root ends on top
-    child, x = 0, root
-    while x:
-        up = parent[x]
-        parent[x] = child
-        child, x = x, up
-    return tuple(parent)
-
-
-def _rooted_parents(n: int, cap: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-    # (root, parent array) of every rooted tree on [n], lexicographic in
-    # (root, seq), unvalidated: the one enumeration loop, read by
-    # enumerate_rooted_trees and by the rows of the command line
+def _rooted_blocks(n: int, cap: int) -> Iterator[tuple[int, list[list[int]]]]:
+    # (root, parent arrays) of every rooted tree on [n], lexicographic in
+    # (root, seq), unvalidated, one block per root and sequence prefix: the n
+    # trees whose sequences differ in the last entry only (one tree per root
+    # at n = 2).  Each sequence is decoded here, on a fresh list, and the
+    # path from the root up to n is reversed in place.
     check_size("enumerate_rooted_trees", n, cap)
     if n == 1:
-        yield 1, (0, 0)
+        yield 1, [[0, 0]]
         return
-    for root in range(1, n + 1):
-        for seq in product(range(1, n + 1), repeat=n - 2):
-            yield root, _reroot(_decode(n, seq)[0], root)
+    labels = range(1, n + 1)
+    lasts = [(x,) for x in labels] if n > 2 else [()]  # at n = 2, the empty sequence
+    for root in labels:
+        for prefix in product(labels, repeat=max(n - 3, 0)):
+            counts = [1] * (n + 1)
+            for x in prefix:
+                counts[x] += 1
+            block = []
+            for last in lasts:
+                deg = counts[:]
+                for x in last:
+                    deg[x] += 1
+                parent = [0] * (n + 1)
+                idx = 1
+                while deg[idx] != 1:
+                    idx += 1
+                leaf = idx
+                for x in prefix + last:
+                    parent[leaf] = x
+                    deg[x] -= 1
+                    if deg[x] == 1 and x < idx:
+                        leaf = x
+                    else:
+                        idx += 1
+                        while deg[idx] != 1:
+                            idx += 1
+                        leaf = idx
+                parent[leaf] = n  # the tree rooted at n, as _decode gives it
+                child, x = 0, root
+                while x:
+                    up = parent[x]
+                    parent[x] = child
+                    child, x = x, up
+                block.append(parent)
+            yield root, block
 
 
 def enumerate_rooted_trees(n: int, cap: int = DEFAULT_CAP) -> Iterator[RootedTree]:
@@ -207,8 +234,9 @@ def enumerate_rooted_trees(n: int, cap: int = DEFAULT_CAP) -> Iterator[RootedTre
     Raises LimitExceededError above the cap; n=9 already means 43 million
     trees, so anything larger needs an explicit opt-in and patience.
     """
-    for root, parent in _rooted_parents(n, cap):
-        yield RootedTree(n, root, parent)
+    for root, parents in _rooted_blocks(n, cap):
+        for parent in parents:
+            yield RootedTree(n, root, parent)
 
 
 def des(t: RootedTree) -> int:

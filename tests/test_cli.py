@@ -5,7 +5,7 @@ import io
 import json
 import subprocess
 import sys
-from itertools import islice
+from itertools import groupby, islice
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -106,6 +106,14 @@ class TestVerifyCommand:
         assert "unknown suite" in r.stderr
         assert r.stdout == ""
 
+    def test_rejects_n_max_below_one(self, capsys):
+        # a run that checks nothing is refused, not reported as a pass
+        for bad in ("0", "-3"):
+            assert cli.main(["verify", "--suite", "all", "--n-max", bad]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "error: --n-max must be a positive integer\n"
+
     def test_invalid_suite_raises_typed_error(self):
         with pytest.raises(cli.InvalidSuiteError):
             cli.cmd_verify("nonsense", 3, 1, False)
@@ -163,6 +171,17 @@ class TestVerifyCommand:
             env={"GAMMA_FOREST_THREADS": "0"},
         )
         assert bad.returncode == 2
+        assert bad.stderr == "error: GAMMA_FOREST_THREADS must be at least 1\n"
+        not_int = run_cli(
+            "verify",
+            "--suite",
+            "eulerian",
+            "--n-max",
+            "3",
+            env={"GAMMA_FOREST_THREADS": "x"},
+        )
+        assert not_int.returncode == 2
+        assert not_int.stderr == "error: GAMMA_FOREST_THREADS must be a positive integer, got 'x'\n"
 
     def test_raising_engine_fails_checks_without_aborting(self, monkeypatch, capsys):
         from gamma_forest import stirling
@@ -377,6 +396,41 @@ class TestEnumerateCommand:
             )
             assert not refused
             assert "".join(chunks) == expected
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_rooted_row_blocks_match_per_tree_path(self, n, fmt):
+        # each validated tree through tree_to_json_dict, des and csv.writer;
+        # one block per root and Prufer prefix, so n rows from n = 3 on, one
+        # row per root at n = 2, and the one tree at n = 1
+        from gamma_forest.rooted_trees import (
+            des,
+            enumerate_rooted_trees,
+            prufer_encode,
+            tree_to_json_dict,
+        )
+
+        def line(t):
+            if fmt == "json":
+                doc = {**tree_to_json_dict(t), "stat": des(t)}
+                return json.dumps(doc, separators=(",", ":")) + "\n"
+            obj = json.dumps(tree_to_json_dict(t), separators=(",", ":"))
+            return csv_writer_text([(obj, des(t))]) if fmt == "csv" else f"{obj}\t{des(t)}\n"
+
+        def root_and_prefix(t):
+            if n == 1:
+                return None
+            edges = [(t.parent[x], x) for x in range(1, n + 1) if x != t.root]
+            return t.root, prufer_encode(n, edges).seq[:-1]
+
+        expected = [
+            [line(t) for t in trees]
+            for _, trees in groupby(enumerate_rooted_trees(n), root_and_prefix)
+        ]
+        assert list(map(len, expected)) == {1: [1], 2: [1, 1], 3: [3] * 3, 4: [4] * 16}[n]
+        if fmt == "csv":
+            expected.insert(0, [csv_writer_text([("object", "stat")])])
+        assert list(cli.FAMILIES["rooted"].rows("des", n, fmt)) == expected
 
     def test_json_rows(self):
         r = run_cli(

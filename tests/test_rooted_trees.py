@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gamma_forest._pool as pool
+from gamma_forest import cli, rooted_trees
 from gamma_forest.errors import LimitExceededError
 from gamma_forest.poly import drake_polynomial
 from gamma_forest.rooted_trees import (
@@ -235,3 +236,27 @@ class TestDescentPolynomial:
             with pytest.raises(ValueError, match="positive integer"):
                 descent_polynomial(bad)
         assert descent_polynomial(6, cap=6).coeffs == drake_polynomial(6).coeffs
+
+
+class TestIndependence:
+    """The descent engine and its oracle, enumerate_rooted_trees, decode
+    Prufer sequences each on their own: with either decode patched to
+    raise, the other side still gives its answer."""
+
+    @staticmethod
+    def down(*args):
+        raise RuntimeError("patched to raise")
+
+    def test_enumeration_and_rows_run_without_decode(self, monkeypatch):
+        def outputs():
+            trees = [(t.root, t.parent) for t in enumerate_rooted_trees(5)]
+            rows = cli.FAMILIES["rooted"].rows
+            return trees, [list(rows("des", 5, fmt)) for fmt in ("text", "json", "csv")]
+
+        expected = outputs()
+        monkeypatch.setattr(rooted_trees, "_decode", self.down)
+        assert outputs() == expected
+
+    def test_descent_engine_runs_without_rooted_blocks(self, monkeypatch):
+        monkeypatch.setattr(rooted_trees, "_rooted_blocks", self.down)
+        assert descent_polynomial(6) == drake_polynomial(6)
