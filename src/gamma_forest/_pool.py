@@ -41,17 +41,19 @@ def available_cpus() -> int:
 def map_shards(fn: Callable[[tuple], Result], tasks: Sequence[tuple], threads: int) -> list[Result]:
     """[fn(task) for task in tasks] over min(threads, tasks, available CPUs)
     forked workers; serially in this process where that is one worker or the
-    platform cannot fork."""
+    platform cannot fork.  A worker that dies raises BrokenProcessPool, a
+    RuntimeError, instead of leaving the map waiting for its result."""
     workers = min(threads, len(tasks), available_cpus())
     if workers <= 1:  # a pool of one would only add a fork and the pickling
         return [fn(task) for task in tasks]
     # imported here: multiprocessing is a fifth of the package's import time,
     # and most commands never start a pool
+    import concurrent.futures
     import multiprocessing
 
     try:
         context = multiprocessing.get_context("fork")
     except ValueError:
         return [fn(task) for task in tasks]
-    with context.Pool(workers) as pool:
-        return pool.map(fn, tasks)
+    with concurrent.futures.ProcessPoolExecutor(workers, mp_context=context) as pool:
+        return list(pool.map(fn, tasks))

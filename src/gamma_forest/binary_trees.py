@@ -51,7 +51,7 @@ from typing import Iterator, Union
 
 from ._pool import map_prefixes
 from .errors import check_size
-from .poly import GammaVector, IntPolynomial, add_binomial_row
+from .poly import GammaVector, IntPolynomial, add_binomial_row, from_gamma_basis
 
 Tree = Union[int, tuple]
 
@@ -214,45 +214,6 @@ def tree_to_string(t: Tree) -> str:
         else:
             out.append(str(node))
     return "".join(out)
-
-
-def tree_from_string(s: str) -> Tree:
-    """Inverse of tree_to_string; ValueError with the position on malformed
-    or truncated input.
-
-    Parses with an explicit stack, so any depth reads.  The stack holds one
-    entry per open pair: None while its left part is being read, the left
-    subtree once the comma is passed.
-    """
-    pos = 0
-
-    def expect(ch: str) -> None:
-        nonlocal pos
-        if s[pos : pos + 1] != ch:  # empty past the end
-            raise ValueError(f"expected {ch!r} at position {pos} in {s!r}")
-        pos += 1
-
-    stack: list = []
-    while True:
-        while s[pos : pos + 1] == "(":
-            stack.append(None)
-            pos += 1
-        start = pos
-        while pos < len(s) and s[pos].isdecimal():
-            pos += 1
-        if start == pos:
-            raise ValueError(f"expected a label at position {pos} in {s!r}")
-        node: Tree = int(s[start:pos])
-        while stack and stack[-1] is not None:
-            expect(")")
-            node = (stack.pop(), node)
-        if not stack:
-            break
-        expect(",")
-        stack[-1] = node
-    if pos != len(s):
-        raise ValueError(f"trailing input at position {pos} in {s!r}")
-    return node
 
 
 # ---------------------------------------------------------------------------
@@ -565,14 +526,10 @@ def lyndon_census(tally: Counter, n: int) -> IntPolynomial:
     joint_statistics tally of the trees on [n].
 
     Each tree without double non-Lyndon pairs forces nlyn zeros and nlyn
-    ones, all distinct, leaving n - 1 - 2*nlyn nodes free.
+    ones, all distinct, leaving n - 1 - 2*nlyn nodes free, so the census is
+    ndnl_nlyn put back in the basis t^j (1+t)^(n-1-2j).
     """
-    nl, dl = JOINT_KEY["nlyn"], JOINT_KEY["dnl"]
-    out: list[int] = []
-    for key, c in tally.items():
-        if key[dl] == 0:
-            add_binomial_row(out, c, key[nl], n - 1 - 2 * key[nl])
-    return IntPolynomial(out)
+    return from_gamma_basis(ndnl_nlyn(tally, n))
 
 
 def distribution_ndrd_rdes(n: int, threads: int = 1, cap: int = DEFAULT_CAP) -> GammaVector:

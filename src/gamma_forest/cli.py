@@ -721,6 +721,14 @@ def main(argv=None) -> int:
     except ValueError as exc:  # the typed errors subclass it
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except RuntimeError as exc:
+        # a pool whose worker died; concurrent.futures is loaded by then
+        from concurrent.futures import BrokenExecutor
+
+        if not isinstance(exc, BrokenExecutor):
+            raise
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

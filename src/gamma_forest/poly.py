@@ -116,13 +116,13 @@ class GammaVector:
     degree: int
 
     def __init__(self, gammas: Iterable[int], degree: int):
-        gs = tuple(_exact_ints(gammas, "gamma coordinates"))
+        *gs, degree = _exact_ints([*gammas, degree], "gamma coordinates and degree")
         if len(gs) != degree // 2 + 1:
             raise ValueError(
                 f"gamma vector of degree {degree} needs {degree // 2 + 1} "
                 f"entries, got {len(gs)}"
             )
-        object.__setattr__(self, "gammas", gs)
+        object.__setattr__(self, "gammas", tuple(gs))
         object.__setattr__(self, "degree", degree)
 
 
@@ -311,9 +311,3 @@ def poly_to_json_dict(p: IntPolynomial) -> dict:
 
 def gamma_to_json_dict(g: GammaVector) -> dict:
     return {"degree": g.degree, "gammas": [str(c) for c in g.gammas]}
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import doctest
-
-    doctest.testmod()

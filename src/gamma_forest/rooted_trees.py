@@ -10,10 +10,11 @@ A Prufer decode hangs each removed leaf from its sequence entry, so it gives
 the tree rooted at n as a parent array, with the other nodes in removal
 order (each before its parent).  Two loops decode.  `_decode` serves
 `prufer_decode`, which reads the edges off that array, and the descent
-tally, which never materializes trees: it counts the descents at root n,
-then walks the removal order backwards, so that every parent comes before
-its children; moving the root from p down to its child x changes the count
-by +1 if x > p and by -1 otherwise.  That keeps the n=8 run (about two
+tally, `_descent_chunk`: one loop over the sequences that extend a prefix,
+which never materializes trees.  Per sequence it counts the descents at
+root n, then walks the removal order backwards, so that every parent comes
+before its children; moving the root from p down to its child x changes the
+count by +1 if x > p and by -1 otherwise.  That keeps the n=8 run (about two
 million trees) near a second, and _pool.map_prefixes shards it by fixing a
 prefix of the sequence.  Enumeration decodes inline, on a fresh array per
 sequence, and reroots each tree by reversing the path from its root up to
@@ -64,8 +65,9 @@ class RootedTree:
     """A rooted labeled tree on [n] as a parent array.
 
     parent[x] is the parent label of node x, with parent[root] = 0; index 0
-    is an unused sentinel.  Construction checks that the parent map is
-    acyclic and covers exactly the n - 1 non-root nodes.
+    is an unused sentinel.  Construction checks that n, the root and every
+    entry are ints, and that the parent map is acyclic and covers exactly
+    the n - 1 non-root nodes.
     """
 
     n: int
@@ -74,6 +76,9 @@ class RootedTree:
 
     def __init__(self, n: int, root: int, parent: Iterable[int]):
         par = tuple(parent)
+        for v in (n, root, *par):
+            if type(v) is not int:
+                raise ValueError(f"n, root and parent entries must be ints, got {v!r}")
         if n < 1 or not 1 <= root <= n:
             raise ValueError("root must be a label in [n]")
         if len(par) != n + 1 or par[0] != 0 or par[root] != 0:
@@ -255,29 +260,24 @@ def complement(t: RootedTree) -> RootedTree:
     return RootedTree(n, n + 1 - t.root, parent)
 
 
-def _descent_counts_for_seq(n: int, seq: tuple[int, ...], counts: list[int]) -> None:
-    # des at root n, then at every other root by the +-1 rule in reverse
-    # removal order
-    parent, order = _decode(n, seq)
-    d = sum(parent[x] > x for x in order)
-    counts[d] += 1
-    desv = [0] * (n + 1)
-    desv[n] = d
-    for x in reversed(order):
-        p = parent[x]
-        d = desv[p] + (1 if x > p else -1)
-        desv[x] = d
-        counts[d] += 1
-
-
 def _descent_chunk(args: tuple[int, tuple[int, ...]]) -> list[int]:
+    # des at root n, then at every other root by the +-1 rule in reverse
+    # removal order, for each sequence extending the prefix
     n, prefix = args
     if n == 1:
         return [1]  # the one tree on [1] has no descent
     counts = [0] * n
-    rest = n - 2 - len(prefix)
-    for tail in product(range(1, n + 1), repeat=rest):
-        _descent_counts_for_seq(n, prefix + tail, counts)
+    desv = [0] * (n + 1)
+    for tail in product(range(1, n + 1), repeat=n - 2 - len(prefix)):
+        parent, order = _decode(n, prefix + tail)
+        d = sum(parent[x] > x for x in order)
+        counts[d] += 1
+        desv[n] = d
+        for x in reversed(order):
+            p = parent[x]
+            d = desv[p] + (1 if x > p else -1)
+            desv[x] = d
+            counts[d] += 1
     return counts
 
 

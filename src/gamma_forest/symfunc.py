@@ -93,7 +93,7 @@ class MultivariatePoly:
 
     def __init__(self, k: int, terms: Mapping[tuple[int, ...], int] | Iterable[tuple[tuple[int, ...], int]] = ()):
         items = dict(terms)
-        _exact_ints(items.values(), "coefficients")
+        _exact_ints([k, *items.values()], "k and coefficients")
         for exps in items:
             if len(_exact_ints(exps, "exponents")) != k:
                 raise ValueError(f"exponent vector {exps} does not have length {k}")

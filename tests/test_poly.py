@@ -1,12 +1,15 @@
 """Polynomial arithmetic, gamma basis, product formula, Eulerian checks."""
 
 import doctest
+import importlib
+import pkgutil
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
+import gamma_forest
 from gamma_forest import poly
 from gamma_forest.poly import (
     GammaVector,
@@ -25,8 +28,12 @@ from gamma_forest.poly import (
 
 
 def test_doctests():
-    result = doctest.testmod(poly)
-    assert result.failed == 0
+    # the examples in the docstrings of every module of the package
+    modules = [gamma_forest] + [
+        importlib.import_module(f"gamma_forest.{m.name}") for m in pkgutil.iter_modules(gamma_forest.__path__)
+    ]
+    for module in modules:
+        assert doctest.testmod(module).failed == 0, module.__name__
 
 
 def subset_sum_gammas(n):
@@ -148,6 +155,8 @@ class TestGammaBasis:
             GammaVector([bad], 0)
         with pytest.raises(TypeError):
             GammaVector([1, bad], 3)
+        with pytest.raises(TypeError):
+            GammaVector([2, 1], bad)
 
     @given(
         st.integers(min_value=0, max_value=60).flatmap(

@@ -141,6 +141,16 @@ class TestRootedTree:
             RootedTree(3, 1, (0, 0, 3, 2))  # 2 -> 3 -> 2 cycle
         with pytest.raises(ValueError):
             RootedTree(3, 2, (0, 0, 1, 1))  # root must have parent 0
+        # a bool or float size or label, where an int belongs
+        for n, root, parent in (
+            (2, True, (0, 0, 1)),
+            (2, 1, (0, 0, True)),
+            (2.0, 1, (0, 0, 1)),
+            (2, 1.0, (0, 0, 1)),
+            (2, 1, (0, 0, 1.0)),
+        ):
+            with pytest.raises(ValueError, match="must be ints"):
+                RootedTree(n, root, parent)
 
     def test_des(self):
         # chain 1 -> 3 -> 2: edge (3,2) is the only descent

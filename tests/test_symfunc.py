@@ -66,6 +66,8 @@ class TestExactInts:
     def test_multivariate_rejects_coefficients_that_are_not_ints(self, bad):
         with pytest.raises(TypeError, match="coefficients must be ints"):
             MultivariatePoly(2, {(1, 0): 1, (0, 1): bad})
+        with pytest.raises(TypeError, match="k and coefficients must be ints"):
+            MultivariatePoly(bad, {})
 
     @pytest.mark.parametrize("bad", INEXACT)
     def test_multivariate_rejects_exponents_that_are_not_ints(self, bad):
