@@ -109,7 +109,8 @@ class GammaVector:
 
     gammas[j] multiplies t^j (1+t)^(degree - 2j).  The length is pinned to
     degree // 2 + 1 so that vectors of equal degree are directly comparable;
-    for the zero polynomial the degree is -1 and the vector is empty.
+    for the zero polynomial the degree is -1 and the vector is empty.  A
+    degree below -1 is refused with ValueError.
     """
 
     gammas: tuple[int, ...]
@@ -117,6 +118,8 @@ class GammaVector:
 
     def __init__(self, gammas: Iterable[int], degree: int):
         *gs, degree = _exact_ints([*gammas, degree], "gamma coordinates and degree")
+        if degree < -1:
+            raise ValueError(f"gamma vector degree must be at least -1, got {degree}")
         if len(gs) != degree // 2 + 1:
             raise ValueError(
                 f"gamma vector of degree {degree} needs {degree // 2 + 1} "
@@ -142,25 +145,33 @@ def is_palindromic(p: IntPolynomial) -> bool:
     False
     """
     cs = p.coeffs
-    return all(cs[i] == cs[-1 - i] for i in range(len(cs) // 2))
+    return cs == cs[::-1]
 
 
-def add_binomial_row(acc: list[int], c: int, j: int, m: int) -> None:
+def add_binomial_row(acc: list[int], c: int, j: int, m: int, upto: int | None = None) -> None:
     """Add c t^j (1+t)^m to the coefficient list acc in place, padding acc.
 
     (1+t)^m is the binomial row C(m, 0..m); c C(m, k+1) comes from c C(m, k)
     by the exact step b (m - k) // (k + 1), so this costs O(m) big-integer
-    operations.  drake_polynomial does not use it, so that the censuses and
-    gamma conversions built on it are checked against an independent path.
+    operations.  With upto, only the coefficients of t^j .. t^upto are added
+    and acc is padded no further than index upto; an upto at or beyond j + m
+    adds the whole row, as does the default.  drake_polynomial does not use
+    it, so that the censuses and gamma conversions built on it are checked
+    against an independent path.
 
     >>> acc = [0, 0, 1]
     >>> add_binomial_row(acc, 2, 1, 2)
     >>> acc
     [0, 2, 5, 2]
+    >>> acc = []
+    >>> add_binomial_row(acc, 1, 1, 4, upto=2)
+    >>> acc
+    [0, 1, 4]
     """
-    acc.extend([0] * (j + m + 1 - len(acc)))
+    top = j + m if upto is None else min(upto, j + m)
+    acc.extend([0] * (top + 1 - len(acc)))
     b = c
-    for k in range(m + 1):
+    for k in range(top - j + 1):
         acc[j + k] += b
         b = b * (m - k) // (k + 1)
 
@@ -170,23 +181,29 @@ def to_gamma_basis(p: IntPolynomial) -> GammaVector:
 
     Peeling reads gamma_j off the residue's t^j coefficient, then subtracts
     gamma_j t^j (1+t)^(d-2j); entries may be negative.  Requires a
-    palindromic input.  O(d^2) big-integer operations.
+    palindromic input.  The input and every peeled row are palindromic about
+    d/2, so peeling runs on coefficients 0 .. d // 2 alone, and a zero lower
+    half of the residue means a zero residue.  O(d^2) big-integer operations,
+    about half those of peeling the whole polynomial.
 
     >>> to_gamma_basis(IntPolynomial([2, 5, 2])).gammas
     (2, 1)
     >>> to_gamma_basis(IntPolynomial([1, 4, 1])).gammas
     (1, 2)
+    >>> to_gamma_basis(IntPolynomial([2, 9, 20, 20, 9, 2])).gammas
+    (2, -1, 3)
     """
     if not is_palindromic(p):
         raise NotPalindromicError(f"polynomial {list(p.coeffs)} is not palindromic")
     d = p.degree
-    residue = list(p.coeffs)
+    half = d // 2
+    residue = list(p.coeffs[: half + 1])
     gammas = []
-    for j in range(d // 2 + 1):
+    for j in range(half + 1):
         c = residue[j]
         gammas.append(c)
         if c:
-            add_binomial_row(residue, -c, j, d - 2 * j)
+            add_binomial_row(residue, -c, j, d - 2 * j, half)
     if any(residue):
         raise NotPalindromicError(f"peeling left a nonzero residue for {list(p.coeffs)}")
     return GammaVector(gammas, d)
@@ -195,16 +212,26 @@ def to_gamma_basis(p: IntPolynomial) -> GammaVector:
 def from_gamma_basis(g: GammaVector) -> IntPolynomial:
     """Reassemble sum of gamma_j t^j (1+t)^(d-2j); inverse of to_gamma_basis.
 
+    Every row is palindromic about d/2, so only coefficients 0 .. d // 2 are
+    summed and coefficient d - i is copied from coefficient i.  A zero
+    gamma_0 leaves the result below degree d.
+
     >>> from_gamma_basis(GammaVector([2, 1], 2)).coeffs
     (2, 5, 2)
     >>> from_gamma_basis(GammaVector([6, 8], 3)).coeffs
     (6, 26, 26, 6)
+    >>> from_gamma_basis(GammaVector([2, -1, 3], 5)).coeffs
+    (2, 9, 20, 20, 9, 2)
     """
+    d = g.degree
+    half = d // 2
+    # a nonzero row always reaches index half, so out is either empty (the
+    # zero polynomial) or the whole lower half
     out: list[int] = []
     for j, c in enumerate(g.gammas):
         if c:
-            add_binomial_row(out, c, j, g.degree - 2 * j)
-    return IntPolynomial(out)
+            add_binomial_row(out, c, j, d - 2 * j, half)
+    return IntPolynomial(out + out[: d - half][::-1])
 
 
 def drake_polynomial(n: int) -> IntPolynomial:

@@ -85,7 +85,7 @@ class MultivariatePoly:
 
     Stored as a sorted tuple of (exponent vector, coefficient) pairs; all
     exponent vectors have length k and zero coefficients are dropped, so
-    equality is structural.
+    equality is structural.  k must be a positive int.
     """
 
     k: int
@@ -94,6 +94,7 @@ class MultivariatePoly:
     def __init__(self, k: int, terms: Mapping[tuple[int, ...], int] | Iterable[tuple[tuple[int, ...], int]] = ()):
         items = dict(terms)
         _exact_ints([k, *items.values()], "k and coefficients")
+        check_size("MultivariatePoly", k, name="k")
         for exps in items:
             if len(_exact_ints(exps, "exponents")) != k:
                 raise ValueError(f"exponent vector {exps} does not have length {k}")

@@ -60,6 +60,29 @@ def subset_sum_gammas(n):
     return tuple(gammas)
 
 
+def gamma_sum_oracle(gammas, degree):
+    """Reference for the gamma conversions: sum of gamma_j t^j (1+t)^(d-2j)
+    built from IntPolynomial products, without add_binomial_row."""
+    powers = [IntPolynomial([1])]  # powers[m] = (1+t)^m
+    for _ in range(degree):
+        powers.append(powers[-1] * IntPolynomial([1, 1]))
+    total = IntPolynomial()
+    for j, c in enumerate(gammas):
+        total = total + IntPolynomial([0] * j + [c]) * powers[degree - 2 * j]
+    return total
+
+
+# (gammas, degree) with degree 0..60, entries of either sign and gamma_0 = 0
+# allowed
+gamma_pairs = st.integers(min_value=0, max_value=60).flatmap(
+    lambda d: st.lists(
+        st.integers(min_value=-50, max_value=50),
+        min_size=d // 2 + 1,
+        max_size=d // 2 + 1,
+    ).map(lambda gs: (gs, d))
+)
+
+
 class TestIntPolynomial:
     def test_trailing_zeros_stripped(self):
         assert IntPolynomial([1, 2, 0, 0]).coeffs == (1, 2)
@@ -123,6 +146,22 @@ class TestBinomialRow:
         acc = [1, 2, 3, 4]
         add_binomial_row(acc, 1, 0, 1)
         assert acc == [2, 3, 3, 4]
+        acc = [1, 2, 3, 4]
+        add_binomial_row(acc, 1, 0, 3, upto=1)
+        assert acc == [2, 5, 3, 4]
+
+    def test_upto_truncates_the_row(self):
+        for m in range(12):
+            for j in range(3):
+                full = []
+                add_binomial_row(full, -3, j, m)
+                for upto in range(j + m + 3):
+                    acc = []
+                    add_binomial_row(acc, -3, j, m, upto)
+                    # the prefix of the full row, not padded past upto
+                    assert acc == full[: upto + 1]
+                    if upto >= j + m:
+                        assert acc == full
 
 
 class TestGammaBasis:
@@ -144,10 +183,18 @@ class TestGammaBasis:
             to_gamma_basis(IntPolynomial([1, 2]))
         with pytest.raises(NotPalindromicError):
             to_gamma_basis(IntPolynomial([1, 0, 2]))
+        # lower halves of (1+t)^4 and (1+t)^3, upper halves that differ;
+        # peeling reads only the lower half
+        for coeffs in ([1, 4, 6, 4, 2], [1, 3, 3, 2], [1, 4, 6, 5, 1]):
+            with pytest.raises(NotPalindromicError):
+                to_gamma_basis(IntPolynomial(coeffs))
 
     def test_length_validation(self):
         with pytest.raises(ValueError):
             GammaVector((1, 2, 3), 3)  # degree 3 allows only 2 entries
+        for degree in (-2, -3, -10):
+            with pytest.raises(ValueError, match="at least -1"):
+                GammaVector([], degree)
 
     @pytest.mark.parametrize("bad", [1.5, 2.0, Fraction(1, 2), True])
     def test_rejects_inexact_gammas(self, bad):
@@ -158,15 +205,7 @@ class TestGammaBasis:
         with pytest.raises(TypeError):
             GammaVector([2, 1], bad)
 
-    @given(
-        st.integers(min_value=0, max_value=60).flatmap(
-            lambda d: st.lists(
-                st.integers(min_value=-50, max_value=50),
-                min_size=d // 2 + 1,
-                max_size=d // 2 + 1,
-            ).map(lambda gs: (gs, d))
-        )
-    )
+    @given(gamma_pairs)
     def test_round_trip_random(self, pair):
         gammas, degree = pair
         if gammas[0] == 0:
@@ -176,6 +215,14 @@ class TestGammaBasis:
         assert p.degree == degree
         assert is_palindromic(p)
         assert to_gamma_basis(p).gammas == tuple(gammas)
+
+    @given(gamma_pairs)
+    def test_conversions_match_sum_oracle(self, pair):
+        gammas, degree = pair
+        expected = gamma_sum_oracle(gammas, degree)
+        assert from_gamma_basis(GammaVector(gammas, degree)) == expected
+        if gammas[0]:
+            assert to_gamma_basis(expected) == GammaVector(gammas, degree)
 
     def test_zero_leading_gamma_drops_degree(self):
         # without the (1+t)^d term the result sits below degree d and is no

@@ -69,6 +69,11 @@ class TestExactInts:
         with pytest.raises(TypeError, match="k and coefficients must be ints"):
             MultivariatePoly(bad, {})
 
+    def test_multivariate_rejects_k_below_one(self):
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="k must be a positive integer"):
+                MultivariatePoly(k, {})
+
     @pytest.mark.parametrize("bad", INEXACT)
     def test_multivariate_rejects_exponents_that_are_not_ints(self, bad):
         with pytest.raises(TypeError, match="exponents must be ints"):
