@@ -63,12 +63,6 @@ COLORED_CAP_K = 5
 JOINT_KEY = {"rdes": 0, "drd": 1, "nlyn": 2, "dnl": 3, "free": 4}
 
 
-def leaf_count(t: Tree) -> int:
-    if isinstance(t, int):
-        return 1
-    return leaf_count(t[0]) + leaf_count(t[1])
-
-
 def _insertions(t: Tree, label: int) -> Iterator[Tree]:
     """t with (that node, leaf label) in place of each of its nodes, in preorder."""
     yield (t, label)

@@ -91,17 +91,6 @@ class IntPolynomial:
                 out[i + j] += ca * cb
         return IntPolynomial(out)
 
-    def __call__(self, t):
-        """Horner evaluation; exact for int and Fraction arguments.
-
-        >>> IntPolynomial([2, 5, 2])(1)
-        9
-        """
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
-
 
 @dataclass(frozen=True, init=False)
 class GammaVector:
@@ -130,8 +119,15 @@ class GammaVector:
 
 
 def evaluate(p: IntPolynomial, t):
-    """Evaluate p at t by Horner's rule; exact big-integer arithmetic."""
-    return p(t)
+    """Evaluate p at t by Horner's rule; exact for int and Fraction arguments.
+
+    >>> evaluate(IntPolynomial([2, 5, 2]), 1)
+    9
+    """
+    acc = 0
+    for c in reversed(p.coeffs):
+        acc = acc * t + c
+    return acc
 
 
 def is_palindromic(p: IntPolynomial) -> bool:

@@ -45,12 +45,6 @@ class Partition:
     def weight(self) -> int:
         return sum(self.parts)
 
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
 
 @dataclass(frozen=True, init=False)
 class ESymExpansion:
@@ -102,12 +96,6 @@ class MultivariatePoly:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "terms", tuple(sorted(cleaned.items())))
 
-    def as_dict(self) -> dict[tuple[int, ...], int]:
-        return dict(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def evaluate_all_ones(self) -> int:
         return sum(c for _, c in self.terms)
 
@@ -142,7 +130,7 @@ def expand_e_lambda(lam: Partition, k: int) -> MultivariatePoly:
     """
     check_size("expand_e_lambda", k, name="k")
     acc: dict[tuple[int, ...], int] = {(0,) * k: 1}
-    for part in lam:
+    for part in lam.parts:
         if part > k:
             return MultivariatePoly(k, {})
         acc = _multiply_terms(acc, _elementary(part, k))

@@ -34,7 +34,6 @@ from gamma_forest.binary_trees import (
     is_ndnl,
     is_ndrd,
     joint_statistics,
-    leaf_count,
     marginal,
     nlyn,
     normalized_rows,
@@ -187,7 +186,7 @@ class TestEnumeration:
 
         for t in enumerate_normalized(6):
             assert ok(t)
-            assert leaf_count(t) == 6
+            assert tree_to_string(t).count(",") == 5
 
     def test_all_distinct(self):
         seen = set()
@@ -379,8 +378,7 @@ class TestJointEngine:
             raise AssertionError("an engine called a per-tree function")
 
         for name in (
-            "enumerate_normalized", "_insertions", "tree_to_string", "leaf_count",
-            "valency", "rdes", "is_ndrd", "nlyn", "is_ndnl", "free_count", "comb_type",
+            "enumerate_normalized", "_insertions", "tree_to_string", "valency", "rdes", "is_ndrd", "nlyn", "is_ndnl", "free_count", "comb_type",
         ):
             monkeypatch.setattr(binary_trees, name, banned)
         assert engines() == expected

@@ -13,17 +13,11 @@ from hypothesis import assume, given, settings, strategies as st
 from gamma_forest import cli, stirling
 
 
-def run_cli(*args, env=None, timeout=None):
-    import os
-
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
+def run_cli(*args, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "gamma_forest.cli", *args],
         capture_output=True,
         text=True,
-        env=full_env,
         timeout=timeout,
     )
 
@@ -152,37 +146,6 @@ class TestVerifyCommand:
             assert a.returncode == 0, (suite, a.stderr)
             assert a.stdout == b.stdout, suite
 
-    def test_env_var_thread_fallback(self):
-        r = run_cli(
-            "verify",
-            "--suite",
-            "eulerian",
-            "--n-max",
-            "3",
-            env={"GAMMA_FOREST_THREADS": "2"},
-        )
-        assert r.returncode == 0
-        bad = run_cli(
-            "verify",
-            "--suite",
-            "eulerian",
-            "--n-max",
-            "3",
-            env={"GAMMA_FOREST_THREADS": "0"},
-        )
-        assert bad.returncode == 2
-        assert bad.stderr == "error: GAMMA_FOREST_THREADS must be at least 1\n"
-        not_int = run_cli(
-            "verify",
-            "--suite",
-            "eulerian",
-            "--n-max",
-            "3",
-            env={"GAMMA_FOREST_THREADS": "x"},
-        )
-        assert not_int.returncode == 2
-        assert not_int.stderr == "error: GAMMA_FOREST_THREADS must be a positive integer, got 'x'\n"
-
     def test_raising_engine_fails_checks_without_aborting(self, monkeypatch, capsys):
         from gamma_forest import stirling
 
@@ -300,6 +263,32 @@ class TestVerifyCommand:
                 line.startswith(f"FAIL symfunc.product-form-mass n=5 k={k} ") for line in lines
             )
 
+    def test_count_and_tally_share_the_word_stream(self, monkeypatch, capsys):
+        # stirling.count and the pair tally both read stirling._words, the
+        # count at order m and the tally at order m - 1.  A word dropped at
+        # order 4 fails the count at m = 4 and, through its children, at m = 5,
+        # and the four tally checks at m = 5 only.
+        from gamma_forest import stirling
+
+        def drop_last_of_order_4(n, _fn=stirling._words):
+            words = list(_fn(n))
+            yield from words[:-1] if n == 4 else words
+
+        monkeypatch.setattr(stirling, "_words", drop_last_of_order_4)
+        assert cli.main(["verify", "--suite", "stirling", "--n-max", "5", "--threads", "1"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        failed = [line for line in lines if line.startswith("FAIL ")]
+        assert failed[:2] == [
+            "FAIL stirling.count n=4 expected=105 actual=104",
+            "FAIL stirling.count n=5 expected=945 actual=936",
+        ]
+        tally_checks = ("naas-vs-gamma", "ntns-vs-gamma", "rdes-equidistribution",
+                        "nlyn-equidistribution")
+        assert [line.split()[1:3] for line in failed[2:]] == [
+            [f"stirling.{check}", "n=5"] for check in tally_checks
+        ]
+        assert lines[-1] == "TOTAL suite=stirling n_max=5 passed=19 failed=6 skipped=0"
+
     def test_stirling_trees_stay_within_tree_cap(self):
         # stirling.*-equidistribution at n = m reads the trees on [m + 1]; while
         # the Stirling cap stays below the tree cap, no m the stirling suite runs
@@ -311,13 +300,28 @@ class TestVerifyCommand:
     def test_failure_exit_code(self, monkeypatch):
         # force one check to disagree and confirm the suite reports nonzero
         report = cli.SuiteReport("drake", 2)
-        cli._check(report, "forced", "n=1", 1, 2)
+        cli._check(report, "forced", "n=1", lambda: 1, lambda: 2)
         assert report.counts() == (0, 1, 0)
         text = cli._render_verify(report, "text")
         assert "FAIL forced" in text
 
 
 class TestEnumerateCommand:
+    def test_reader_closing_early_exits_quietly(self):
+        # rooted 7 rows run to megabytes, far more than the pipe holds, so the
+        # writer meets the closed pipe
+        argv = ["enumerate", "--family", "rooted", "--n", "7", "--mode", "rows"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gamma_forest.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline().startswith(b'{"n":7,"root":1,')
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert b"Traceback" not in err and b"Exception ignored" not in err, err
+
     def test_stirling_csv_table(self):
         r = run_cli("enumerate", "--family", "stirling", "--n", "2", "--format", "csv")
         assert r.stdout.splitlines() == [
@@ -526,18 +530,12 @@ class TestSymfuncCommand:
 
 
 class TestThreadResolution:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("GAMMA_FOREST_THREADS", "7")
+    def test_explicit_wins(self):
         assert cli.resolve_threads(2) == 2
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("GAMMA_FOREST_THREADS", "7")
-        assert cli.resolve_threads(None) == 7
 
     def test_default_is_available_cpus(self, monkeypatch):
         import os
 
-        monkeypatch.delenv("GAMMA_FOREST_THREADS", raising=False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
         assert cli.resolve_threads(None) == 3
 
@@ -545,10 +543,17 @@ class TestThreadResolution:
         # where the platform cannot report the CPUs this process may use
         import os
 
-        monkeypatch.delenv("GAMMA_FOREST_THREADS", raising=False)
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         assert cli.resolve_threads(None) == (os.cpu_count() or 1)
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             cli.resolve_threads(0)
+
+    def test_package_reads_no_environment(self):
+        # settings come from the command line only
+        from pathlib import Path
+
+        for path in Path(cli.__file__).parent.glob("*.py"):
+            source = path.read_text()
+            assert "os.environ" not in source and "getenv" not in source, path.name

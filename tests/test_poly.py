@@ -103,12 +103,12 @@ class TestIntPolynomial:
         assert (a * a).coeffs == (1, 2, 1)
         assert (a * IntPolynomial([])).coeffs == ()
 
-    def test_call_horner(self):
+    def test_evaluate_horner(self):
         p = IntPolynomial([1, 2, 3])
-        assert p(0) == 1
-        assert p(1) == 6
-        assert p(10) == 321
-        assert p(Fraction(1, 2)) == Fraction(11, 4)
+        assert evaluate(p, 0) == 1
+        assert evaluate(p, 1) == 6
+        assert evaluate(p, 10) == 321
+        assert evaluate(p, Fraction(1, 2)) == Fraction(11, 4)
 
     def test_immutability(self):
         p = IntPolynomial([1, 2])
