@@ -16,11 +16,10 @@ import operator
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
 from types import ModuleType
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import _pool, binary_trees, poly, rooted_trees, stirling, symfunc
 
@@ -35,8 +34,7 @@ class IncompatibleStatError(ValueError):
     pass
 
 
-@dataclass
-class CheckRecord:
+class CheckRecord(NamedTuple):
     check_id: str
     params: str
     status: str  # pass, fail, or skip
@@ -45,11 +43,11 @@ class CheckRecord:
     elapsed_ms: int
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    n_max: int
-    checks: list[CheckRecord] = field(default_factory=list)
+    def __init__(self, suite: str, n_max: int):
+        self.suite = suite
+        self.n_max = n_max
+        self.checks: list[CheckRecord] = []
 
     def counts(self) -> tuple[int, int, int]:
         statuses = [c.status for c in self.checks]
@@ -130,8 +128,7 @@ class _Engines:
         return self._get(symfunc.f_mcomb_direct, n, k)
 
 
-@dataclass(frozen=True)
-class _Block:
+class _Block(NamedTuple):
     """Checks run for each n = first..last (and each colour count k in colors);
     above last, each id in skips reports SKIP.  last is a fixed bound, or the
     module whose DEFAULT_CAP bounds the family (n_max under --cap-override).
@@ -505,8 +502,7 @@ def _normalized_histogram(stat: str, n: int, threads: int) -> dict:
     return binary_trees.marginal(binary_trees.joint_statistics(n, threads, n), stat)
 
 
-@dataclass(frozen=True)
-class _Family:
+class _Family(NamedTuple):
     """An enumerate family: its statistics (the default first), the module whose
     DEFAULT_CAP bounds n, the object count that --mode auto compares with
     HISTOGRAM_THRESHOLD, its histogram, and its row source, which yields blocks

@@ -14,7 +14,6 @@ its gamma interpretation over permutations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterable
 
@@ -35,8 +34,37 @@ def _exact_ints(values: Iterable[int], what: str) -> list[int]:
     return out
 
 
-@dataclass(frozen=True, init=False)
-class IntPolynomial:
+class _Value:
+    """Base of the frozen value types.  A subclass names its fields once, as
+    class annotations, and sets them in __init__ with object.__setattr__.  A
+    value equals only values of its own class; hash and repr go over the fields
+    in order.  No __slots__: unpickling fills the __dict__ without __setattr__."""
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__dict__["__annotations__"])
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def _frozen(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete {name!r}: {type(self).__name__} is frozen")
+
+    __setattr__ = __delattr__ = _frozen
+
+
+class IntPolynomial(_Value):
     """A dense univariate polynomial over the integers.
 
     coeffs[i] is the coefficient of t^i.  Trailing zeros are stripped on
@@ -92,8 +120,7 @@ class IntPolynomial:
         return IntPolynomial(out)
 
 
-@dataclass(frozen=True, init=False)
-class GammaVector:
+class GammaVector(_Value):
     """Coordinates of a palindromic polynomial in the gamma basis.
 
     gammas[j] multiplies t^j (1+t)^(degree - 2j).  The length is pinned to

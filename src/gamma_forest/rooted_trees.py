@@ -25,19 +25,17 @@ Neither side of the descent identity shares a decode with the other.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator
 
 from ._pool import map_prefixes
 from .errors import check_size
-from .poly import IntPolynomial
+from .poly import IntPolynomial, _Value
 
 DEFAULT_CAP = 9
 
 
-@dataclass(frozen=True, init=False)
-class PruferCode:
+class PruferCode(_Value):
     """A Prufer sequence for a labeled unrooted tree on [n]; length n - 2."""
 
     n: int
@@ -60,8 +58,7 @@ class PruferCode:
         object.__setattr__(self, "seq", s)
 
 
-@dataclass(frozen=True, init=False)
-class RootedTree:
+class RootedTree(_Value):
     """A rooted labeled tree on [n] as a parent array.
 
     parent[x] is the parent label of node x, with parent[root] = 0; index 0

@@ -12,21 +12,19 @@ since e_(2^j 1^m) maps to t^j (1+t)^m and every other e_lambda vanishes.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from typing import Iterable, Mapping
 
 from . import binary_trees
 from .errors import check_size
-from .poly import IntPolynomial, _exact_ints, add_binomial_row
+from .poly import IntPolynomial, _exact_ints, _Value, add_binomial_row
 
 FMC_CAP_N = 8
 FMC_CAP_K = 4
 
 
-@dataclass(frozen=True, init=False)
-class Partition:
+class Partition(_Value):
     """An integer partition as a weakly decreasing tuple of positive parts.
 
     Construction sorts and drops zeros; the empty partition is valid and has
@@ -46,8 +44,7 @@ class Partition:
         return sum(self.parts)
 
 
-@dataclass(frozen=True, init=False)
-class ESymExpansion:
+class ESymExpansion(_Value):
     """An integer combination of elementary symmetric functions e_lambda.
 
     All partitions share one weight; zero coefficients are dropped.  The
@@ -73,8 +70,7 @@ class ESymExpansion:
         return {lam.parts: c for lam, c in self.terms}
 
 
-@dataclass(frozen=True, init=False)
-class MultivariatePoly:
+class MultivariatePoly(_Value):
     """A polynomial in x_1 .. x_k with integer coefficients.
 
     Stored as a sorted tuple of (exponent vector, coefficient) pairs; all

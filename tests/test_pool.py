@@ -113,13 +113,18 @@ def test_rejects_threads_that_are_not_a_positive_int(monkeypatch, engine, n, bad
 
 
 def test_verify_without_a_pool_never_imports_multiprocessing():
-    # a run that starts no pool does not pay for importing multiprocessing
+    # a run that starts no pool does not pay for importing multiprocessing,
+    # and no run pays for dataclasses and the inspect, ast and dis it loads
     code = (
         "import sys\n"
+        "def loaded(): return [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
+        "import gamma_forest\n"
+        "assert loaded() == [], loaded()\n"
         "from gamma_forest import cli\n"
         "rc = cli.main(['verify', '--suite', 'all', '--n-max', '6', '--threads', '2'])\n"
         "assert rc == 0, rc\n"
         "assert 'multiprocessing' not in sys.modules\n"
+        "assert loaded() == [], loaded()\n"
     )
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr[-2000:]
@@ -146,10 +151,13 @@ def test_dead_worker_fails_its_check_and_the_run_goes_on():
         "assert multiprocessing.active_children() == []\n"
     )
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
-    assert r.returncode == 0, r.stderr[-2000:]
+    tails = f"\nstdout tail:\n{r.stdout[-1500:]}\nstderr tail:\n{r.stderr[-1500:]}"
+    assert r.returncode == 0, tails
     # only the one check that pools rooted trees fails, and all 189 report
-    fail, total = [line for line in r.stdout.splitlines() if not line.startswith("PASS")]
-    assert fail.startswith("FAIL drake.descent-vs-product n=7 ")
-    assert "actual=error: A process in the process pool was terminated abruptly" in fail
-    assert total == "TOTAL suite=all n_max=7 passed=188 failed=1 skipped=0"
-    assert "\nerror: A process in the process pool was terminated abruptly" in r.stderr
+    others = [line for line in r.stdout.splitlines() if not line.startswith("PASS")]
+    assert len(others) == 2, tails
+    fail, total = others
+    assert fail.startswith("FAIL drake.descent-vs-product n=7 "), tails
+    assert "actual=error: A process in the process pool was terminated abruptly" in fail, tails
+    assert total == "TOTAL suite=all n_max=7 passed=188 failed=1 skipped=0", tails
+    assert "\nerror: A process in the process pool was terminated abruptly" in r.stderr, tails
