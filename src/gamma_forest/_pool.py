@@ -46,7 +46,7 @@ def map_shards(fn: Callable[[tuple], Result], tasks: Sequence[tuple], threads: i
     workers = min(threads, len(tasks), available_cpus())
     if workers <= 1:  # a pool of one would only add a fork and the pickling
         return [fn(task) for task in tasks]
-    # imported here: they take 17 ms, half again the 32 ms that importing
+    # imported here: they take 17 ms, about half the 32 ms that importing
     # gamma_forest.cli takes with no cached bytecode; most commands start no pool
     import concurrent.futures
     import multiprocessing

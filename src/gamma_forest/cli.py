@@ -504,14 +504,14 @@ def _normalized_histogram(stat: str, n: int, threads: int) -> dict:
 
 class _Family(NamedTuple):
     """An enumerate family: its statistics (the default first), the module whose
-    DEFAULT_CAP bounds n, the object count that --mode auto compares with
-    HISTOGRAM_THRESHOLD, its histogram, and its row source, which yields blocks
-    of lines.  Engines are looked up on their module at call time, so a
+    DEFAULT_CAP bounds n, its size (the object count that --mode auto compares
+    with HISTOGRAM_THRESHOLD), its histogram, and its row source, which yields
+    blocks of lines.  Engines are looked up on their module at call time, so a
     rebound attribute is the one that runs."""
 
     stats: tuple[str, ...]
     module: ModuleType
-    count: Callable[[int], int]
+    size: Callable[[int], int]
     histogram: Callable[[str, int, int], dict]
     rows: Callable[[str, int, str], Iterator[list[str]]]
 
@@ -603,7 +603,7 @@ def cmd_enumerate(
     if refusal := _refusal(family, spec.module, n, cap_override):
         return [refusal], True
     if mode == "auto":
-        mode = "histogram" if spec.count(n) > HISTOGRAM_THRESHOLD else "rows"
+        mode = "histogram" if spec.size(n) > HISTOGRAM_THRESHOLD else "rows"
     if mode == "histogram":
         hist = spec.histogram(stat, n, threads)
         return [_render_histogram(family, stat, n, hist, fmt)], False

@@ -38,10 +38,12 @@ class _Value:
     """Base of the frozen value types.  A subclass names its fields once, as
     class annotations, and sets them in __init__ with object.__setattr__.  A
     value equals only values of its own class; hash and repr go over the fields
-    in order.  No __slots__: unpickling fills the __dict__ without __setattr__."""
+    in order.  No __slots__: unpickling fills the __dict__ without __setattr__.
+    The module of a subclass must use `from __future__ import annotations`, so
+    that reading the field names never evaluates a type that names the class."""
 
     def __init_subclass__(cls):
-        cls._fields = tuple(cls.__dict__["__annotations__"])
+        cls._fields = tuple(cls.__annotations__)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
