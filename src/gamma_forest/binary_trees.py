@@ -24,7 +24,9 @@ Statistics:
 joint_statistics and normalized_rows run on one walker: it backtracks over
 flat arrays, yielding every tree on [n - 1] with its five statistics
 maintained incrementally across insertions, and each inserts leaf n itself,
-so a full pass over the two million trees at n=9 takes seconds.
+so a full pass over the two million trees at n=9 takes seconds.  The rows
+take their strings from _strings, a walk over strings alone in the same
+order, and read node spans and comb types once per tree shape.
 comb_type_tally walks no tree: it runs a recurrence over comb types.  The
 update rules of the statistics are written once, in _child_keys.  JOINT_KEY,
 the one place that names the positions of a tally key, is read by the views
@@ -47,7 +49,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache
-from typing import Iterator, Union
+from typing import Iterator, Sequence, Union
 
 from ._pool import map_prefixes
 from .errors import check_size
@@ -549,35 +551,74 @@ def bicolored_lyndon_census(n: int, threads: int = 1, cap: int = DEFAULT_CAP) ->
 # ---------------------------------------------------------------------------
 # Rows and comb types.
 #
-# Rows come in enumerate_normalized order: every tree on [n - 1] from the
-# walker, and under it the insertions of leaf n at its nodes in preorder,
-# as one block per tree.  One pass over the tree gives its string and each
-# node's span in it; each child then costs one string splice, and its
-# statistic is read off _child_keys or, for the comb type, off one split of
-# the tree's own.
+# Rows come in enumerate_normalized order: every tree on [n - 1], and under
+# it the insertions of leaf n at its nodes in preorder, as one block per
+# tree.  The strings come from a walk over strings alone, _strings, which
+# splices "(" and ",m)" around each node's span of a string on [m - 1]; the
+# statistics come from the walker, in step with it.  A node's span, and the
+# comb types of a tree's children, depend only on the tree's shape, which
+# the shape key of its string keeps: the string with every digit made 0, so
+# that a label keeps its width.  Both are computed once per key and kept for
+# one call; only rdes, nlyn and free are read per tree, off _child_keys.
+# The trees on [m] have Catalan(m - 1) shapes, and as many keys while every
+# label is one digit (n <= 10): at n = 8, 132 comb-type entries and 197 span
+# entries over m = 1..7.  Above, a key also fixes which leaves carry two
+# digits.
 # ---------------------------------------------------------------------------
 
 ROW_STATS = ("rdes", "nlyn", "free", "combtype")
 
+_SHAPE = str.maketrans("123456789", "000000000")
 
-def _spans(arrays: tuple[list, ...], root: int) -> tuple[str, list[tuple[int, int, int]]]:
-    """tree_to_string of the tree in the arrays, and per node in preorder
-    (node, start, end) of its substring."""
-    left, right = arrays[0], arrays[1]
-    spans: list[tuple[int, int, int]] = []
 
-    def text(v: int, start: int) -> str:
-        # the right child starts after "(", the left child's text and ","
-        i = len(spans)
-        if v & 1:
-            a = text(left[v], start + 1)
-            s = f"({a},{text(right[v], start + len(a) + 2)})"
-        else:
-            s = str(v // 2 + 1)
-        spans.insert(i, (v, start, start + len(s)))  # before its descendants
-        return s
+def _key_spans(key: str) -> tuple[tuple[int, int], ...]:
+    """(start, end) of each node's substring in a tree string, the nodes in
+    preorder, from one scan of the string's shape key."""
+    spans: list = []
+    open_nodes = []
+    start = -1  # of the leaf being read, or -1
+    for i, c in enumerate(key):
+        if c == "0":
+            if start < 0:
+                start = i
+            continue
+        if start >= 0:
+            spans.append((start, i))
+            start = -1
+        if c == "(":
+            open_nodes.append(len(spans))
+            spans.append(i)  # its start, until its ")"
+        elif c == ")":
+            j = open_nodes.pop()
+            spans[j] = (spans[j], i + 1)
+    if start >= 0:  # the tree is one leaf
+        spans.append((start, len(key)))
+    return tuple(spans)
 
-    return text(root, 0), spans
+
+def _shape_spans(s: str, memo: dict) -> tuple[str, tuple[tuple[int, int], ...]]:
+    # the shape key of a tree string and its _key_spans, memoized by key
+    key = s.translate(_SHAPE)
+    spans = memo.get(key)
+    if spans is None:
+        spans = memo[key] = _key_spans(key)
+    return key, spans
+
+
+def _spliced(s: str, spans: tuple[tuple[int, int], ...], leaf: str) -> list[str]:
+    # s with (that node, leaf) in place of each node, in preorder
+    return [f"{s[:a]}({s[a:b]}{leaf}{s[b:]}" for a, b in spans]
+
+
+def _strings(m: int, memo: dict) -> Iterator[str]:
+    """tree_to_string of each normalized tree on [m], in enumerate_normalized
+    order; memo is _shape_spans's."""
+    if m == 1:
+        yield "1"
+        return
+    leaf = f",{m})"
+    for s in _strings(m - 1, memo):
+        yield from _spliced(s, _shape_spans(s, memo)[1], leaf)
 
 
 @cache  # the one statement of the edit, read by the rows and the tally
@@ -623,7 +664,7 @@ def _comb_children(arrays: tuple[list, ...], order: list[int]) -> list[tuple[int
     return out
 
 
-def _row_blocks(n: int, stat: str, cap: int = DEFAULT_CAP) -> Iterator[tuple[list[str], list]]:
+def _row_blocks(n: int, stat: str, cap: int = DEFAULT_CAP) -> Iterator[tuple[list[str], Sequence]]:
     """One block per normalized tree on [n - 1], in walk order: the strings of
     the 2n - 3 trees made by inserting leaf n at its nodes in preorder, and
     their statistics (one block of the tree 1 when n is 1).
@@ -638,14 +679,20 @@ def _row_blocks(n: int, stat: str, cap: int = DEFAULT_CAP) -> Iterator[tuple[lis
         return
     leaf = f",{n})"
     i = JOINT_KEY.get(stat)  # None for the comb type
-    for arrays, nodes, root, key in _walk(n):
-        s, spans = _spans(arrays, root)
-        order = [v for v, _, _ in spans]
+    memo: dict = {}
+    combs: dict = {}  # shape key -> its children's comb types, shared by its trees
+    for s, (arrays, nodes, root, key) in zip(_strings(n - 1, memo), _walk(n), strict=True):
+        shape, spans = _shape_spans(s, memo)
         if i is None:
-            values = _comb_children(arrays, order)
+            values = combs.get(shape)
+            if values is None:
+                order = _preorder_nodes(arrays, root)
+                children = _comb_children(arrays, order)
+                values = combs[shape] = tuple(children[v] for v in order)
         else:
-            values = [k[i] for k in _child_keys(arrays, nodes, key)]
-        yield [f"{s[:a]}({s[a:b]}{leaf}{s[b:]}" for _, a, b in spans], [values[v] for v in order]
+            keys = _child_keys(arrays, nodes, key)
+            values = [keys[v][i] for v in _preorder_nodes(arrays, root)]
+        yield _spliced(s, spans, leaf), values
 
 
 def normalized_rows(n: int, stat: str, cap: int = DEFAULT_CAP) -> Iterator[tuple[str, object]]:

@@ -16,7 +16,7 @@ import operator
 import os
 import sys
 import time
-from fractions import Fraction
+from collections import Counter
 from itertools import groupby
 from types import ModuleType
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -80,16 +80,26 @@ def _double_factorial(m: int) -> int:
     return math.prod(range(m, 0, -2))
 
 
-def _product_form_mass(n: int, k: int) -> int:
-    # the colorings of the trees on [n], tree by tree; a tree with none
-    # weighs nothing, so the trees are counted as well
-    mass = trees = 0
-    for t in binary_trees.enumerate_normalized(n):
-        mass += symfunc.product_form_count(t, k)
-        trees += 1
+def _comb_type_census(n: int) -> Counter:
+    # the comb type of each tree on [n], tree by tree
+    return Counter(map(binary_trees.comb_type, binary_trees.enumerate_normalized(n, n)))
+
+
+def _product_form_mass(census: Counter, n: int, k: int) -> int:
+    # the colorings of the trees on [n], C(k, part) per chain of each tree;
+    # a tree with none weighs nothing, so the trees are counted as well
+    trees = sum(census.values())
     if trees != _double_factorial(2 * n - 3):
         raise ValueError(f"{trees} trees")
-    return mass
+    return sum(c * math.prod(math.comb(k, part) for part in parts) for parts, c in census.items())
+
+
+def _at_rational_roots(p, n: int) -> list:
+    # p at -(n - i)/i for i = 1..n - 1; fractions, and the decimal it
+    # loads, are imported here, as no other command reads them
+    from fractions import Fraction
+
+    return [poly.evaluate(p, Fraction(-(n - i), i)) for i in range(1, n)]
 
 
 class _Engines:
@@ -127,6 +137,10 @@ class _Engines:
     def fmcomb(self, n: int, k: int):
         return self._get(symfunc.f_mcomb_direct, n, k)
 
+    def comb_types(self, n: int):
+        # read by symfunc.product-form-mass alone
+        return self._get(_comb_type_census, n)
+
 
 class _Block(NamedTuple):
     """Checks run for each n = first..last (and each colour count k in colors);
@@ -155,7 +169,7 @@ _TABLE = (
     _Block("drake", 2, 10, (), (
         ("drake.rational-roots",
             lambda e, n: [0] * (n - 1),
-            lambda e, n: [poly.evaluate(e.drake(n), Fraction(-(n - i), i)) for i in range(1, n)]),
+            lambda e, n: _at_rational_roots(e.drake(n), n)),
     )),
     _Block("drake", 1, rooted_trees, ("drake.descent-vs-product",), (
         ("drake.descent-vs-product",
@@ -233,7 +247,7 @@ _TABLE = (
             lambda e, n, k: e.fmcomb(n, k).terms),
         ("symfunc.product-form-mass",
             lambda e, n, k: e.fmcomb(n, k).evaluate_all_ones(),
-            lambda e, n, k: _product_form_mass(n, k)),
+            lambda e, n, k: _product_form_mass(e.comb_types(n), n, k)),
     ), colors=(1, 2, 3)),
     _Block("eulerian", 1, 8, ("eulerian.gamma-count-vs-peel",), (
         ("eulerian.gamma-count-vs-peel",

@@ -12,7 +12,7 @@ they pin the set of colorings per tree.
 import hashlib
 import math
 from collections import Counter
-from itertools import groupby, product
+from itertools import groupby, islice, product
 
 import pytest
 
@@ -305,6 +305,38 @@ class TestJointEngine:
                 expected = [(tree_to_string(t), oracle(t)) for t in trees]
                 assert list(normalized_rows(n, stat)) == expected, (n, stat)
             assert comb_type_tally(n) == Counter(comb_type(t) for t in trees)
+
+    @pytest.mark.parametrize(
+        "t",
+        [10, (1, 10), ((1, 10), (2, 11)), (((1, 12), (3, 4)), ((2, 11), 10)), (1, (2, (3, 13)))],
+    )
+    def test_key_spans_keep_label_widths(self, t):
+        # each node's substring, in preorder, from the shape key alone
+        def preorder(u):
+            yield u
+            if isinstance(u, tuple):
+                yield from preorder(u[0])
+                yield from preorder(u[1])
+
+        s = tree_to_string(t)
+        key = s.translate(binary_trees._SHAPE)
+        assert set(key) <= set("(),0") and len(key) == len(s)
+        spans = binary_trees._key_spans(key)
+        assert [s[a:b] for a, b in spans] == [tree_to_string(u) for u in preorder(t)]
+
+    def test_key_spans_reference(self):
+        assert binary_trees._key_spans("((0,00),(0,00))") == (
+            (0, 15), (1, 7), (2, 3), (4, 6), (8, 14), (9, 10), (11, 13)
+        )
+
+    @pytest.mark.parametrize("stat, oracle", [("combtype", comb_type), ("nlyn", nlyn)])
+    def test_rows_above_cap_match_per_tree_statistics(self, stat, oracle):
+        # at n = 11 labels 10 and 11 take two digits, so the shape keys do too
+        size = 10_000
+        rows = list(islice(normalized_rows(11, stat, 11), size))
+        expected = [(tree_to_string(t), oracle(t)) for t in islice(enumerate_normalized(11, 11), size)]
+        assert len(rows) == size
+        assert rows == expected
 
     def test_rows_engine_caps_and_stats(self):
         with pytest.raises(LimitExceededError):

@@ -114,17 +114,23 @@ def test_rejects_threads_that_are_not_a_positive_int(monkeypatch, engine, n, bad
 
 def test_verify_without_a_pool_never_imports_multiprocessing():
     # a run that starts no pool does not pay for importing multiprocessing,
-    # and no run pays for dataclasses and the inspect, ast and dis it loads
+    # no run pays for dataclasses and the inspect, ast and dis it loads, and
+    # only verify, through drake.rational-roots, pays for fractions and decimal
     code = (
         "import sys\n"
-        "def loaded(): return [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
+        "def loaded(*names): return [m for m in names if m in sys.modules]\n"
+        "ALWAYS = ('dataclasses', 'inspect')\n"
+        "RATIONALS = ('fractions', 'decimal')\n"
         "import gamma_forest\n"
-        "assert loaded() == [], loaded()\n"
+        "assert loaded(*ALWAYS, *RATIONALS) == [], loaded(*ALWAYS, *RATIONALS)\n"
         "from gamma_forest import cli\n"
+        "rc = cli.main(['enumerate', '--family', 'normalized', '--n', '4', '--mode', 'rows'])\n"
+        "assert rc == 0, rc\n"
+        "assert loaded(*ALWAYS, *RATIONALS) == [], loaded(*ALWAYS, *RATIONALS)\n"
         "rc = cli.main(['verify', '--suite', 'all', '--n-max', '6', '--threads', '2'])\n"
         "assert rc == 0, rc\n"
         "assert 'multiprocessing' not in sys.modules\n"
-        "assert loaded() == [], loaded()\n"
+        "assert loaded(*ALWAYS) == [], loaded(*ALWAYS)\n"
     )
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr[-2000:]
