@@ -14,6 +14,10 @@ Result = TypeVar("Result")
 # Smaller walks run serially, as a pool costs more: rooted trees pool from n = 7
 # (7^5 Prufer sequences, 6^4 at n = 6), binary trees from n = 8 (11!! vs 9!!).
 POOL_FROM = 10**4
+BROKEN_POOL = (
+    "A process in the process pool was terminated abruptly "
+    "while the future was running or pending."
+)
 
 
 def map_prefixes(fn: Callable[[tuple], Result], n: int, levels: Sequence[range], threads: int) -> list[Result]:
@@ -42,13 +46,14 @@ def map_shards(fn: Callable[[tuple], Result], tasks: Sequence[tuple], threads: i
     """[fn(task) for task in tasks] over min(threads, tasks, available CPUs)
     forked workers; serially in this process where that is one worker or the
     platform cannot fork.  A worker that dies raises BrokenProcessPool, a
-    RuntimeError, instead of leaving the map waiting for its result."""
+    RuntimeError, with the message BROKEN_POOL, instead of leaving the map
+    waiting for its result."""
     workers = min(threads, len(tasks), available_cpus())
     if workers <= 1:  # a pool of one would only add a fork and the pickling
         return [fn(task) for task in tasks]
     # imported here: they take 17 ms, about half the 32 ms that importing
     # gamma_forest.cli takes with no cached bytecode; most commands start no pool
-    import concurrent.futures
+    import concurrent.futures.process
     import multiprocessing
 
     try:
@@ -56,4 +61,9 @@ def map_shards(fn: Callable[[tuple], Result], tasks: Sequence[tuple], threads: i
     except ValueError:
         return [fn(task) for task in tasks]
     with concurrent.futures.ProcessPoolExecutor(workers, mp_context=context) as pool:
-        return list(pool.map(fn, tasks))
+        try:
+            return list(pool.map(fn, tasks))
+        except concurrent.futures.process.BrokenProcessPool as exc:
+            # worded one way when a worker dies before the last submit, another
+            # after it; one wording keeps the FAIL lines of verify the same
+            raise type(exc)(BROKEN_POOL) from exc

@@ -112,6 +112,25 @@ def test_rejects_threads_that_are_not_a_positive_int(monkeypatch, engine, n, bad
         engine(n, threads=bad)
 
 
+def test_a_broken_pool_has_one_wording(monkeypatch):
+    # the executor words a dead worker by when it died: before the last
+    # submit, or after it; verify prints the message in a FAIL line
+    class BreakingPool(RecordingContext):
+        def map(self, fn, tasks):
+            raise concurrent.futures.process.BrokenProcessPool(
+                "A child process terminated abruptly, the process pool is not usable anymore"
+            )
+
+    context = BreakingPool()
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: context)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", context.Pool)
+    monkeypatch.setattr(pool, "available_cpus", lambda: 2)
+    with pytest.raises(concurrent.futures.process.BrokenProcessPool) as info:
+        pool.map_shards(abs, [-3, 1, -2], 2)
+    assert str(info.value) == pool.BROKEN_POOL
+    assert context.sizes == [2]
+
+
 def test_verify_without_a_pool_never_imports_multiprocessing():
     # a run that starts no pool does not pay for importing multiprocessing,
     # no run pays for dataclasses and the inspect, ast and dis it loads, and
