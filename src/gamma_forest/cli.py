@@ -212,8 +212,6 @@ _TABLE = (
             lambda e, n: binary_trees.marginal(e.joint(n), "nlyn").get(0, 0)),
     )),
     # n is m here: the Stirling permutations of {1,1,...,m,m} match the trees on [m + 1].
-    # Allowed sharing: the count reads stirling._words at order m, the pair tally at m - 1,
-    # so a fault in that one stream fails the count an order before the tally checks.
     _Block("stirling", 1, stirling, ("stirling.count",), (
         ("stirling.count",
             lambda e, m: _double_factorial(2 * m - 1),

@@ -25,17 +25,20 @@ element of another.
 Every word of order n is a word of order n - 1 with the pair "n n"
 inserted, and _words builds them so, one order from the last, starting at
 the empty word; enumerate_stirling reads it at order n.  Rows and
-distributions run on an insertion engine that reads the same stream one
-order down: the statistics of each child follow from its parent's in O(1)
-(see _child_profiles).  Rows come one parent word at a time, as a block of
-its 2n - 1 children (_row_blocks); statistics_rows is a flat view of the
-blocks.  PAIR_KEY, the one place that names the positions of a
-pair_statistics key, is read by the views of one tally: marginal and the
-gamma vectors naas_aapair and ntns_tnpair.  distribution_naas_aapair and
-distribution_ntns_tnpair each apply one view to a fresh tally.  The per-word
-functions are independent implementations that the tests compare the engine
-with: aapair, tnpair, is_naas and is_ntns each read the pairs of one kind
-from one validated scan of the word's occurrences (_pairs).
+distributions run on one insertion rule: the statistics of each child of a
+word of order n - 1 follow from its parent's in O(1) (see _child_profiles).
+Rows read the stream one order down, one parent word at a time, as a block
+of its 2n - 1 children (_row_blocks); statistics_rows is a flat view of the
+blocks.  Distributions never visit the words: pair_statistics builds the
+classes of words that _child_profiles cannot tell apart, order by order,
+with a count and one representative each.  PAIR_KEY, the one place that
+names the positions of a pair_statistics key, is read by the views of one
+tally: marginal and the gamma vectors naas_aapair and ntns_tnpair.
+distribution_naas_aapair and distribution_ntns_tnpair each apply one view to
+a fresh tally.  The per-word functions are independent implementations that
+the tests compare the engine with: aapair, tnpair, is_naas and is_ntns each
+read the pairs of one kind from one validated scan of the word's occurrences
+(_pairs).
 """
 
 from __future__ import annotations
@@ -231,13 +234,58 @@ def _child_profiles(w: Word) -> list[tuple[int, int, bool, bool]]:
     return out
 
 
+def _classes(m: int) -> dict[bytes, list]:
+    """The words of order m by class key (see pair_statistics), each class
+    as [number of words, one of its words].
+
+    Inserting k k at gap g gives the child's key from the parent's: the new
+    first occurrence is 2 exactly when position g - 1 is a second one, the new
+    second occurrence is 1, and a first occurrence that was at g becomes 0,
+    since it now follows the larger letter k.  One order at a time, only the
+    classes of two orders are held.
+    """
+    classes = {b"": [1, ()]}
+    for k in range(1, m + 1):
+        pair = (k, k)
+        children: dict = {}
+        for key, (count, w) in classes.items():
+            for g in range(len(w), -1, -1):
+                rest = key[g:]
+                if rest[:1] == b"\x02":
+                    rest = b"\x00" + rest[1:]
+                child = key[:g] + (b"\x02\x01" if g and key[g - 1] == 1 else b"\x00\x01") + rest
+                entry = children.get(child)
+                if entry:
+                    entry[0] += count
+                else:
+                    children[child] = [count, w[:g] + pair + w[g:]]
+        classes = children
+    return classes
+
+
 def pair_statistics(n: int, cap: int = DEFAULT_CAP) -> Counter:
     """Counter over (aapair, tnpair, is_naas, is_ntns) for all words of order n,
-    positions as in PAIR_KEY."""
+    positions as in PAIR_KEY.
+
+    The words of order n - 1 are walked as classes, not one by one
+    (_classes).  A word's class key holds one byte per position: 1 for a
+    second occurrence, 2 for a first occurrence directly after the second
+    occurrence of a smaller letter, 0 for any other first occurrence.  The
+    key is enough: the first/second pattern of a Stirling word is a Dyck word
+    whose matching pairs the two occurrences of each letter (the stack
+    discipline), and of the adjacent positions (first, first) always
+    ascends, (second, second) always descends and (first, second) is one
+    letter; only (second, first) can go either way, and the key holds that
+    bit.  _child_profiles reads nothing else, so every word of a class has
+    the same profile list, and the tally adds each class's word count times
+    the profiles of its one representative.  Memory is two orders of
+    classes: 903 and 4279 at the cap, against 135135 words of order 7.
+    """
     check_size("pair_statistics", n, cap)
     tally: Counter = Counter()
-    for w in _words(n - 1):
-        tally.update(_child_profiles(w))
+    for count, w in _classes(n - 1).values():
+        for profile in _child_profiles(w):
+            tally[profile] += count
     return tally
 
 

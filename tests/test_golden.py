@@ -6,8 +6,9 @@ capped verify digests, recorded before the verify suites became one check
 table, run with the family caps lowered, so that small runs reach every SKIP
 line and every fixed n range of the verify suites.  The symfunc, refusal and
 auto-mode digests were recorded before the enumerate families became one
-table; the refusals run with the caps lowered too.  To print the digests of
-the current code:
+table; the refusals run with the caps lowered too.  The Stirling histograms
+at n = 7 and 8 were recorded before the pair tally walked classes of words
+in place of the words.  To print the digests of the current code:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -34,6 +35,12 @@ HISTOGRAM_CASES = [
     for stat in spec.stats
     for fmt in FORMATS
     for n in (5, 6)
+] + [
+    # one below the Stirling cap and at it
+    ("stirling", stat, fmt, n)
+    for stat in cli.FAMILIES["stirling"].stats
+    for fmt in FORMATS
+    for n in (7, 8)
 ]
 VERIFY_FORMATS = ("text", "json")
 LOWERED_CAPS = {rooted_trees: 3, binary_trees: 4, stirling: 3}
@@ -201,6 +208,18 @@ HISTOGRAM_DIGESTS = {
     "stirling-tnpair-csv-6": "412ffd22558168f88ee8c0432b55993b3c5a2d08fdc3f698afcf8c3bad5f706f",
     "stirling-tnpair-json-5": "8eb70eac84550b33086714f6a544d6a62baf6e91f4eb5709b0fedb8b7659dc2e",
     "stirling-tnpair-json-6": "3222dc5a46836527841536e12726ea194518938bb91a177da0dec62348f3e70c",
+    "stirling-aapair-text-7": "aa99da6d91bb83054218cdfa797f5c3104b9ee9138fc5b00682c11ab0c8beb6d",
+    "stirling-aapair-text-8": "bd5bd2478cecabf25fc80977488fbe06a5ff832082f32a7e464dcca501f8d636",
+    "stirling-aapair-csv-7": "9fc992746a243f6ad81d722b11b4eb0a85cb936cfa6b86a8d7228e9637a96834",
+    "stirling-aapair-csv-8": "aa01372f53916bdc849a11dda0b95536c6890628f592a2f8ac3d72a64cf89b46",
+    "stirling-aapair-json-7": "79fd68038dd49d7aef2137223b20dbc4dbe367a7bb5f327188da10d929b273d5",
+    "stirling-aapair-json-8": "ba6c595c26a2c60c0d0ae30b6b51ac2b08fc7b87b6bf1fc36156b2b25a3d89c2",
+    "stirling-tnpair-text-7": "aa99da6d91bb83054218cdfa797f5c3104b9ee9138fc5b00682c11ab0c8beb6d",
+    "stirling-tnpair-text-8": "bd5bd2478cecabf25fc80977488fbe06a5ff832082f32a7e464dcca501f8d636",
+    "stirling-tnpair-csv-7": "9fc992746a243f6ad81d722b11b4eb0a85cb936cfa6b86a8d7228e9637a96834",
+    "stirling-tnpair-csv-8": "aa01372f53916bdc849a11dda0b95536c6890628f592a2f8ac3d72a64cf89b46",
+    "stirling-tnpair-json-7": "4bf80744a393182aed36747e53f52bd1300c93b3a7553da11b7fd43fabe04e2f",
+    "stirling-tnpair-json-8": "9b8ef9237481371b997badac7be0b029732fd9077d1152e4675c69bbe8c0e0f9",
 }
 VERIFY_DIGESTS = {
     "text": "2d6d0b3c9408de02e43c79d19e2d6f2ce71122b9098ca30b70551b3b699501c7",

@@ -102,6 +102,25 @@ def naive_tnpair(word) -> int:
     )
 
 
+# classes of words of order 0..7 (little Schroeder numbers)
+CLASS_COUNTS = [1, 1, 3, 11, 45, 197, 903, 4279]
+
+
+def class_key(w) -> bytes:
+    """One byte per position: 1 for a second occurrence, 2 for a first
+    occurrence right after the second occurrence of a smaller letter, 0 for
+    any other first occurrence."""
+    out = []
+    seen = set()
+    for i, c in enumerate(w):
+        if c in seen:
+            out.append(1)
+        else:
+            out.append(2 if i and out[-1] == 1 and w[i - 1] < c else 0)
+            seen.add(c)
+    return bytes(out)
+
+
 def pair_oracle_inputs():
     """The Stirling words of order 5, then all 2520 arrangements of 11223344:
     the pair statistics are defined on any word whose letters appear twice."""
@@ -238,7 +257,7 @@ class TestPairStatistics:
                 assert marginal(tally, stat) == expected, (n, stat)
 
     def test_engine_calls_no_per_word_function(self, monkeypatch):
-        # the engine reads the parent words and nothing else of the oracles
+        # the engines read none of the per-word oracles
         expected = pair_statistics(6), list(statistics_rows(6))
 
         def banned(*args, **kwargs):
@@ -250,6 +269,25 @@ class TestPairStatistics:
         ):
             monkeypatch.setattr(stirling, name, banned)
         assert (pair_statistics(6), list(statistics_rows(6))) == expected
+
+    def test_pair_tally_reads_no_word_stream(self, monkeypatch):
+        # the tally walks classes; it shares no word stream with enumerate_stirling
+        expected = [pair_statistics(n) for n in range(1, 8)]
+
+        def banned(*args, **kwargs):
+            raise AssertionError("the pair tally read the word stream")
+
+        for name in ("_words", "enumerate_stirling"):
+            monkeypatch.setattr(stirling, name, banned)
+        assert [pair_statistics(n) for n in range(1, 8)] == expected
+
+    def test_pair_tally_matches_the_word_loop(self):
+        # the loop over every word of order n - 1 that the class walk replaced
+        for n in range(1, 8):
+            expected = Counter()
+            for w in stirling._words(n - 1):
+                expected.update(stirling._child_profiles(w))
+            assert pair_statistics(n) == expected, n
 
     def test_insertion_engine_comma_separated_words(self):
         # from order 10 on, words are written with commas; compare a prefix
@@ -303,12 +341,50 @@ class TestPairStatistics:
             )
 
 
+class TestWordClasses:
+    def test_class_key_fixes_profiles_and_child_keys(self):
+        # the words of a class have the same _child_profiles, and their
+        # children at each gap fall in one class
+        for m in range(7):
+            pair = (m + 1, m + 1)
+            by_key = {}
+            for w in stirling._words(m):
+                children = [class_key(w[:g] + pair + w[g:]) for g in range(len(w), -1, -1)]
+                seen = (stirling._child_profiles(w), children)
+                assert by_key.setdefault(class_key(w), seen) == seen, w
+
+    def test_class_counts(self):
+        for m, expected in enumerate(CLASS_COUNTS):
+            classes = stirling._classes(m)
+            assert len(classes) == expected
+            assert sum(count for count, _ in classes.values()) == double_factorial(2 * m - 1)
+
+    def test_classes_match_the_words(self):
+        # the keys the walk builds by slicing are the keys of the words it counts
+        for m in range(7):
+            words = list(stirling._words(m))
+            classes = stirling._classes(m)
+            assert {key: count for key, (count, _) in classes.items()} == Counter(
+                map(class_key, words)
+            )
+            members = set(words)
+            for key, (_, w) in classes.items():
+                assert w in members
+                assert class_key(w) == key
+
+
 class TestDistributions:
     def test_match_closed_form(self):
         for m in range(1, 8):
             expected = gamma_closed_form(m + 1).gammas
             assert distribution_naas_aapair(m).gammas == expected
             assert distribution_ntns_tnpair(m).gammas == expected
+
+    def test_match_closed_form_above_cap(self):
+        tally = pair_statistics(9, cap=9)
+        expected = gamma_closed_form(10).gammas
+        assert stirling.naas_aapair(tally, 9).gammas == expected
+        assert stirling.ntns_tnpair(tally, 9).gammas == expected
 
     def test_degree_field(self):
         # the distribution expands a polynomial of degree m + 1 - 1 = m
