@@ -26,19 +26,20 @@ Every word of order n is a word of order n - 1 with the pair "n n"
 inserted, and _words builds them so, one order from the last, starting at
 the empty word; enumerate_stirling reads it at order n.  Rows and
 distributions run on one insertion rule: the statistics of each child of a
-word of order n - 1 follow from its parent's in O(1) (see _child_profiles).
-Rows read the stream one order down, one parent word at a time, as a block
-of its 2n - 1 children (_row_blocks); statistics_rows is a flat view of the
-blocks.  Distributions never visit the words: pair_statistics builds the
-classes of words that _child_profiles cannot tell apart, order by order,
-with a count and one representative each.  PAIR_KEY, the one place that
-names the positions of a pair_statistics key, is read by the views of one
-tally: marginal and the gamma vectors naas_aapair and ntns_tnpair.
-distribution_naas_aapair and distribution_ntns_tnpair each apply one view to
-a fresh tally.  The per-word functions are independent implementations that
-the tests compare the engine with: aapair, tnpair, is_naas and is_ntns each
-read the pairs of one kind from one validated scan of the word's occurrences
-(_pairs).
+word of order n - 1 follow from its parent's in O(1) (see _child_profiles)
+and depend only on the parent's class key (see pair_statistics).  Rows walk
+the words one order down as strings with their keys, not through _words,
+as blocks of one parent's 2n - 1 children, with _child_profiles read once
+per class (_row_blocks); statistics_rows is a flat view of the blocks.
+Distributions never visit the words: pair_statistics walks the classes,
+order by order, with a count and one representative each.  PAIR_KEY, the
+one place that names the positions of a pair_statistics key, is read by the
+views of one tally: marginal and the gamma vectors naas_aapair and
+ntns_tnpair.  distribution_naas_aapair and distribution_ntns_tnpair each
+apply one view to a fresh tally.  The per-word functions are independent
+implementations that the tests compare the engine with: aapair, tnpair,
+is_naas and is_ntns each read the pairs of one kind from one validated scan
+of the word's occurrences (_pairs).
 """
 
 from __future__ import annotations
@@ -234,26 +235,27 @@ def _child_profiles(w: Word) -> list[tuple[int, int, bool, bool]]:
     return out
 
 
+def _child_key(key: bytes, g: int) -> bytes:
+    """The class key (see pair_statistics) of a word with k k inserted at gap
+    g, from its key: the new first occurrence is 2 exactly when position
+    g - 1 is a second one, the new second occurrence is 1, and a first
+    occurrence that was at g becomes 0, since it now follows the larger k."""
+    rest = key[g:]
+    if rest[:1] == b"\x02":
+        rest = b"\x00" + rest[1:]
+    return key[:g] + (b"\x02\x01" if g and key[g - 1] == 1 else b"\x00\x01") + rest
+
+
 def _classes(m: int) -> dict[bytes, list]:
     """The words of order m by class key (see pair_statistics), each class
-    as [number of words, one of its words].
-
-    Inserting k k at gap g gives the child's key from the parent's: the new
-    first occurrence is 2 exactly when position g - 1 is a second one, the new
-    second occurrence is 1, and a first occurrence that was at g becomes 0,
-    since it now follows the larger letter k.  One order at a time, only the
-    classes of two orders are held.
-    """
+    as [number of words, one of its words]; only two orders are held."""
     classes = {b"": [1, ()]}
     for k in range(1, m + 1):
         pair = (k, k)
         children: dict = {}
         for key, (count, w) in classes.items():
             for g in range(len(w), -1, -1):
-                rest = key[g:]
-                if rest[:1] == b"\x02":
-                    rest = b"\x00" + rest[1:]
-                child = key[:g] + (b"\x02\x01" if g and key[g - 1] == 1 else b"\x00\x01") + rest
+                child = _child_key(key, g)
                 entry = children.get(child)
                 if entry:
                     entry[0] += count
@@ -332,27 +334,44 @@ def distribution_ntns_tnpair(n: int, cap: int = DEFAULT_CAP) -> GammaVector:
 
 
 def word_to_string(w: Sequence[int]) -> str:
-    """Digit string when all letters are single digits, else comma separated."""
+    """Digit string when all letters are single digits, else comma separated;
+    the tests' oracle of the strings the rows splice (_row_blocks)."""
     if all(0 <= c <= 9 for c in w):
         return "".join(str(c) for c in w)
     return ",".join(str(c) for c in w)
 
 
+def _keyed_strings(m: int) -> Iterator[tuple[str, bytes]]:
+    # _words(m) as strings, letter c written chr(48 + c), with class keys
+    if m == 0:
+        yield "", b""
+        return
+    mm = chr(48 + m) * 2
+    for s, key in _keyed_strings(m - 1):
+        for g in range(len(s), -1, -1):
+            yield s[:g] + mm + s[g:], _child_key(key, g)
+
+
 def _row_blocks(n: int, cap: int = DEFAULT_CAP) -> Iterator[tuple[list[str], list[tuple]]]:
-    """One block per word w of order n - 1, in enumeration order: the strings
-    of the 2n - 1 words made by inserting n n into w, gaps right to left, and
-    their _child_profiles."""
+    """One block per word of order n - 1, in enumeration order: the strings
+    of the 2n - 1 words made by inserting n n into it, gaps right to left,
+    and their _child_profiles, computed once per class key on a decoded
+    parent and interned.  The strings are splices of the parent's
+    (_keyed_strings); letters past 9 are translated after a comma join."""
     check_size("statistics_rows", n, cap)
-    pair, mm = (n, n), str(n) * 2
-    for w in _words(n - 1):
-        gaps = range(len(w), -1, -1)
-        if n <= 9:
-            # one digit per letter: gap g of the word is offset g of its string
-            s = "".join(map(str, w))
-            words = [s[:g] + mm + s[g:] for g in gaps]
-        else:
-            words = [word_to_string(w[:g] + pair + w[g:]) for g in gaps]
-        yield words, _child_profiles(w)
+    mm = chr(48 + n) * 2
+    table = {48 + c: str(c) for c in range(10, n + 1)}
+    memo: dict[bytes, list[tuple]] = {}
+    interned: dict[tuple, tuple] = {}
+    for s, key in _keyed_strings(n - 1):
+        profiles = memo.get(key)
+        if profiles is None:
+            w = tuple(ord(c) - 48 for c in s)
+            profiles = memo[key] = [interned.setdefault(p, p) for p in _child_profiles(w)]
+        words = [s[:g] + mm + s[g:] for g in range(len(s), -1, -1)]
+        if table:
+            words = [",".join(word).translate(table) for word in words]
+        yield words, profiles
 
 
 def statistics_rows(n: int, cap: int = DEFAULT_CAP) -> Iterator[tuple[str, int, int, bool, bool]]:

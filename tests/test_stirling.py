@@ -7,7 +7,7 @@ from itertools import islice, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gamma_forest import stirling
+from gamma_forest import cli, stirling
 from gamma_forest.errors import LimitExceededError
 from gamma_forest.poly import gamma_closed_form
 from gamma_forest.stirling import (
@@ -38,6 +38,30 @@ WORD_STREAM_DIGESTS = {
     6: "4d6a725ab4eaf12b2a5e40ee14087a8c6db549f94befe6110987ddaf8017b7ce",
     7: "744aebf352c422d12f85102fa6f1b26e369827fa40e19d32876100b640cc6789",
 }
+
+# sha256 of repr(list(statistics_rows(n)))
+ROWS_DIGESTS = {
+    6: "36229924f356e7dcaaf34ca88fbe9c7a56c198a8a51b3da780b8f085bb53719f",
+    7: "bd2db93257215b1cf9ca482080a10b0380bdce024a276e6712ab09cc6c4fefef",
+    8: "236106a0f6d72470d0818077a641914048399845ba5bc5eb5c7c1c615459cab2",
+}
+# sha256 of "".join(cli._render_rows("stirling", "tnpair", 7, fmt))
+RENDERED_ROWS_7_DIGESTS = {
+    "text": "bf410e152a0cd3dd85e4ba5158a581c31b522dcc3da752fd0f9f5ba2bb9e4205",
+    "csv": "05bdb7ea91dbf7f989a32165e92661781d6286f4b125092041a182cf9dce72f4",
+    "json": "b35fb120a009840c2071da8a9e86621c74760877eb641377a4e15fdb6e893daf",
+}
+
+
+def list_digest(items) -> str:
+    """sha256 of repr(list(items)), without holding the list."""
+    h = hashlib.sha256(b"[")
+    sep = b""
+    for item in items:
+        h.update(sep + repr(item).encode())
+        sep = b", "
+    h.update(b"]")
+    return h.hexdigest()
 
 
 def double_factorial(m: int) -> int:
@@ -257,15 +281,16 @@ class TestPairStatistics:
                 assert marginal(tally, stat) == expected, (n, stat)
 
     def test_engine_calls_no_per_word_function(self, monkeypatch):
-        # the engines read none of the per-word oracles
+        # the engines read none of the per-word oracles, and the rows walk
+        # their own strings, so stirling.count's word stream has no other reader
         expected = pair_statistics(6), list(statistics_rows(6))
 
         def banned(*args, **kwargs):
             raise AssertionError("the engine called a per-word function")
 
         for name in (
-            "enumerate_stirling", "_pairs", "_occurrences", "as_word", "is_stirling",
-            "aapair", "tnpair", "is_naas", "is_ntns",
+            "enumerate_stirling", "_words", "word_to_string", "_pairs", "_occurrences", "as_word",
+            "is_stirling", "aapair", "tnpair", "is_naas", "is_ntns",
         ):
             monkeypatch.setattr(stirling, name, banned)
         assert (pair_statistics(6), list(statistics_rows(6))) == expected
@@ -289,14 +314,48 @@ class TestPairStatistics:
                 expected.update(stirling._child_profiles(w))
             assert pair_statistics(n) == expected, n
 
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_rows_digest(self, n):
+        assert list_digest(statistics_rows(n)) == ROWS_DIGESTS[n]
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_rendered_rows_digest(self, fmt):
+        text = "".join(cli._render_rows("stirling", "tnpair", 7, fmt))
+        assert hashlib.sha256(text.encode()).hexdigest() == RENDERED_ROWS_7_DIGESTS[fmt]
+
+    def test_rows_profile_each_class_once(self, monkeypatch):
+        # the rows look _child_profiles up once per class of parent words
+        calls = []
+        child_profiles = stirling._child_profiles
+
+        def counted(w):
+            calls.append(w)
+            return child_profiles(w)
+
+        monkeypatch.setattr(stirling, "_child_profiles", counted)
+        for n in range(1, 9):
+            calls.clear()
+            for _ in stirling._row_blocks(n):
+                pass
+            assert len(calls) == len(stirling._classes(n - 1)), n
+        assert len(calls) == CLASS_COUNTS[7]
+
     def test_insertion_engine_comma_separated_words(self):
-        # from order 10 on, words are written with commas; compare a prefix
-        rows = list(islice(statistics_rows(10, cap=10), 60))
-        words = list(islice(enumerate_stirling(10, cap=10), 60))
-        assert rows == [
-            (word_to_string(w), aapair(w), tnpair(w), is_naas(w), is_ntns(w)) for w in words
-        ]
-        assert rows[0][0] == "1,1,2,2,3,3,4,4,5,5,6,6,7,7,8,8,9,9,10,10"
+        # from order 10 on, words are written with commas; compare a prefix,
+        # which at order 11 holds letters 10 and 11 together, and check that
+        # the letters' inner encoding never reaches a word cell
+        firsts = {
+            10: "1,1,2,2,3,3,4,4,5,5,6,6,7,7,8,8,9,9,10,10",
+            11: "1,1,2,2,3,3,4,4,5,5,6,6,7,7,8,8,9,9,10,10,11,11",
+        }
+        for n, first in firsts.items():
+            rows = list(islice(statistics_rows(n, cap=n), 300))
+            words = list(islice(enumerate_stirling(n, cap=n), 300))
+            assert rows == [
+                (word_to_string(w), aapair(w), tnpair(w), is_naas(w), is_ntns(w)) for w in words
+            ]
+            assert rows[0][0] == first
+            assert all(set(row[0]) <= set("0123456789,") for row in rows)
 
     def test_engine_caps(self):
         with pytest.raises(LimitExceededError):
