@@ -15,12 +15,7 @@ from .binary_trees import (
     enumerate_bicolored_lyndon,
     enumerate_colored_combs,
     enumerate_normalized,
-    free_count,
-    is_ndnl,
-    is_ndrd,
     joint_statistics,
-    nlyn,
-    rdes,
     valency,
 )
 from .errors import LimitExceededError
@@ -38,25 +33,14 @@ from .poly import (
     to_gamma_basis,
 )
 from .rooted_trees import (
-    PruferCode,
     RootedTree,
-    des,
     descent_polynomial,
     enumerate_rooted_trees,
-    prufer_decode,
-    prufer_encode,
 )
 from .stirling import (
-    MalformedWordError,
-    aapair,
-    as_word,
     distribution_naas_aapair,
     distribution_ntns_tnpair,
     enumerate_stirling,
-    is_naas,
-    is_ntns,
-    is_stirling,
-    tnpair,
 )
 from .symfunc import (
     ESymExpansion,
@@ -66,7 +50,6 @@ from .symfunc import (
     expand_e_lambda,
     expansion_in_variables,
     f_mcomb_direct,
-    product_form_count,
     specialize_two_vars,
 )
 
@@ -77,19 +60,14 @@ __all__ = [
     "IntPolynomial",
     "NotPalindromicError",
     "LimitExceededError",
-    "MalformedWordError",
-    "PruferCode",
     "RootedTree",
     "ESymExpansion",
     "MultivariatePoly",
     "Partition",
-    "aapair",
-    "as_word",
     "bicolored_comb_census",
     "bicolored_lyndon_census",
     "comb_type",
     "comb_type_expansion",
-    "des",
     "descent_polynomial",
     "distribution_naas_aapair",
     "distribution_ndnl_nlyn",
@@ -108,23 +86,11 @@ __all__ = [
     "expand_e_lambda",
     "expansion_in_variables",
     "f_mcomb_direct",
-    "free_count",
     "from_gamma_basis",
     "gamma_closed_form",
-    "is_naas",
-    "is_ndnl",
-    "is_ndrd",
-    "is_ntns",
     "is_palindromic",
-    "is_stirling",
     "joint_statistics",
-    "nlyn",
-    "prufer_decode",
-    "prufer_encode",
-    "product_form_count",
-    "rdes",
     "specialize_two_vars",
-    "tnpair",
     "to_gamma_basis",
     "valency",
 ]

@@ -21,7 +21,7 @@ Statistics:
   comb type   partition of n - 1 by sizes of maximal chains of internal
               nodes linked by right-child edges
 
-joint_statistics and normalized_rows run on one walker: it backtracks over
+joint_statistics and the rows (_row_blocks) run on one walker: it backtracks over
 flat arrays, yielding every tree on [n - 1] with its five statistics
 maintained incrementally across insertions, and each inserts leaf n itself,
 so a full pass over the two million trees at n=9 takes seconds.  The rows
@@ -33,11 +33,14 @@ the one place that names the positions of a tally key, is read by the views
 of one tally: marginal, the gamma vectors ndrd_rdes and ndnl_nlyn, and the
 censuses comb_census and lyndon_census.  distribution_ndrd_rdes,
 distribution_ndnl_nlyn, bicolored_comb_census and bicolored_lyndon_census
-each apply one view to a fresh tally.  The per-tree functions below are
-independent implementations used to cross-check the walker; it calls none
-of them.  Among them, enumerate_normalized builds the trees on [m] from
-those on [m - 1] through _insertions, which yields one tree's 2m - 3
-children in one pass over it, in the preorder of their insertion points.
+each apply one view to a fresh tally.  The per-tree statistics (rdes, nlyn,
+free and the two double-pair tests) live with the tests, as the independent
+implementations they hold the walker against.  The per-tree functions that
+stay here serve the command line and the colored models, and the walker
+calls none of them: valency, comb_type, tree_to_string and
+enumerate_normalized, which builds the trees on [m] from those on [m - 1]
+through _insertions, which yields one tree's 2m - 3 children in one pass
+over it, in the preorder of their insertion points.
 
 The three colored models state their rules recursively over the trees of
 enumerate_normalized, one short generator each, and share nothing with the
@@ -95,80 +98,6 @@ def valency(t: Tree) -> int:
     while not isinstance(t, int):
         t = t[0]
     return t
-
-
-def rdes(t: Tree) -> int:
-    """Number of internal nodes that are right children."""
-    count = 0
-    stack = [(t, False)]
-    while stack:
-        node, is_right = stack.pop()
-        if isinstance(node, int):
-            continue
-        if is_right:
-            count += 1
-        stack.append((node[0], False))
-        stack.append((node[1], True))
-    return count
-
-
-def is_ndrd(t: Tree) -> bool:
-    """True iff no right descent has a parent that is also a right descent."""
-    stack = [(t, False, False)]
-    while stack:
-        node, is_right, parent_rd = stack.pop()
-        if isinstance(node, int):
-            continue
-        if is_right and parent_rd:
-            return False
-        stack.append((node[0], False, is_right))
-        stack.append((node[1], True, is_right))
-    return True
-
-
-def _lyn_profile(t: Tree) -> tuple[int, int, bool, bool]:
-    # returns (valency, nlyn, has double non-Lyndon, root is non-Lyndon)
-    if isinstance(t, int):
-        return t, 0, False, False
-    left, right = t
-    lv, lnl, ldnl, l_nonlyn = _lyn_profile(left)
-    rv, rnl, rdnl, _ = _lyn_profile(right)
-    if isinstance(left, int):
-        nonlyn = False
-    else:
-        nonlyn = not (valency(left[1]) > rv)
-    nl = lnl + rnl + (1 if nonlyn else 0)
-    dnl = ldnl or rdnl or (nonlyn and l_nonlyn)
-    return lv, nl, dnl, nonlyn
-
-
-def nlyn(t: Tree) -> int:
-    """Number of non-Lyndon internal nodes.
-
-    x is Lyndon when its left child is a leaf, or when
-    valency(R(L(x))) > valency(R(x)); nlyn counts the others.
-    """
-    return _lyn_profile(t)[1]
-
-
-def is_ndnl(t: Tree) -> bool:
-    """True iff no non-Lyndon node is the left child of a non-Lyndon node."""
-    return not _lyn_profile(t)[2]
-
-
-def free_count(t: Tree) -> int:
-    """Internal nodes that are not right descents and whose right child is a leaf."""
-    count = 0
-    stack = [(t, False)]
-    while stack:
-        node, is_right = stack.pop()
-        if isinstance(node, int):
-            continue
-        if not is_right and isinstance(node[1], int):
-            count += 1
-        stack.append((node[0], False))
-        stack.append((node[1], True))
-    return count
 
 
 def comb_type(t: Tree) -> tuple[int, ...]:
@@ -401,8 +330,8 @@ def _walk(
     Leaf m goes in at the nodes of the tree on [m - 1] in preorder, the
     order of _insertions; prefix fixes the positions of leaves 3, 4, ...
 
-    joint_statistics and normalized_rows share this traversal; no check compares
-    the two, as each is held against the per-tree functions or drake_polynomial.
+    joint_statistics and _row_blocks share this traversal; no check compares
+    the two, as each is held against the per-tree oracles or drake_polynomial.
     """
     size = 2 * n - 1
     arrays = left, right, parent, is_right, nonlyn = (
@@ -693,13 +622,6 @@ def _row_blocks(n: int, stat: str, cap: int = DEFAULT_CAP) -> Iterator[tuple[lis
             keys = _child_keys(arrays, nodes, key)
             values = [keys[v][i] for v in _preorder_nodes(arrays, root)]
         yield _spliced(s, spans, leaf), values
-
-
-def normalized_rows(n: int, stat: str, cap: int = DEFAULT_CAP) -> Iterator[tuple[str, object]]:
-    """(tree_to_string(t), statistic of t) for the normalized trees on [n], in
-    enumerate_normalized order: a flat view of _row_blocks."""
-    for trees, values in _row_blocks(n, stat, cap):
-        yield from zip(trees, values)
 
 
 def comb_type_tally(n: int, cap: int = DEFAULT_CAP) -> Counter:

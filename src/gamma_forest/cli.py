@@ -443,12 +443,13 @@ def _block_lines(blocks, fmt: str, key: str, header: tuple, tail: Callable) -> I
 
 
 def _rooted_rows(stat: str, n: int, fmt: str) -> Iterator[list[str]]:
-    # tree_to_json_dict(t) as compact JSON, and des(t), from the blocks of
-    # parent arrays of rooted_trees._rooted_blocks, without building
-    # RootedTrees.  A row is the block's head (n and root), each non-root
-    # node's edge text with a comma after it (the last comma cut), and the
-    # tail of its descent count; only csv quotes the object, whose quotes
-    # sit in the head.
+    # each tree's edge list, {"n":3,"root":2,"edges":[[2,1],[2,3]]} with the
+    # edges sorted by child, as compact JSON, and its descent count (the
+    # tests' tree_to_json_dict and des), from the blocks of parent arrays of
+    # rooted_trees._rooted_blocks, without building RootedTrees.  A row is
+    # the block's head (n and root), each non-root node's edge text with a
+    # comma after it (the last comma cut), and the tail of its descent count;
+    # only csv quotes the object, whose quotes sit in the head.
     nodes = range(n + 1)
     edge_text = [[f"[{p},{x}]," if p else "" for p in nodes] for x in nodes]
     getitem, gt = operator.getitem, operator.gt

@@ -8,10 +8,9 @@ whose parent carries a larger label.
 
 A Prufer decode hangs each removed leaf from its sequence entry, so it gives
 the tree rooted at n as a parent array, with the other nodes in removal
-order (each before its parent).  Two loops decode.  `_decode` serves
-`prufer_decode`, which reads the edges off that array, and the descent
-tally, `_descent_chunk`: one loop over the sequences that extend a prefix,
-which never materializes trees.  Per sequence it counts the descents at
+order (each before its parent).  Two loops decode.  `_decode` serves the
+descent tally alone, `_descent_chunk`: one loop over the sequences that
+extend a prefix, which never materializes trees.  Per sequence it counts the descents at
 root n, then walks the removal order backwards, so that every parent comes
 before its children; moving the root from p down to its child x changes the
 count by +1 if x > p and by -1 otherwise.  That keeps the n=8 run (about two
@@ -19,12 +18,13 @@ million trees) near a second, and _pool.map_prefixes shards it by fixing a
 prefix of the sequence.  Enumeration decodes inline, on a fresh array per
 sequence, and reroots each tree by reversing the path from its root up to
 n; it hands over the n trees of one root and sequence prefix at a time.
-Neither side of the descent identity shares a decode with the other.
+Neither side of the descent identity shares a decode with the other.  The
+per-tree functions (des, the Prufer codec, the edge-list form) live with
+the tests, as the oracles they hold these against.
 """
 
 from __future__ import annotations
 
-import heapq
 from itertools import product
 from typing import Iterable, Iterator
 
@@ -33,29 +33,6 @@ from .errors import check_size
 from .poly import IntPolynomial, _Value
 
 DEFAULT_CAP = 9
-
-
-class PruferCode(_Value):
-    """A Prufer sequence for a labeled unrooted tree on [n]; length n - 2."""
-
-    n: int
-    seq: tuple[int, ...]
-
-    def __init__(self, n: int, seq: Iterable[int]):
-        s = tuple(seq)
-        if type(n) is not int:
-            raise ValueError(f"n must be an int, got {n!r}")
-        for x in s:
-            if type(x) is not int:
-                raise ValueError(f"sequence entry {x!r} is not an int")
-        if n < 2:
-            raise ValueError("Prufer codes are defined for n >= 2")
-        if len(s) != n - 2:
-            raise ValueError(f"expected a sequence of length {n - 2}, got {len(s)}")
-        if any(not 1 <= x <= n for x in s):
-            raise ValueError(f"sequence entries must lie in [1, {n}]")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "seq", s)
 
 
 class RootedTree(_Value):
@@ -127,61 +104,6 @@ def _decode(n: int, seq: tuple[int, ...]) -> tuple[list[int], list[int]]:
     return parent, order
 
 
-def prufer_decode(code: PruferCode) -> tuple[tuple[int, int], ...]:
-    """Edge set of the unrooted tree with the given Prufer sequence.
-
-    Returns edges as (min, max) pairs in decode order: the edge of each
-    removed leaf, then the last edge, which ends at n.
-    """
-    parent, order = _decode(code.n, code.seq)
-    return tuple((x, parent[x]) if x < parent[x] else (parent[x], x) for x in order)
-
-
-def prufer_encode(n: int, edges: Iterable[tuple[int, int]]) -> PruferCode:
-    """Inverse of prufer_decode: the sequence of the tree with these edges.
-
-    ValueError names the fault when the edges are not a tree on [n]: a label
-    that is not an int, a label outside [1, n], a self-loop, a repeated edge,
-    a wrong edge count, or an edge set that does not connect [n].
-    """
-    if type(n) is not int:
-        raise ValueError(f"n must be an int, got {n!r}")
-    adj: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
-    for a, b in edges:
-        if type(a) is not int or type(b) is not int:
-            raise ValueError(f"edge {(a, b)} has a label that is not an int")
-        if a not in adj or b not in adj:
-            raise ValueError(f"edge {(a, b)} has a label outside [1, {n}]")
-        if a == b:
-            raise ValueError(f"edge {(a, b)} is a self-loop")
-        if b in adj[a]:
-            raise ValueError(f"edge {(a, b)} is repeated")
-        adj[a].add(b)
-        adj[b].add(a)
-    if sum(len(s) for s in adj.values()) != 2 * (n - 1):
-        raise ValueError(f"expected {n - 1} edges for a tree on [{n}]")
-    reached = {1}
-    stack = [1]
-    while stack:
-        for w in adj[stack.pop()] - reached:
-            reached.add(w)
-            stack.append(w)
-    if len(reached) != n:
-        raise ValueError(f"edges do not connect [{n}]")
-    heap = [v for v in range(1, n + 1) if len(adj[v]) == 1]
-    heapq.heapify(heap)
-    seq = []
-    for _ in range(n - 2):
-        leaf = heapq.heappop(heap)
-        (nbr,) = adj[leaf]
-        seq.append(nbr)
-        adj[nbr].discard(leaf)
-        adj[leaf].clear()
-        if len(adj[nbr]) == 1:
-            heapq.heappush(heap, nbr)
-    return PruferCode(n, seq)
-
-
 def _rooted_blocks(n: int, cap: int) -> Iterator[tuple[int, list[list[int]]]]:
     # (root, parent arrays) of every rooted tree on [n], lexicographic in
     # (root, seq), unvalidated, one block per root and sequence prefix: the n
@@ -241,22 +163,6 @@ def enumerate_rooted_trees(n: int, cap: int = DEFAULT_CAP) -> Iterator[RootedTre
             yield RootedTree(n, root, parent)
 
 
-def des(t: RootedTree) -> int:
-    """Number of non-root nodes whose parent has a larger label."""
-    return sum(1 for x in range(1, t.n + 1) if t.parent[x] > x)
-
-
-def complement(t: RootedTree) -> RootedTree:
-    """Relabel every node i as n + 1 - i; an involution sending des to n - 1 - des."""
-    n = t.n
-    parent = [0] * (n + 1)
-    for x in range(1, n + 1):
-        p = t.parent[x]
-        if p:
-            parent[n + 1 - x] = n + 1 - p
-    return RootedTree(n, n + 1 - t.root, parent)
-
-
 def _descent_chunk(args: tuple[int, tuple[int, ...]]) -> list[int]:
     # des at root n, then at every other root by the +-1 rule in reverse
     # removal order, for each sequence extending the prefix
@@ -288,9 +194,3 @@ def descent_polynomial(n: int, threads: int = 1, cap: int = DEFAULT_CAP) -> IntP
     check_size("descent_polynomial", n, cap)
     partials = map_prefixes(_descent_chunk, n, [range(1, n + 1)] * (n - 2), threads)
     return IntPolynomial([sum(col) for col in zip(*partials)])
-
-
-def tree_to_json_dict(t: RootedTree) -> dict:
-    """Edge-list form {"n":3,"root":2,"edges":[[2,1],[2,3]]}, edges sorted by child."""
-    edges = [[t.parent[x], x] for x in range(1, t.n + 1) if x != t.root]
-    return {"n": t.n, "root": t.root, "edges": edges}

@@ -36,16 +36,16 @@ order by order, with a count and one representative each.  PAIR_KEY, the
 one place that names the positions of a pair_statistics key, is read by the
 views of one tally: marginal and the gamma vectors naas_aapair and
 ntns_tnpair.  distribution_naas_aapair and distribution_ntns_tnpair each
-apply one view to a fresh tally.  The per-word functions are independent
-implementations that the tests compare the engine with: aapair, tnpair,
-is_naas and is_ntns each read the pairs of one kind from one validated scan
-of the word's occurrences (_pairs).
+apply one view to a fresh tally.  The per-word functions (aapair, tnpair,
+is_naas, is_ntns, is_stirling and the word validation that raises
+MalformedWordError) live with the tests, as the independent implementations
+they compare the engine with.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterator
 
 from .errors import check_size
 from .poly import GammaVector
@@ -56,64 +56,6 @@ DEFAULT_CAP = 8
 
 # Positions of the statistics in a pair_statistics key.
 PAIR_KEY = {"aapair": 0, "tnpair": 1, "naas": 2, "ntns": 3}
-
-
-class MalformedWordError(ValueError):
-    """Raised when a word is not a sequence of letters each appearing exactly twice."""
-
-
-def as_word(w: Union[str, Iterable[int]]) -> Word:
-    """Normalize input to a tuple of ints; decimal strings are split per
-    character.  Any other letter that is not an int (a bool, a float, a
-    digit-like character such as "²") raises MalformedWordError."""
-    if isinstance(w, str):
-        if not w.isdecimal():
-            raise MalformedWordError(f"cannot parse word {w!r}")
-        return tuple(map(int, w))
-    word = w if isinstance(w, tuple) else tuple(w)
-    for x in word:
-        if type(x) is not int:
-            raise MalformedWordError(f"letter {x!r} is not an int")
-    return word
-
-
-def _occurrences(w: Word) -> tuple[dict[int, int], dict[int, int]]:
-    first: dict[int, int] = {}
-    second: dict[int, int] = {}
-    for i, c in enumerate(w):
-        if c in second:
-            raise MalformedWordError(f"letter {c} appears more than twice")
-        if c in first:
-            second[c] = i
-        else:
-            first[c] = i
-    if len(second) < len(first):
-        missing = sorted(set(first) - set(second))
-        raise MalformedWordError(f"letters {missing} appear only once")
-    return first, second
-
-
-def is_stirling(word: Union[str, Iterable[int]]) -> bool:
-    """True iff letters between the two occurrences of any m all exceed m.
-
-    The word must consist of letters each appearing exactly twice
-    (MalformedWordError otherwise); the alphabet need not be [n].
-    """
-    w = as_word(word)
-    _occurrences(w)  # validates multiplicities
-    stack: list[int] = []
-    opened: set[int] = set()
-    for c in w:
-        if c in opened:
-            if not stack or stack[-1] != c:
-                return False
-            stack.pop()
-        else:
-            if stack and c < stack[-1]:
-                return False
-            opened.add(c)
-            stack.append(c)
-    return True
 
 
 def _words(n: int) -> Iterator[Word]:
@@ -137,44 +79,6 @@ def enumerate_stirling(n: int, cap: int = DEFAULT_CAP) -> Iterator[Word]:
     """
     check_size("enumerate_stirling", n, cap)
     yield from _words(n)
-
-
-def _pairs(word: Union[str, Iterable[int]], nested: bool) -> list[tuple[int, int]]:
-    """The ascending adjacent pairs (a, b) of a word, or its terminally nested
-    ones when nested; MalformedWordError unless each letter appears twice."""
-    w = as_word(word)
-    first, second = _occurrences(w)
-    out = []
-    for b in first:
-        # the occurrence of a that the pair puts next to one of b's
-        j = second[b] + 1 if nested else first[b] - 1
-        if 0 <= j < len(w):
-            a = w[j]
-            if second[a] == j and a < b:
-                out.append((a, b))
-    return out
-
-
-def aapair(word: Union[str, Iterable[int]]) -> int:
-    """Number of pairs a < b whose occurrences satisfy second(a) + 1 = first(b)."""
-    return len(_pairs(word, False))
-
-
-def tnpair(word: Union[str, Iterable[int]]) -> int:
-    """Number of pairs a < b whose occurrences satisfy second(a) = second(b) + 1."""
-    return len(_pairs(word, True))
-
-
-def is_naas(word: Union[str, Iterable[int]]) -> bool:
-    """True iff no chain a < b < c of two ascending adjacent pairs exists."""
-    pairs = _pairs(word, False)
-    return not {a for a, _ in pairs} & {b for _, b in pairs}
-
-
-def is_ntns(word: Union[str, Iterable[int]]) -> bool:
-    """True iff no chain a < b < c of two terminally nested pairs exists."""
-    pairs = _pairs(word, True)
-    return not {a for a, _ in pairs} & {b for _, b in pairs}
 
 
 def _child_profiles(w: Word) -> list[tuple[int, int, bool, bool]]:
@@ -331,14 +235,6 @@ def distribution_naas_aapair(n: int, cap: int = DEFAULT_CAP) -> GammaVector:
 def distribution_ntns_tnpair(n: int, cap: int = DEFAULT_CAP) -> GammaVector:
     """ntns_tnpair of the words of order n."""
     return ntns_tnpair(pair_statistics(n, cap), n)
-
-
-def word_to_string(w: Sequence[int]) -> str:
-    """Digit string when all letters are single digits, else comma separated;
-    the tests' oracle of the strings the rows splice (_row_blocks)."""
-    if all(0 <= c <= 9 for c in w):
-        return "".join(str(c) for c in w)
-    return ",".join(str(c) for c in w)
 
 
 def _keyed_strings(m: int) -> Iterator[tuple[str, bytes]]:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations
-from math import comb
 from typing import Iterable, Mapping
 
 from . import binary_trees
@@ -200,19 +199,6 @@ def specialize_two_vars(f: ESymExpansion) -> IntPolynomial:
         twos = sum(1 for part in lam.parts if part == 2)
         add_binomial_row(out, c, twos, len(lam.parts) - twos)
     return IntPolynomial(out)
-
-
-def product_form_count(t: binary_trees.Tree, k: int) -> int:
-    """Number of admissible colorings of one tree with colors in [1, k].
-
-    Within each maximal right-child chain the colors are distinct and forced
-    into decreasing order, so each block of size L contributes C(k, L).
-    """
-    check_size("product_form_count", k, name="k")
-    result = 1
-    for part in binary_trees.comb_type(t):
-        result *= comb(k, part)
-    return result
 
 
 def expansion_to_json_list(f: ESymExpansion) -> list[dict]:

@@ -15,8 +15,6 @@ from gamma_forest.binary_trees import (
     distribution_ndrd_rdes,
     enumerate_bicolored_combs,
     enumerate_normalized,
-    free_count,
-    is_ndrd,
     joint_statistics,
 )
 from gamma_forest.poly import (
@@ -29,13 +27,11 @@ from gamma_forest.poly import (
 )
 from gamma_forest.rooted_trees import descent_polynomial
 from gamma_forest.stirling import (
-    aapair,
     enumerate_stirling,
     naas_aapair,
     ntns_tnpair,
     pair_statistics,
     statistics_rows,
-    tnpair,
 )
 from gamma_forest.symfunc import (
     comb_type_expansion,
@@ -43,14 +39,7 @@ from gamma_forest.symfunc import (
     f_mcomb_direct,
     specialize_two_vars,
 )
-
-
-def double_factorial(m: int) -> int:
-    out = 1
-    while m > 1:
-        out *= m
-        m -= 2
-    return out
+from oracles import _pairs, double_factorial, free_count, is_ndrd
 
 
 def test_criterion_01_descent_polynomial_matches_product():
@@ -145,8 +134,9 @@ def test_criterion_08_equidistribution_trees_vs_words():
         word_tn: Counter = Counter()
         word_aa: Counter = Counter()
         for w in enumerate_stirling(n - 1):
-            word_tn[tnpair(w)] += 1
-            word_aa[aapair(w)] += 1
+            ascending, nested = _pairs(w)
+            word_tn[len(nested)] += 1
+            word_aa[len(ascending)] += 1
         assert tree_rdes == word_tn, n
         assert tree_nlyn == word_aa, n
     print("PASS criterion 08: rdes/tnpair and nlyn/aapair are equidistributed, "

@@ -9,7 +9,6 @@ free nodes or chains; the colored-comb digests sort each tree's colorings, so
 they pin the set of colorings per tree.
 """
 
-import hashlib
 import math
 from collections import Counter
 from itertools import groupby, islice, product
@@ -30,20 +29,25 @@ from gamma_forest.binary_trees import (
     enumerate_bicolored_lyndon,
     enumerate_colored_combs,
     enumerate_normalized,
-    free_count,
-    is_ndnl,
-    is_ndrd,
     joint_statistics,
     marginal,
-    nlyn,
-    normalized_rows,
-    rdes,
     tree_to_string,
     valency,
 )
 from gamma_forest.errors import LimitExceededError
 from gamma_forest.poly import drake_polynomial, evaluate, gamma_closed_form
 from gamma_forest.symfunc import comb_type_expansion, specialize_two_vars
+from oracles import (
+    double_factorial,
+    free_count,
+    is_ndnl,
+    is_ndrd,
+    nlyn,
+    normalized_rows,
+    product_form_count,
+    rdes,
+    sha256_of,
+)
 
 
 # sha256 of repr(list(enumerate_normalized(n)))
@@ -130,10 +134,6 @@ COLORED_COMBS_DIGESTS = {
 }
 
 
-def sha256_of(obj) -> str:
-    return hashlib.sha256(repr(obj).encode()).hexdigest()
-
-
 def sorted_per_tree(pairs):
     """The (tree, coloring) pairs with each tree's colorings sorted, trees kept
     in stream order."""
@@ -158,14 +158,6 @@ def internal_nodes(t):
         return i
 
     walk(t)
-    return out
-
-
-def double_factorial(m: int) -> int:
-    out = 1
-    while m > 1:
-        out *= m
-        m -= 2
     return out
 
 
@@ -395,8 +387,9 @@ class TestJointEngine:
         assert sha256_of(list(normalized_rows(8, stat))) == ROWS_8_DIGESTS[stat]
 
     def test_engines_call_no_per_tree_function(self, monkeypatch):
-        # the per-tree functions are the engines' oracles, so no engine may
-        # lean on them
+        # the package's per-tree functions serve the command line and the
+        # colored models, so no engine may lean on them; the per-tree oracles
+        # are out of the engines' reach (test_callers.py)
         def engines():
             return (
                 joint_statistics(6),
@@ -409,9 +402,7 @@ class TestJointEngine:
         def banned(*args, **kwargs):
             raise AssertionError("an engine called a per-tree function")
 
-        for name in (
-            "enumerate_normalized", "_insertions", "tree_to_string", "valency", "rdes", "is_ndrd", "nlyn", "is_ndnl", "free_count", "comb_type",
-        ):
+        for name in ("enumerate_normalized", "_insertions", "tree_to_string", "valency", "comb_type"):
             monkeypatch.setattr(binary_trees, name, banned)
         assert engines() == expected
 
@@ -585,8 +576,6 @@ class TestColoredCombs:
     def test_count_matches_product_formula(self):
         # summing over trees the product of binomials reproduces the
         # two-variable specialization mass at k colors
-        from gamma_forest.symfunc import product_form_count
-
         for n in range(1, 6):
             for k in range(1, 5):
                 direct = sum(1 for _ in enumerate_colored_combs(n, k))

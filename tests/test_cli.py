@@ -383,7 +383,8 @@ class TestEnumerateCommand:
     def test_rooted_json_rows_match_validated_trees(self):
         # rows read the decoder's stream without building RootedTrees; the
         # validated trees, tree_to_json_dict and des are the oracle
-        from gamma_forest.rooted_trees import des, enumerate_rooted_trees, tree_to_json_dict
+        from gamma_forest.rooted_trees import enumerate_rooted_trees
+        from oracles import des, tree_to_json_dict
 
         for n in range(1, 7):
             chunks, refused = cli.cmd_enumerate("rooted", n, None, "json", "rows", 1, False)
@@ -400,12 +401,8 @@ class TestEnumerateCommand:
         # each validated tree through tree_to_json_dict, des and csv.writer;
         # one block per root and Prufer prefix, so n rows from n = 3 on, one
         # row per root at n = 2, and the one tree at n = 1
-        from gamma_forest.rooted_trees import (
-            des,
-            enumerate_rooted_trees,
-            prufer_encode,
-            tree_to_json_dict,
-        )
+        from gamma_forest.rooted_trees import enumerate_rooted_trees
+        from oracles import des, prufer_encode, tree_to_json_dict
 
         def line(t):
             if fmt == "json":

@@ -5,7 +5,6 @@ were recorded from the two-decoder code that this module had before it moved
 onto a single parent-array decode.
 """
 
-import hashlib
 import random
 from itertools import product
 
@@ -16,15 +15,14 @@ import gamma_forest._pool as pool
 from gamma_forest import cli, rooted_trees
 from gamma_forest.errors import LimitExceededError
 from gamma_forest.poly import drake_polynomial
-from gamma_forest.rooted_trees import (
+from gamma_forest.rooted_trees import RootedTree, descent_polynomial, enumerate_rooted_trees
+from oracles import (
     PruferCode,
-    RootedTree,
     complement,
     des,
-    descent_polynomial,
-    enumerate_rooted_trees,
     prufer_decode,
     prufer_encode,
+    sha256_of,
     tree_to_json_dict,
 )
 
@@ -40,10 +38,6 @@ DECODE_DIGESTS = {
 }
 # sha256 of repr([(t.root, t.parent) for t in enumerate_rooted_trees(6)])
 ROOTED_6_DIGEST = "3f7de400197e19e07e05dd071e4a8621530cd7a1010121c0b9059fb3a1866483"
-
-
-def sha256_of(obj) -> str:
-    return hashlib.sha256(repr(obj).encode()).hexdigest()
 
 
 class TestPruferCodec:

@@ -11,18 +11,24 @@ from gamma_forest import cli, stirling
 from gamma_forest.errors import LimitExceededError
 from gamma_forest.poly import gamma_closed_form
 from gamma_forest.stirling import (
-    MalformedWordError,
-    aapair,
-    as_word,
     distribution_naas_aapair,
     distribution_ntns_tnpair,
     enumerate_stirling,
-    is_naas,
-    is_ntns,
-    is_stirling,
     marginal,
     pair_statistics,
     statistics_rows,
+)
+from oracles import (
+    MalformedWordError,
+    aapair,
+    as_word,
+    double_factorial,
+    is_naas,
+    is_ntns,
+    is_stirling,
+    nlyn,
+    rdes,
+    sha256_of,
     tnpair,
     word_to_string,
 )
@@ -62,14 +68,6 @@ def list_digest(items) -> str:
         sep = b", "
     h.update(b"]")
     return h.hexdigest()
-
-
-def double_factorial(m: int) -> int:
-    out = 1
-    while m > 1:
-        out *= m
-        m -= 2
-    return out
 
 
 def naive_is_stirling(word) -> bool:
@@ -235,8 +233,7 @@ class TestEnumeration:
     @pytest.mark.parametrize("n", sorted(WORD_STREAM_DIGESTS))
     def test_stream_digest(self, n):
         # the order of the stream, which the goldens and rows rely on
-        digest = hashlib.sha256(repr(list(enumerate_stirling(n))).encode()).hexdigest()
-        assert digest == WORD_STREAM_DIGESTS[n]
+        assert sha256_of(list(enumerate_stirling(n))) == WORD_STREAM_DIGESTS[n]
 
     def test_all_valid_and_distinct(self):
         seen = set()
@@ -281,17 +278,15 @@ class TestPairStatistics:
                 assert marginal(tally, stat) == expected, (n, stat)
 
     def test_engine_calls_no_per_word_function(self, monkeypatch):
-        # the engines read none of the per-word oracles, and the rows walk
-        # their own strings, so stirling.count's word stream has no other reader
+        # the rows walk their own strings, so stirling.count's word stream has
+        # no other reader; the per-word oracles are out of the engines' reach
+        # (test_callers.py)
         expected = pair_statistics(6), list(statistics_rows(6))
 
         def banned(*args, **kwargs):
             raise AssertionError("the engine called a per-word function")
 
-        for name in (
-            "enumerate_stirling", "_words", "word_to_string", "_pairs", "_occurrences", "as_word",
-            "is_stirling", "aapair", "tnpair", "is_naas", "is_ntns",
-        ):
+        for name in ("enumerate_stirling", "_words"):
             monkeypatch.setattr(stirling, name, banned)
         assert (pair_statistics(6), list(statistics_rows(6))) == expected
 
@@ -462,7 +457,7 @@ class TestDistributions:
 
 class TestEquidistribution:
     def test_tree_statistics_match_word_statistics(self):
-        from gamma_forest.binary_trees import enumerate_normalized, nlyn, rdes
+        from gamma_forest.binary_trees import enumerate_normalized
 
         for n in range(2, 8):
             tree_rdes = Counter(rdes(t) for t in enumerate_normalized(n))

@@ -26,9 +26,9 @@ from gamma_forest.symfunc import (
     expand_e_lambda,
     expansion_in_variables,
     f_mcomb_direct,
-    product_form_count,
     specialize_two_vars,
 )
+from oracles import product_form_count
 
 
 class TestPartition:

@@ -6,8 +6,9 @@ import pickle
 import pytest
 
 from gamma_forest.poly import GammaVector, IntPolynomial
-from gamma_forest.rooted_trees import PruferCode, RootedTree
+from gamma_forest.rooted_trees import RootedTree
 from gamma_forest.symfunc import ESymExpansion, MultivariatePoly, Partition
+from oracles import PruferCode
 
 # (make, repr, field): make builds the same value twice from unequal inputs
 CASES = [
