@@ -21,8 +21,7 @@ from gamma_forest.binary_trees import Tree, comb_type, valency
 from gamma_forest.errors import check_size
 from gamma_forest.poly import _Value
 from gamma_forest.rooted_trees import RootedTree
-
-Word = tuple[int, ...]
+from gamma_forest.stirling import Word
 
 
 def double_factorial(m: int) -> int:
