@@ -10,10 +10,10 @@ A Prufer decode hangs each removed leaf from its sequence entry, so it gives
 the tree rooted at n as a parent array, with the other nodes in removal
 order (each before its parent).  Two loops decode.  `_decode` serves the
 descent tally alone, `_descent_chunk`: one loop over the sequences that
-extend a prefix, which never materializes trees.  Per sequence it counts the descents at
-root n, then walks the removal order backwards, so that every parent comes
-before its children; moving the root from p down to its child x changes the
-count by +1 if x > p and by -1 otherwise.  That keeps the n=8 run (about two
+extend a prefix, which never materializes trees.  Per sequence it counts
+the descents at root n, then walks the removal order backwards, so that
+every parent comes before its children; moving the root from p down to its
+child x changes the count by +1 if x > p and by -1 otherwise.  That keeps the n=8 run (about two
 million trees) near a second, and _pool.map_prefixes shards it by fixing a
 prefix of the sequence.  Enumeration decodes inline, on a fresh array per
 sequence, and reroots each tree by reversing the path from its root up to
