@@ -4,7 +4,8 @@ Every polynomial here has arbitrary-precision integer coefficients and a
 unique normal form: the zero polynomial is the empty coefficient tuple, and
 no other polynomial carries trailing zero coefficients.  A palindromic
 polynomial of degree d can be rewritten in the basis t^j (1+t)^(d-2j) for
-0 <= j <= d // 2; the coordinate vector in that basis is a GammaVector.
+0 <= j <= d // 2; the coordinate vector in that basis is a GammaVector.  Both
+directions run W_j = (1+t)^2 W_{j-1} + gamma_j t^j, by additions alone.
 
 The module also builds the concrete polynomials the rest of the package
 verifies against: the product form of the tree descent polynomial, its
@@ -173,43 +174,44 @@ def is_palindromic(p: IntPolynomial) -> bool:
     return cs == cs[::-1]
 
 
-def add_binomial_row(acc: list[int], c: int, j: int, m: int, upto: int | None = None) -> None:
+def add_binomial_row(acc: list[int], c: int, j: int, m: int) -> None:
     """Add c t^j (1+t)^m to the coefficient list acc in place, padding acc.
 
     (1+t)^m is the binomial row C(m, 0..m); c C(m, k+1) comes from c C(m, k)
     by the exact step b (m - k) // (k + 1), so this costs O(m) big-integer
-    operations.  With upto, only the coefficients of t^j .. t^upto are added
-    and acc is padded no further than index upto; an upto at or beyond j + m
-    adds the whole row, as does the default.  drake_polynomial does not use
-    it, so that the censuses and gamma conversions built on it are checked
-    against an independent path.
+    operations.  Neither drake_polynomial nor the gamma conversions use it,
+    so that the censuses built on it are checked against independent paths.
 
     >>> acc = [0, 0, 1]
     >>> add_binomial_row(acc, 2, 1, 2)
     >>> acc
     [0, 2, 5, 2]
-    >>> acc = []
-    >>> add_binomial_row(acc, 1, 1, 4, upto=2)
-    >>> acc
-    [0, 1, 4]
     """
-    top = j + m if upto is None else min(upto, j + m)
-    acc.extend([0] * (top + 1 - len(acc)))
+    acc.extend([0] * (j + m + 1 - len(acc)))
     b = c
-    for k in range(top - j + 1):
+    for k in range(m + 1):
         acc[j + k] += b
         b = b * (m - k) // (k + 1)
 
 
-def to_gamma_basis(p: IntPolynomial) -> GammaVector:
-    """Change of basis into the gamma basis by iterated peeling.
+def _over_one_plus_t(w: list[int]) -> list[int]:
+    # coefficients 0 .. len(w) - 1 of the power series W / (1+t)
+    q, prev = [], 0
+    for a in w:
+        prev = a - prev
+        q.append(prev)
+    return q
 
-    Peeling reads gamma_j off the residue's t^j coefficient, then subtracts
-    gamma_j t^j (1+t)^(d-2j); entries may be negative.  Requires a
-    palindromic input.  The input and every peeled row are palindromic about
-    d/2, so peeling runs on coefficients 0 .. d // 2 alone, and a zero lower
-    half of the residue means a zero residue.  O(d^2) big-integer operations,
-    about half those of peeling the whole polynomial.
+
+def to_gamma_basis(p: IntPolynomial) -> GammaVector:
+    """Change of basis into the gamma basis by the (1+t)^2 recurrence.
+
+    p = (1+t)^(d % 2) W_{d // 2}, where W_{-1} = 0, W_j = (1+t)^2 W_{j-1} +
+    gamma_j t^j is palindromic about j, and only its coefficients 0 .. j are
+    kept.  Run backwards: an odd d divides by (1+t) first, exactly, as p(-1)
+    is 0; then each step divides W_j by (1+t) twice as a power series and
+    reads gamma_j off coefficient j.  Entries may be negative.  Requires a
+    palindromic input.  O(d^2) big-integer additions and subtractions.
 
     >>> to_gamma_basis(IntPolynomial([2, 5, 2])).gammas
     (2, 1)
@@ -221,25 +223,22 @@ def to_gamma_basis(p: IntPolynomial) -> GammaVector:
     if not is_palindromic(p):
         raise NotPalindromicError(f"polynomial {list(p.coeffs)} is not palindromic")
     d = p.degree
-    half = d // 2
-    residue = list(p.coeffs[: half + 1])
-    gammas = []
-    for j in range(half + 1):
-        c = residue[j]
-        gammas.append(c)
-        if c:
-            add_binomial_row(residue, -c, j, d - 2 * j, half)
-    if any(residue):
-        raise NotPalindromicError(f"peeling left a nonzero residue for {list(p.coeffs)}")
-    return GammaVector(gammas, d)
+    w = list(p.coeffs[: d // 2 + 1])
+    if d % 2:
+        w = _over_one_plus_t(w)
+    tail = []  # gamma_j for j = d // 2 .. 1
+    for j in range(d // 2, 0, -1):
+        v = _over_one_plus_t(w[:j])  # (1+t) W_{j-1}, palindromic about j - 1/2
+        tail.append(w[j] - 2 * v[-1])  # w[j] - v[j] - v[j-1], with v[j] = v[j-1]
+        w = _over_one_plus_t(v)
+    return GammaVector(w + tail[::-1], d)
 
 
 def from_gamma_basis(g: GammaVector) -> IntPolynomial:
     """Reassemble sum of gamma_j t^j (1+t)^(d-2j); inverse of to_gamma_basis.
 
-    Every row is palindromic about d/2, so only coefficients 0 .. d // 2 are
-    summed and coefficient d - i is copied from coefficient i.  A zero
-    gamma_0 leaves the result below degree d.
+    Runs the recurrence of to_gamma_basis forwards on coefficients 0 .. d // 2
+    and copies coefficient d - i from i.  A zero gamma_0 leaves degree < d.
 
     >>> from_gamma_basis(GammaVector([2, 1], 2)).coeffs
     (2, 5, 2)
@@ -249,21 +248,20 @@ def from_gamma_basis(g: GammaVector) -> IntPolynomial:
     (2, 9, 20, 20, 9, 2)
     """
     d = g.degree
-    half = d // 2
-    # a nonzero row always reaches index half, so out is either empty (the
-    # zero polynomial) or the whole lower half
-    out: list[int] = []
-    for j, c in enumerate(g.gammas):
-        if c:
-            add_binomial_row(out, c, j, d - 2 * j, half)
-    return IntPolynomial(out + out[: d - half][::-1])
+    w = list(g.gammas[:1])
+    for c in g.gammas[1:]:  # (1+t) w is [w[k] + w[k-1]]; v[j] = v[j-1] as above
+        v = [a + b for a, b in zip(w, [0] + w)]
+        w = [a + b for a, b in zip(v, [0] + v)] + [2 * v[-1] + c]
+    if d % 2:
+        w = [a + b for a, b in zip(w, [0] + w)]
+    return IntPolynomial(w + w[: d - d // 2][::-1])
 
 
 def drake_polynomial(n: int) -> IntPolynomial:
     """Product form of the descent polynomial of rooted labeled trees on [n].
 
-    Expands prod_{i=1}^{n-1} ((n-i) + i t) exactly; degree n-1, palindromic,
-    and its value at 1 is n^(n-1).
+    Expands prod_{i=1}^{n-1} ((n-i) + i t) exactly, two consecutive factors
+    per pass; degree n-1, palindromic, and its value at 1 is n^(n-1).
 
     >>> drake_polynomial(3).coeffs
     (2, 5, 2)
@@ -272,8 +270,11 @@ def drake_polynomial(n: int) -> IntPolynomial:
     """
     check_size("drake_polynomial", n)
     cs = [1]
-    for i in range(1, n):
-        cs = [(n - i) * lo + i * hi for lo, hi in zip(cs + [0], [0] + cs)]
+    for i in range(1, n - 1, 2):  # ((n-i) + i t)((n-i-1) + (i+1) t) = a + b t + c t^2
+        a, b, c = (n - i) * (n - i - 1), (n - i) * (i + 1) + i * (n - i - 1), i * (i + 1)
+        cs = [a * x + b * y + c * z for x, y, z in zip(cs + [0, 0], [0] + cs + [0], [0, 0] + cs)]
+    if n % 2 == 0:  # the unpaired last factor 1 + (n-1) t
+        cs = [lo + (n - 1) * hi for lo, hi in zip(cs + [0], [0] + cs)]
     return IntPolynomial(cs)
 
 

@@ -146,22 +146,6 @@ class TestBinomialRow:
         acc = [1, 2, 3, 4]
         add_binomial_row(acc, 1, 0, 1)
         assert acc == [2, 3, 3, 4]
-        acc = [1, 2, 3, 4]
-        add_binomial_row(acc, 1, 0, 3, upto=1)
-        assert acc == [2, 5, 3, 4]
-
-    def test_upto_truncates_the_row(self):
-        for m in range(12):
-            for j in range(3):
-                full = []
-                add_binomial_row(full, -3, j, m)
-                for upto in range(j + m + 3):
-                    acc = []
-                    add_binomial_row(acc, -3, j, m, upto)
-                    # the prefix of the full row, not padded past upto
-                    assert acc == full[: upto + 1]
-                    if upto >= j + m:
-                        assert acc == full
 
 
 class TestGammaBasis:
@@ -296,7 +280,7 @@ class TestGammaClosedForm:
             )
 
     def test_matches_peeling_large_n(self):
-        for n in [*range(21, 61), 200]:
+        for n in [*range(21, 61), 200, 299, 300]:
             closed = gamma_closed_form(n)
             peeled = to_gamma_basis(drake_polynomial(n))
             assert closed == peeled
@@ -318,8 +302,9 @@ class TestGammaClosedForm:
 
 class TestIndependence:
     """The identities checked elsewhere compare computations that must not
-    share a path: the closed form against peeling of the product form, and
-    the product form against censuses built from binomial rows."""
+    share a path: the closed form against the gamma conversions of the
+    product form, and the product form and its gamma vector against censuses
+    built from binomial rows."""
 
     @staticmethod
     def _forbid(monkeypatch, *names):
@@ -343,6 +328,14 @@ class TestIndependence:
     def test_product_form_skips_binomial_row(self, monkeypatch):
         self._forbid(monkeypatch, "add_binomial_row")
         assert poly.drake_polynomial(5).coeffs == (24, 154, 269, 154, 24)
+
+    def test_conversions_skip_binomial_row(self, monkeypatch):
+        self._forbid(monkeypatch, "add_binomial_row")
+        for n in range(1, 41):
+            p = poly.drake_polynomial(n)
+            g = poly.to_gamma_basis(p)
+            assert g == poly.gamma_closed_form(n)
+            assert poly.from_gamma_basis(g) == p
 
 
 class TestEulerian:
