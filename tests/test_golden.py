@@ -8,7 +8,8 @@ line and every fixed n range of the verify suites.  The symfunc, refusal and
 auto-mode digests were recorded before the enumerate families became one
 table; the refusals run with the caps lowered too.  The Stirling histograms
 at n = 7 and 8 were recorded before the pair tally walked classes of words
-in place of the words.  To print the digests of the current code:
+in place of the words.  The rooted rows at n = 7 were recorded while every
+rooted row still decoded its own Prufer sequence.  To print the digests of the current code:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -28,7 +29,7 @@ ROW_CASES = [
     for stat in spec.stats
     for fmt in FORMATS
     for n in (4, 5)
-]
+] + [("rooted", "des", fmt, 7) for fmt in FORMATS]
 HISTOGRAM_CASES = [
     (family, stat, fmt, n)
     for family, spec in cli.FAMILIES.items()
@@ -104,6 +105,9 @@ ROW_DIGESTS = {
     "rooted-des-csv-5": "e2e7aebeb80b57e0060e801baebf7cd404a09152a43d76629dd5543dead4cb12",
     "rooted-des-json-4": "206915354884cdc90ba18ef8120d66ce49a8c415326082862b54726591726506",
     "rooted-des-json-5": "f93b346a442538e3258c01b65f3bbe4514279e5c518a7708d08df22b826f48dc",
+    "rooted-des-text-7": "28e1f8cb104a9820e3d24f0ca367c453cd3de010daed33db1c027071f37512b4",
+    "rooted-des-csv-7": "ae577ebff73d5583942da6ea4b6d7be4b35f8ea003043c1f0108bd9b820f5e85",
+    "rooted-des-json-7": "9b694cfeb5c413e0e48bdebf8fe17ec64687bde760f0c344a4c2a4301c7fa1c7",
     "normalized-rdes-text-4": "84822ed185642a8f503881cf4d7101bcebbda38413ab7b4c971cf9203fbd75d3",
     "normalized-rdes-text-5": "b66ce03fe2f8b6ad91cfe831b468718e189dad75f3e4558aaad693c85a89e019",
     "normalized-rdes-csv-4": "290a40562c52f8f7c07db468fb9fa15278138be8c9b01e082bfdab49f234a24e",
