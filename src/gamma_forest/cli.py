@@ -446,12 +446,14 @@ def _rooted_rows(stat: str, n: int, fmt: str) -> Iterator[list[str]]:
     # each tree's edge list, {"n":3,"root":2,"edges":[[2,1],[2,3]]} with the
     # edges sorted by child, as compact JSON, and its descent count (the
     # tests' tree_to_json_dict and des), from the blocks of parent arrays of
-    # rooted_trees._rooted_blocks, without building RootedTrees.  A row is
-    # the block's head (n and root), each non-root node's edge text with a
-    # comma after it (the last comma cut), and the tail of its descent count;
-    # only csv quotes the object, whose quotes sit in the head.
+    # rooted_trees._rooted_blocks, without building RootedTrees.  A row joins
+    # one text per node, picked by its parent: node 0, whose parent is always
+    # 0, gives the head (n and root), the root gives nothing, and every other
+    # node its edge with a comma in front, save the first non-root node (1,
+    # or 2 at root 1); then comes the tail of its descent count.  Only csv
+    # quotes the object, whose quotes sit in the head.
     nodes = range(n + 1)
-    edge_text = [[f"[{p},{x}]," if p else "" for p in nodes] for x in nodes]
+    edge_text = [[f",[{p},{x}]" if p else "" for p in nodes] for x in nodes]
     getitem, gt = operator.getitem, operator.gt
     if fmt == "csv":
         yield [_csv_line(("object", "stat"))]
@@ -460,14 +462,18 @@ def _rooted_rows(stat: str, n: int, fmt: str) -> Iterator[list[str]]:
         tails = [f'],"stat":{d}}}\n' for d in nodes]
     else:
         tails = [f"]}}\t{d}\n" for d in nodes]
+    texts_root = 0
     for root, parents in rooted_trees._rooted_blocks(n, n):
-        head = f'{{"n":{n},"root":{root},"edges":['
-        if fmt == "csv":
-            head = '"' + head.replace('"', '""')
+        if root != texts_root:
+            head = f'{{"n":{n},"root":{root},"edges":['
+            if fmt == "csv":
+                head = '"' + head.replace('"', '""')
+            bare = 3 if root == 1 else 2  # the first non-root node (and node 1) has no comma
+            texts = [[head], *([e[1:] for e in row] for row in edge_text[1:bare])]
+            texts += edge_text[bare:]
+            texts_root = root
         yield [
-            head
-            + "".join(map(getitem, edge_text, parent))[:-1]
-            + tails[sum(map(gt, parent, nodes))]
+            "".join(map(getitem, texts, parent)) + tails[sum(map(gt, parent, nodes))]
             for parent in parents
         ]
 

@@ -13,14 +13,17 @@ descent tally alone, `_descent_chunk`: one loop over the sequences that
 extend a prefix, which never materializes trees.  Per sequence it counts
 the descents at root n, then walks the removal order backwards, so that
 every parent comes before its children; moving the root from p down to its
-child x changes the count by +1 if x > p and by -1 otherwise.  That keeps the n=8 run (about two
-million trees) near a second, and _pool.map_prefixes shards it by fixing a
-prefix of the sequence.  Enumeration decodes inline, on a fresh array per
-sequence, and reroots each tree by reversing the path from its root up to
-n; it hands over the n trees of one root and sequence prefix at a time.
-Neither side of the descent identity shares a decode with the other.  The
-per-tree functions (des, the Prufer codec, the edge-list form) live with
-the tests, as the oracles they hold these against.
+child x changes the count by +1 if x > p and by -1 otherwise.  That keeps
+the n=8 run (about two million trees) near a second, and _pool.map_prefixes
+shards it by fixing a prefix of the sequence.  Enumeration decodes inline,
+once per sequence: while root 1 streams, each decoded tree rooted at n is
+appended to one bytearray table of n^(n-2) (n+1) bytes (134 KB at n = 7,
+48 MB at n = 9), and roots 2..n copy their arrays out of it.  Each tree is
+rerooted by reversing the path from its root up to n, and the n trees of
+one root and sequence prefix are handed over at a time.  Neither side of
+the descent identity shares a decode with the other.  The per-tree
+functions (des, the Prufer codec, the edge-list form) live with the tests,
+as the oracles they hold these against.
 """
 
 from __future__ import annotations
@@ -104,51 +107,75 @@ def _decode(n: int, seq: tuple[int, ...]) -> tuple[list[int], list[int]]:
     return parent, order
 
 
-def _rooted_blocks(n: int, cap: int) -> Iterator[tuple[int, list[list[int]]]]:
+def _rooted_blocks(n: int, cap: int) -> Iterator[tuple[int, list[bytearray]]]:
     # (root, parent arrays) of every rooted tree on [n], lexicographic in
     # (root, seq), unvalidated, one block per root and sequence prefix: the n
     # trees whose sequences differ in the last entry only (one tree per root
-    # at n = 2).  Each sequence is decoded here, on a fresh list, and the
-    # path from the root up to n is reversed in place.
+    # at n = 2).  Root 1 decodes each sequence and appends the tree rooted at
+    # n to one table of n^(n-2) (n+1) bytes, filled as root 1 streams, so the
+    # first rows come at once; roots 2..n copy their arrays out of it.  Each
+    # yielded array is its own, and the path from the root up to n is
+    # reversed in place.
     check_size("enumerate_rooted_trees", n, cap)
     if n == 1:
-        yield 1, [[0, 0]]
+        yield 1, [bytearray(2)]
         return
-    labels = range(1, n + 1)
-    lasts = [(x,) for x in labels] if n > 2 else [()]  # at n = 2, the empty sequence
-    for root in labels:
-        for prefix in product(labels, repeat=max(n - 3, 0)):
-            counts = [1] * (n + 1)
-            for x in prefix:
-                counts[x] += 1
-            block = []
-            for last in lasts:
-                deg = counts[:]
-                for x in last:
-                    deg[x] += 1
-                parent = [0] * (n + 1)
-                idx = 1
-                while deg[idx] != 1:
-                    idx += 1
-                leaf = idx
-                for x in prefix + last:
-                    parent[leaf] = x
-                    deg[x] -= 1
-                    if deg[x] == 1 and x < idx:
-                        leaf = x
-                    else:
-                        idx += 1
-                        while deg[idx] != 1:
-                            idx += 1
-                        leaf = idx
-                parent[leaf] = n  # the tree rooted at n, as _decode gives it
+    w = n + 1
+    lasts = [(x,) for x in range(1, w)] if n > 2 else [()]  # at n = 2, the empty sequence
+    tab = bytearray()
+    bw = w * len(lasts)
+    for root in range(1, w):
+        if root == 1:
+            blocks = _decoded_blocks(n, lasts, tab)
+        else:
+            blocks = (
+                [tab[o : o + w] for o in range(b, b + bw, w)] for b in range(0, len(tab), bw)
+            )
+        for block in blocks:
+            for parent in block:
                 child, x = 0, root
                 while x:
                     up = parent[x]
                     parent[x] = child
                     child, x = x, up
-                block.append(parent)
             yield root, block
+
+
+def _decoded_blocks(
+    n: int, lasts: list[tuple[int, ...]], tab: bytearray
+) -> Iterator[list[bytearray]]:
+    # the tree rooted at n of every sequence on [n], as _decode gives it, in
+    # blocks of the sequences that extend one prefix by each of `lasts`; each
+    # array is appended to tab as it is decoded
+    labels = range(1, n + 1)
+    for prefix in product(labels, repeat=max(n - 3, 0)):
+        counts = [1] * (n + 1)
+        for x in prefix:
+            counts[x] += 1
+        block = []
+        for last in lasts:
+            deg = counts[:]
+            for x in last:
+                deg[x] += 1
+            parent = bytearray(n + 1)
+            idx = 1
+            while deg[idx] != 1:
+                idx += 1
+            leaf = idx
+            for x in prefix + last:
+                parent[leaf] = x
+                deg[x] -= 1
+                if deg[x] == 1 and x < idx:
+                    leaf = x
+                else:
+                    idx += 1
+                    while deg[idx] != 1:
+                        idx += 1
+                    leaf = idx
+            parent[leaf] = n
+            tab += parent
+            block.append(parent)
+        yield block
 
 
 def enumerate_rooted_trees(n: int, cap: int = DEFAULT_CAP) -> Iterator[RootedTree]:

@@ -6,6 +6,7 @@ onto a single parent-array decode.
 """
 
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -177,6 +178,31 @@ class TestEnumeration:
     def test_stream_digest(self):
         trees = [(t.root, t.parent) for t in enumerate_rooted_trees(6)]
         assert sha256_of(trees) == ROOTED_6_DIGEST
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_blocks_yield_copies(self, n):
+        # zeroing every array once read leaves the rest of the stream as it
+        # was, so no root sees an earlier root's reroot
+        def drain(wipe):
+            for root, block in rooted_trees._rooted_blocks(n, n):
+                yield root, [list(parent) for parent in block]
+                if wipe:
+                    for parent in block:
+                        parent[:] = bytes(len(parent))
+
+        assert list(drain(True)) == list(drain(False))
+
+    def test_blocks_hold_one_table(self):
+        # the trees rooted at n fill one table of n^(n-2) (n+1) bytes, not an
+        # object per sequence
+        tracemalloc.start()
+        try:
+            for _ in rooted_trees._rooted_blocks(7, 7):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 7**5 * 8
 
     def test_cap(self):
         with pytest.raises(LimitExceededError):
