@@ -3,12 +3,15 @@
 The SHA-256 digests pin the engines' full outputs, double-pair counts and row
 order included; they were recorded from the code that ran the joint tally on
 one backtracking engine and the rows and comb-type tally on tuple trees.  The
+rendered rows at n = 8 were recorded while the command line still formatted
+each line apart from the string splice that makes its tree.  The
 digests of the three coloring enumerators were recorded from the code that
 built each coloring from an in-order table of the tree and a product over its
 free nodes or chains; the colored-comb digests sort each tree's colorings, so
 they pin the set of colorings per tree.
 """
 
+import hashlib
 import math
 from collections import Counter
 from itertools import groupby, islice, product
@@ -16,7 +19,7 @@ from itertools import groupby, islice, product
 import pytest
 
 import gamma_forest._pool as pool
-from gamma_forest import binary_trees
+from gamma_forest import binary_trees, cli
 from gamma_forest.binary_trees import (
     ROW_STATS,
     bicolored_comb_census,
@@ -80,6 +83,13 @@ ROWS_8_DIGESTS = {
     "nlyn": "9dd3eefd81d8eb14c755daec6f9f714503c43526921e784ff263bf83576976b9",
     "free": "0330a0a8115eee1030427f1f2d94166c924898d54ff1cb8b2c3a86e883f4a368",
     "combtype": "112af1e6a3e7bfbe06897d0d0f2b80fd0f32128f541437c06406b75549871135",
+}
+# sha256 of "".join(cli._render_rows("normalized", stat, 8, fmt)); "stat-fmt"
+RENDERED_ROWS_8_DIGESTS = {
+    "combtype-json": "6dcc7c311e77c59f147b4e66f52aa3d5889b7097a5888dd5ede6b2305cbef89b",
+    "rdes-text": "a0d17f1703448b891115c1deb3772dc804faa7dd4b7cc05a162f14a3fec006d0",
+    "nlyn-csv": "2c79fabe743d08fb115c5309c73c4a09b7e26d020c831c06e62267215d54f39b",
+    "free-json": "35a75a22b3d03eb6f0324461d8f2cdc2c3a40e245932551d838c29033ff5a510",
 }
 # sha256 of repr(list(enumerate_bicolored_combs(n)))
 BICOLORED_COMBS_DIGESTS = {
@@ -385,6 +395,12 @@ class TestJointEngine:
     @pytest.mark.parametrize("stat", ROW_STATS)
     def test_rows_digest(self, stat):
         assert sha256_of(list(normalized_rows(8, stat))) == ROWS_8_DIGESTS[stat]
+
+    @pytest.mark.parametrize("case", sorted(RENDERED_ROWS_8_DIGESTS))
+    def test_rendered_rows_digest(self, case):
+        stat, fmt = case.split("-")
+        text = "".join(cli._render_rows("normalized", stat, 8, fmt))
+        assert hashlib.sha256(text.encode()).hexdigest() == RENDERED_ROWS_8_DIGESTS[case]
 
     def test_engines_call_no_per_tree_function(self, monkeypatch):
         # the package's per-tree functions serve the command line and the

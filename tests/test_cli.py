@@ -441,6 +441,59 @@ def csv_writer_text(rows) -> str:
     return buf.getvalue()
 
 
+def oracle_rows(family: str, stat: str, n: int) -> tuple[tuple, list]:
+    """The csv header of a family and, per object in enumeration order, its
+    text line (without the newline), its json document and its csv cells,
+    each built from the per-object oracles."""
+    from gamma_forest import binary_trees
+    from gamma_forest.rooted_trees import enumerate_rooted_trees
+    from oracles import (
+        aapair, des, free_count, is_naas, is_ntns, nlyn, rdes, tnpair, tree_to_json_dict,
+        word_to_string,
+    )
+
+    def dumps(doc):
+        return json.dumps(doc, separators=(",", ":"))
+
+    def stat_text(value):  # a partition's parts joined by "+", "0" when it has none
+        return "+".join(map(str, value)) or "0" if isinstance(value, tuple) else str(value)
+
+    if family == "rooted":
+        return ("object", "stat"), [
+            (f"{dumps(d)}\t{des(t)}", {**d, "stat": des(t)}, (dumps(d), des(t)))
+            for t in enumerate_rooted_trees(n)
+            for d in [tree_to_json_dict(t)]
+        ]
+    if family == "normalized":
+        oracle = {
+            "rdes": rdes, "nlyn": nlyn, "free": free_count, "combtype": binary_trees.comb_type
+        }[stat]
+        rows = []
+        for t in binary_trees.enumerate_normalized(n):
+            s, v = binary_trees.tree_to_string(t), oracle(t)
+            doc = {"tree": s, "stat": list(v) if isinstance(v, tuple) else v}
+            rows.append((f"{s}\t{stat_text(v)}", doc, (s, stat_text(v))))
+        return ("object", "stat"), rows
+    if family in ("combs", "lyndon"):
+        colorings = {
+            "combs": binary_trees.enumerate_bicolored_combs,
+            "lyndon": binary_trees.enumerate_bicolored_lyndon,
+        }[family](n)
+        rows = []
+        for t, c in colorings:
+            s = binary_trees.tree_to_string(t)
+            doc = {"tree": s, "colors": list(c), "stat": sum(c)}
+            cells = (s, " ".join(map(str, c)), sum(c))
+            rows.append((f"{s}\t{','.join(map(str, c))}\t{sum(c)}", doc, cells))
+        return ("tree", "colors", "stat"), rows
+    rows = []
+    for w in stirling.enumerate_stirling(n):
+        s, v = word_to_string(w), {"aapair": aapair, "tnpair": tnpair}[stat](w)
+        cells = (s, aapair(w), tnpair(w), int(is_naas(w)), int(is_ntns(w)))
+        rows.append((f"{s}\t{v}", {"word": s, "stat": v}, cells))
+    return ("word", "aapair", "tnpair", "is_naas", "is_ntns"), rows
+
+
 # cell text made of what csv quotes (comma, quote, CR, LF) and what it does not
 CSV_TEXT = st.text(alphabet=[",", '"', "\r", "\n", " ", "a", "7", "+"], max_size=6)
 CSV_CELLS = st.one_of(CSV_TEXT, st.integers())
@@ -459,6 +512,22 @@ class TestRowsMode:
     @settings(derandomize=True, max_examples=100)
     def test_block_of_cells_quotes_each_cell(self, texts):
         assert cli._csv_cells(texts) == [cli._csv_cell(text) for text in texts]
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("family", sorted(cli.FAMILIES))
+    def test_small_rows_match_per_object_oracles(self, family, n, fmt):
+        # the one-leaf tree writes the unquoted cell 1 in csv; every other
+        # tree, and no Stirling word below order 10, holds a comma
+        for stat in cli.FAMILIES[family].stats:
+            header, rows = oracle_rows(family, stat, n)
+            if fmt == "text":
+                expected = "".join(text + "\n" for text, _, _ in rows)
+            elif fmt == "json":
+                expected = "".join(json.dumps(doc, separators=(",", ":")) + "\n" for _, doc, _ in rows)
+            else:
+                expected = csv_writer_text([header, *(cells for _, _, cells in rows)])
+            assert "".join(cli._render_rows(family, stat, n, fmt)) == expected, stat
 
     def test_stirling_csv_rows_with_two_digit_letters(self):
         # from order 10 on, word_to_string separates letters with commas, so
