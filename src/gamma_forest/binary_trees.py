@@ -26,7 +26,7 @@ flat arrays, yielding every tree on [n - 1] with its five statistics
 maintained incrementally across insertions, and each inserts leaf n itself,
 so a full pass over the two million trees at n=9 takes seconds.  The rows
 take their strings from _strings, a walk over strings alone in the same
-order, and read node spans and comb types once per tree shape.
+order, and read node spans, comb types, rdes and free once per tree shape.
 comb_type_tally walks no tree: it runs a recurrence over comb types.  The
 update rules of the statistics are written once, in _child_keys.  JOINT_KEY,
 the one place that names the positions of a tally key, is read by the views
@@ -50,9 +50,9 @@ independent computations.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from functools import cache
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 from ._pool import map_prefixes
 from .errors import check_size
@@ -485,14 +485,16 @@ def bicolored_lyndon_census(n: int, threads: int = 1, cap: int = DEFAULT_CAP) ->
 # tree.  The strings come from a walk over strings alone, _strings, which
 # splices "(" and ",m)" around each node's span of a string on [m - 1]; the
 # statistics come from the walker, in step with it.  A node's span, and the
-# comb types of a tree's children, depend only on the tree's shape, which
-# the shape key of its string keeps: the string with every digit made 0, so
-# that a label keeps its width.  Both are computed once per key and kept for
-# one call; only rdes, nlyn and free are read per tree, off _child_keys.
-# The trees on [m] have Catalan(m - 1) shapes, and as many keys while every
-# label is one digit (n <= 10): at n = 8, 132 comb-type entries and 197 span
-# entries over m = 1..7.  Above, a key also fixes which leaves carry two
-# digits.
+# comb types, rdes and free of a tree's children, depend only on the tree's
+# shape, which the shape key of its string keeps: the string with every
+# digit made 0, so that a label keeps its width.  They are computed once per
+# key, with the tails of their lines, and kept for one call; only nlyn is
+# read per tree, off _child_keys.  The trees on [m] have Catalan(m - 1)
+# shapes, and as many keys while every label is one digit (n <= 10): at
+# n = 8, 132 statistic entries and 197 span entries over m = 1..7.  Above, a
+# key also fixes which leaves carry two digits.  Each line is written in the
+# comprehension that splices its tree, between the head and the tail that
+# the caller gives.
 # ---------------------------------------------------------------------------
 
 ROW_STATS = ("rdes", "nlyn", "free", "combtype")
@@ -593,35 +595,49 @@ def _comb_children(arrays: tuple[list, ...], order: list[int]) -> list[tuple[int
     return out
 
 
-def _row_blocks(n: int, stat: str, cap: int = DEFAULT_CAP) -> Iterator[tuple[list[str], Sequence]]:
-    """One block per normalized tree on [n - 1], in walk order: the strings of
+def _row_blocks(
+    n: int, stat: str, cap: int = DEFAULT_CAP, head: str = "", tails: Mapping | None = None
+) -> Iterator[tuple[list[str], Sequence]]:
+    """One block per normalized tree on [n - 1], in walk order: the lines of
     the 2n - 3 trees made by inserting leaf n at its nodes in preorder, and
-    their statistics (one block of the tree 1 when n is 1).
+    their statistics (one block of the tree 1 when n is 1).  A line is head,
+    the tree's string and tails[value], each spliced in one step; tails maps
+    a statistic to its text (none by default), and the lines are then the
+    strings alone.
 
     stat is one of ROW_STATS; comb types are partitions as in comb_type.
     """
     if stat not in ROW_STATS:
         raise ValueError(f"unknown statistic {stat!r}; choose from {', '.join(ROW_STATS)}")
     check_size("normalized_rows", n, cap)
+    if tails is None:
+        tails = defaultdict(str)
     if n == 1:
-        yield ["1"], [() if stat == "combtype" else 0]
+        value = () if stat == "combtype" else 0
+        yield [f"{head}1{tails[value]}"], [value]
         return
     leaf = f",{n})"
     i = JOINT_KEY.get(stat)  # None for the comb type
     memo: dict = {}
-    combs: dict = {}  # shape key -> its children's comb types, shared by its trees
+    shapes: dict = {}  # shape key -> its children's statistics and their tails, unless nlyn
     for s, (arrays, nodes, root, key) in zip(_strings(n - 1, memo), _walk(n), strict=True):
         shape, spans = _shape_spans(s, memo)
-        if i is None:
-            values = combs.get(shape)
-            if values is None:
-                order = _preorder_nodes(arrays, root)
-                children = _comb_children(arrays, order)
-                values = combs[shape] = tuple(children[v] for v in order)
-        else:
+        if stat == "nlyn":
             keys = _child_keys(arrays, nodes, key)
             values = [keys[v][i] for v in _preorder_nodes(arrays, root)]
-        yield _spliced(s, spans, leaf), values
+            texts = [tails[v] for v in values]
+        else:
+            entry = shapes.get(shape)
+            if entry is None:
+                order = _preorder_nodes(arrays, root)
+                if i is None:
+                    children = _comb_children(arrays, order)
+                else:  # rdes and free depend on the shape alone
+                    children = [k[i] for k in _child_keys(arrays, nodes, key)]
+                values = tuple(children[v] for v in order)
+                entry = shapes[shape] = values, [tails[v] for v in values]
+            values, texts = entry
+        yield [f"{head}{s[:a]}({s[a:b]}{leaf}{s[b:]}{t}" for (a, b), t in zip(spans, texts)], values
 
 
 def comb_type_tally(n: int, cap: int = DEFAULT_CAP) -> Counter:

@@ -390,17 +390,14 @@ def _csv_line(cells) -> str:
     return ",".join(map(_csv_cell, cells)) + "\r\n"
 
 
-def _csv_cells(texts: list[str]) -> list[str]:
-    # texts that need no quotes, seen in one test of their join, stay as they are
-    joined = "".join(texts)
-    return texts if _csv_cell(joined) == joined else [_csv_cell(text) for text in texts]
-
-
-# Rows mode.  Each row source yields blocks of finished lines, header first
-# in csv: the rows of one parent object's children, of one object, or of the
-# rooted trees of one root and Prufer prefix, each block formatted in one
-# comprehension.  _render_rows gathers whole blocks
-# into chunks of at least ROW_CHUNK rows.
+# Rows mode.  Each row source yields (text, rows) blocks, header first in
+# csv: the lines of one parent object's children, of one object, or of the
+# rooted trees of one root and Prufer prefix, each line written in one step
+# in the loop that makes its object.  The engines take a line's head and a
+# memo of its tails by value, and splice the object between them; the rooted
+# rows join a whole block at once.  A family's objects either all hold a
+# comma or none do, so csv quotes them, or not, once per call.
+# _render_rows gathers whole blocks into chunks of at least ROW_CHUNK rows.
 
 ROW_CHUNK = 4096  # rows per stdout write in rows mode, plus less than a block
 
@@ -427,72 +424,73 @@ def _stat_tails(fmt: str, stat: Callable, csv_cells: Callable) -> Callable[[obje
     return lambda value: f"\t{_stat_text(stat(value))}\n"
 
 
-def _block_lines(blocks, fmt: str, key: str, header: tuple, tail: Callable) -> Iterator[list[str]]:
-    """The lines of (objects, values) blocks: each object as a cell, then
-    tail(value), formatted once per distinct value.  In json the object is
-    the string under key; in csv header names the columns."""
-    tails = _Memo(tail)
+def _row_ends(fmt: str, key: str, quoted: bool, tail: Callable) -> tuple[str, _Memo]:
+    """A line's text before its object, and a memo of tail(value), the text
+    after it by the line's value.  In json the object is the string under
+    key; in csv it is quoted when the family's objects hold a comma."""
     if fmt == "csv":
-        yield [_csv_line(header)]
-        for objects, values in blocks:
-            yield [obj + tails[value] for obj, value in zip(_csv_cells(objects), values)]
-        return
-    head = f'{{"{key}":"' if fmt == "json" else ""
-    for objects, values in blocks:
-        yield [f"{head}{obj}{tails[value]}" for obj, value in zip(objects, values)]
+        if quoted:
+            return '"', _Memo(lambda value: '"' + tail(value))
+        return "", _Memo(tail)
+    return (f'{{"{key}":"' if fmt == "json" else ""), _Memo(tail)
 
 
-def _rooted_rows(stat: str, n: int, fmt: str) -> Iterator[list[str]]:
+def _rooted_rows(stat: str, n: int, fmt: str) -> Iterator[tuple[str, int]]:
     # each tree's edge list, {"n":3,"root":2,"edges":[[2,1],[2,3]]} with the
     # edges sorted by child, as compact JSON, and its descent count (the
-    # tests' tree_to_json_dict and des), from the blocks of parent arrays of
-    # rooted_trees._rooted_blocks, without building RootedTrees.  A row joins
-    # one text per node, picked by its parent: node 0, whose parent is always
-    # 0, gives the head (n and root), the root gives nothing, and every other
-    # node its edge with a comma in front, save the first non-root node (1,
-    # or 2 at root 1); then comes the tail of its descent count.  Only csv
-    # quotes the object, whose quotes sit in the head.
+    # tests' tree_to_json_dict and des), from the records of
+    # rooted_trees._rooted_blocks, without building RootedTrees.  A record's
+    # bytes each pick one text: node 0, whose parent is always 0, the head (n
+    # and root), the root nothing, every other node its edge with a comma in
+    # front, save the first non-root node (1, or 2 at root 1), and the last
+    # byte, des, the tail.  So one join over the root's texts, cycled once
+    # per record, writes a whole block.  Only csv quotes the object, whose
+    # quotes sit in the head.
     nodes = range(n + 1)
     edge_text = [[f",[{p},{x}]" if p else "" for p in nodes] for x in nodes]
-    getitem, gt = operator.getitem, operator.gt
+    getitem = operator.getitem
     if fmt == "csv":
-        yield [_csv_line(("object", "stat"))]
+        yield _csv_line(("object", "stat")), 1
         tails = [f']}}",{d}\r\n' for d in nodes]
     elif fmt == "json":
         tails = [f'],"stat":{d}}}\n' for d in nodes]
     else:
         tails = [f"]}}\t{d}\n" for d in nodes]
-    texts_root = 0
-    for root, parents in rooted_trees._rooted_blocks(n, n):
-        if root != texts_root:
+    w = n + 2
+    cycled_root = 0
+    for root, block in rooted_trees._rooted_blocks(n, n):
+        if root != cycled_root:
             head = f'{{"n":{n},"root":{root},"edges":['
             if fmt == "csv":
                 head = '"' + head.replace('"', '""')
             bare = 3 if root == 1 else 2  # the first non-root node (and node 1) has no comma
             texts = [[head], *([e[1:] for e in row] for row in edge_text[1:bare])]
-            texts += edge_text[bare:]
-            texts_root = root
-        yield [
-            "".join(map(getitem, texts, parent)) + tails[sum(map(gt, parent, nodes))]
-            for parent in parents
-        ]
+            cycled = (texts + edge_text[bare:] + [tails]) * n
+            cycled_root = root
+        yield "".join(map(getitem, cycled, block)), len(block) // w
 
 
-def _normalized_rows(stat: str, n: int, fmt: str) -> Iterator[list[str]]:
+def _normalized_rows(stat: str, n: int, fmt: str) -> Iterator[tuple[str, int]]:
+    if fmt == "csv":
+        yield _csv_line(("object", "stat")), 1
     tail = _stat_tails(fmt, lambda value: value, lambda value: (_stat_text(value),))
-    blocks = binary_trees._row_blocks(n, stat, n)
-    return _block_lines(blocks, fmt, "tree", ("object", "stat"), tail)
+    head, tails = _row_ends(fmt, "tree", n > 1, tail)  # every tree but "1" has a comma
+    for lines, _ in binary_trees._row_blocks(n, stat, n, head, tails):
+        yield "".join(lines), len(lines)
 
 
-def _stirling_rows(stat: str, n: int, fmt: str) -> Iterator[list[str]]:
+def _stirling_rows(stat: str, n: int, fmt: str) -> Iterator[tuple[str, int]]:
     # a block's values are profiles (aapair, tnpair, is_naas, is_ntns)
+    if fmt == "csv":
+        yield _csv_line(("word", "aapair", "tnpair", "is_naas", "is_ntns")), 1
     tail = _stat_tails(
         fmt,
         operator.itemgetter(stirling.PAIR_KEY[stat]),
         lambda p: (p[0], p[1], int(p[2]), int(p[3])),
     )
-    header = ("word", "aapair", "tnpair", "is_naas", "is_ntns")
-    return _block_lines(stirling._row_blocks(n, n), fmt, "word", header, tail)
+    head, tails = _row_ends(fmt, "word", n > 9, tail)  # letters past 9 are comma separated
+    for lines, _ in stirling._row_blocks(n, n, head, tails):
+        yield "".join(lines), len(lines)
 
 
 # a colored line's text after its tree, from the coloring
@@ -503,16 +501,15 @@ _COLORED_TAILS = {
 }
 
 
-def _colored_blocks(colorings) -> Iterator[tuple[list[str], list[tuple[int, ...]]]]:
+def _colored_rows(colorings, n: int, fmt: str) -> Iterator[tuple[str, int]]:
     # one block per tree: its string, made once, against each of its colorings
+    if fmt == "csv":
+        yield _csv_line(("tree", "colors", "stat")), 1
+    head, tails = _row_ends(fmt, "tree", n > 1, _COLORED_TAILS[fmt])
     for t, group in groupby(colorings, key=operator.itemgetter(0)):
-        colors = [c for _, c in group]
-        yield [binary_trees.tree_to_string(t)] * len(colors), colors
-
-
-def _colored_rows(colorings, fmt: str) -> Iterator[list[str]]:
-    header = ("tree", "colors", "stat")
-    return _block_lines(_colored_blocks(colorings), fmt, "tree", header, _COLORED_TAILS[fmt])
+        obj = head + binary_trees.tree_to_string(t)
+        lines = [obj + tails[c] for _, c in group]
+        yield "".join(lines), len(lines)
 
 
 def _normalized_histogram(stat: str, n: int, threads: int) -> dict:
@@ -525,14 +522,14 @@ class _Family(NamedTuple):
     """An enumerate family: its statistics (the default first), the module whose
     DEFAULT_CAP bounds n, its size (the object count that --mode auto compares
     with HISTOGRAM_THRESHOLD), its histogram, and its row source, which yields
-    blocks of lines.  Engines are looked up on their module at call time, so a
+    blocks of lines as (text, rows).  Engines are looked up on their module at call time, so a
     rebound attribute is the one that runs."""
 
     stats: tuple[str, ...]
     module: ModuleType
     size: Callable[[int], int]
     histogram: Callable[[str, int, int], dict]
-    rows: Callable[[str, int, str], Iterator[list[str]]]
+    rows: Callable[[str, int, str], Iterator[tuple[str, int]]]
 
 
 FAMILIES = {
@@ -555,14 +552,14 @@ FAMILIES = {
         binary_trees,
         lambda n: n ** (n - 1),
         lambda stat, n, threads: _nonzero(binary_trees.bicolored_comb_census(n, threads, n)),
-        lambda stat, n, fmt: _colored_rows(binary_trees.enumerate_bicolored_combs(n, n), fmt),
+        lambda stat, n, fmt: _colored_rows(binary_trees.enumerate_bicolored_combs(n, n), n, fmt),
     ),
     "lyndon": _Family(
         ("ones",),
         binary_trees,
         lambda n: n ** (n - 1),
         lambda stat, n, threads: _nonzero(binary_trees.bicolored_lyndon_census(n, threads, n)),
-        lambda stat, n, fmt: _colored_rows(binary_trees.enumerate_bicolored_lyndon(n, n), fmt),
+        lambda stat, n, fmt: _colored_rows(binary_trees.enumerate_bicolored_lyndon(n, n), n, fmt),
     ),
     "stirling": _Family(
         ("tnpair", "aapair"),
@@ -577,13 +574,17 @@ FAMILIES = {
 def _render_rows(family: str, stat: str, n: int, fmt: str) -> Iterator[str]:
     """Rows-mode stdout in chunks of whole blocks, each chunk (the last aside)
     at least ROW_CHUNK rows and less than one block more, so memory stays
-    bounded."""
+    bounded.  Each source hands over a block's row count with its text, so
+    no chunk is scanned for its newlines."""
     chunk: list[str] = []
-    for block in FAMILIES[family].rows(stat, n, fmt):
-        chunk += block
-        if len(chunk) >= ROW_CHUNK:
+    rows = 0
+    for text, count in FAMILIES[family].rows(stat, n, fmt):
+        chunk.append(text)
+        rows += count
+        if rows >= ROW_CHUNK:
             yield "".join(chunk)
             chunk = []
+            rows = 0
     if chunk:
         yield "".join(chunk)
 

@@ -16,11 +16,14 @@ every parent comes before its children; moving the root from p down to its
 child x changes the count by +1 if x > p and by -1 otherwise.  That keeps
 the n=8 run (about two million trees) near a second, and _pool.map_prefixes
 shards it by fixing a prefix of the sequence.  Enumeration decodes inline,
-once per sequence: while root 1 streams, each decoded tree rooted at n is
-appended to one bytearray table of n^(n-2) (n+1) bytes (134 KB at n = 7,
-48 MB at n = 9), and roots 2..n copy their arrays out of it.  Each tree is
-rerooted by reversing the path from its root up to n, and the n trees of
-one root and sequence prefix are handed over at a time.  Neither side of
+once per sequence, and hands over the n trees of one root and sequence
+prefix at a time, as one bytearray of records of n + 2 bytes: a parent
+array, then des.  While root 1 streams, each decoded tree rooted at n is
+appended, its des counted once, to one table of n^(n-2) (n+2) bytes (151 KB
+at n = 7, 2.6 MB at n = 8, 53 MB at n = 9, 1.2 GB at n = 10 under a raised
+cap), and roots 2..n copy their blocks out of it.  Each tree is rerooted by
+reversing the path from its root up to n, and its des moves by the same
++-1 rule, edge by edge along that path, in a loop of its own.  Neither side of
 the descent identity shares a decode with the other.  The per-tree
 functions (des, the Prufer codec, the edge-list form) live with the tests,
 as the oracles they hold these against.
@@ -107,63 +110,69 @@ def _decode(n: int, seq: tuple[int, ...]) -> tuple[list[int], list[int]]:
     return parent, order
 
 
-def _rooted_blocks(n: int, cap: int) -> Iterator[tuple[int, list[bytearray]]]:
-    # (root, parent arrays) of every rooted tree on [n], lexicographic in
-    # (root, seq), unvalidated, one block per root and sequence prefix: the n
-    # trees whose sequences differ in the last entry only (one tree per root
-    # at n = 2).  Root 1 decodes each sequence and appends the tree rooted at
-    # n to one table of n^(n-2) (n+1) bytes, filled as root 1 streams, so the
-    # first rows come at once; roots 2..n copy their arrays out of it.  Each
-    # yielded array is its own, and the path from the root up to n is
-    # reversed in place.
+def _rooted_blocks(n: int, cap: int) -> Iterator[tuple[int, bytearray]]:
+    # (root, block) for every rooted tree on [n], lexicographic in (root,
+    # seq), unvalidated, one block per root and sequence prefix: the n trees
+    # whose sequences differ in the last entry only (one tree per root at
+    # n = 2).  A block is one bytearray of records of n + 2 bytes, a tree's
+    # parent array and then its des.  Root 1 decodes each sequence and
+    # appends the record of the tree rooted at n, des counted there, to one
+    # table of n^(n-2) (n+2) bytes, filled as root 1 streams, so the first
+    # rows come at once; roots 2..n copy their blocks out of it.  Each
+    # yielded block is its own: in every record the path from the root up to
+    # n is reversed in place, and des moves by +1 for each reversed edge
+    # from x up to a smaller label, by -1 for each up to a larger one.
     check_size("enumerate_rooted_trees", n, cap)
     if n == 1:
-        yield 1, [bytearray(2)]
+        yield 1, bytearray(3)
         return
-    w = n + 1
-    lasts = [(x,) for x in range(1, w)] if n > 2 else [()]  # at n = 2, the empty sequence
+    w = n + 2
+    lasts = [(x,) for x in range(1, n + 1)] if n > 2 else [()]  # at n = 2, the empty sequence
     tab = bytearray()
     bw = w * len(lasts)
-    for root in range(1, w):
+    for root in range(1, n + 1):
         if root == 1:
             blocks = _decoded_blocks(n, lasts, tab)
         else:
-            blocks = (
-                [tab[o : o + w] for o in range(b, b + bw, w)] for b in range(0, len(tab), bw)
-            )
+            blocks = (tab[b : b + bw] for b in range(0, len(tab), bw))
         for block in blocks:
-            for parent in block:
+            for o in range(0, bw, w):
+                d = block[o + n + 1]
                 child, x = 0, root
-                while x:
-                    up = parent[x]
-                    parent[x] = child
+                while x != n:
+                    up = block[o + x]
+                    block[o + x] = child
+                    d += 1 if x > up else -1
                     child, x = x, up
+                block[o + n] = child
+                block[o + n + 1] = d
             yield root, block
 
 
-def _decoded_blocks(
-    n: int, lasts: list[tuple[int, ...]], tab: bytearray
-) -> Iterator[list[bytearray]]:
-    # the tree rooted at n of every sequence on [n], as _decode gives it, in
-    # blocks of the sequences that extend one prefix by each of `lasts`; each
-    # array is appended to tab as it is decoded
+def _decoded_blocks(n: int, lasts: list[tuple[int, ...]], tab: bytearray) -> Iterator[bytearray]:
+    # the record of the tree rooted at n of every sequence on [n], its parent
+    # array as _decode gives it and then its des, in blocks of the sequences
+    # that extend one prefix by each of `lasts`; each block is appended to
+    # tab as it is decoded, and yielded as a copy
     labels = range(1, n + 1)
     for prefix in product(labels, repeat=max(n - 3, 0)):
         counts = [1] * (n + 1)
         for x in prefix:
             counts[x] += 1
-        block = []
+        block = bytearray()
         for last in lasts:
             deg = counts[:]
             for x in last:
                 deg[x] += 1
-            parent = bytearray(n + 1)
+            parent = bytearray(n + 2)
             idx = 1
             while deg[idx] != 1:
                 idx += 1
             leaf = idx
+            d = 0
             for x in prefix + last:
                 parent[leaf] = x
+                d += leaf < x
                 deg[x] -= 1
                 if deg[x] == 1 and x < idx:
                     leaf = x
@@ -173,8 +182,9 @@ def _decoded_blocks(
                         idx += 1
                     leaf = idx
             parent[leaf] = n
-            tab += parent
-            block.append(parent)
+            parent[n + 1] = d + 1  # the last leaf hangs from n, above it
+            block += parent
+        tab += block
         yield block
 
 
@@ -185,9 +195,10 @@ def enumerate_rooted_trees(n: int, cap: int = DEFAULT_CAP) -> Iterator[RootedTre
     Raises LimitExceededError above the cap; n=9 already means 43 million
     trees, so anything larger needs an explicit opt-in and patience.
     """
-    for root, parents in _rooted_blocks(n, cap):
-        for parent in parents:
-            yield RootedTree(n, root, parent)
+    w = n + 2
+    for root, block in _rooted_blocks(n, cap):
+        for o in range(0, len(block), w):
+            yield RootedTree(n, root, block[o : o + w - 1])
 
 
 def _descent_chunk(args: tuple[int, tuple[int, ...]]) -> list[int]:

@@ -44,8 +44,8 @@ they compare the engine with.
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Iterator
+from collections import Counter, defaultdict
+from typing import Iterator, Mapping
 
 from .errors import check_size
 from .poly import GammaVector
@@ -248,26 +248,37 @@ def _keyed_strings(m: int) -> Iterator[tuple[str, bytes]]:
             yield s[:g] + mm + s[g:], _child_key(key, g)
 
 
-def _row_blocks(n: int, cap: int = DEFAULT_CAP) -> Iterator[tuple[list[str], list[tuple]]]:
-    """One block per word of order n - 1, in enumeration order: the strings
-    of the 2n - 1 words made by inserting n n into it, gaps right to left,
-    and their _child_profiles, computed once per class key on a decoded
-    parent and interned.  The strings are splices of the parent's
-    (_keyed_strings); letters past 9 are translated after a comma join."""
+def _row_blocks(
+    n: int, cap: int = DEFAULT_CAP, head: str = "", tails: Mapping | None = None
+) -> Iterator[tuple[list[str], list[tuple]]]:
+    """One block per word of order n - 1, in enumeration order: the lines of
+    the 2n - 1 words made by inserting n n into it, gaps right to left, and
+    their _child_profiles.  A line is head, the word and tails[profile],
+    spliced from the parent's string (_keyed_strings) in one step; tails maps
+    a profile to its text (none by default), and the lines are then the words
+    alone.  The profiles and their tails are computed once per class key, on
+    a decoded parent, and interned.  Letters past 9 are translated after a
+    comma join."""
     check_size("statistics_rows", n, cap)
+    if tails is None:
+        tails = defaultdict(str)
     mm = chr(48 + n) * 2
     table = {48 + c: str(c) for c in range(10, n + 1)}
-    memo: dict[bytes, list[tuple]] = {}
+    memo: dict[bytes, tuple[list[tuple], list[str]]] = {}
     interned: dict[tuple, tuple] = {}
     for s, key in _keyed_strings(n - 1):
-        profiles = memo.get(key)
-        if profiles is None:
+        entry = memo.get(key)
+        if entry is None:
             w = tuple(ord(c) - 48 for c in s)
-            profiles = memo[key] = [interned.setdefault(p, p) for p in _child_profiles(w)]
-        words = [s[:g] + mm + s[g:] for g in range(len(s), -1, -1)]
+            profiles = [interned.setdefault(p, p) for p in _child_profiles(w)]
+            entry = memo[key] = profiles, [tails[p] for p in profiles]
+        profiles, texts = entry
+        gaps = range(len(s), -1, -1)
         if table:
-            words = [",".join(word).translate(table) for word in words]
-        yield words, profiles
+            words = (",".join(s[:g] + mm + s[g:]).translate(table) for g in gaps)
+            yield [f"{head}{word}{t}" for word, t in zip(words, texts)], profiles
+        else:
+            yield [f"{head}{s[:g]}{mm}{s[g:]}{t}" for g, t in zip(gaps, texts)], profiles
 
 
 def statistics_rows(n: int, cap: int = DEFAULT_CAP) -> Iterator[tuple[str, int, int, bool, bool]]:

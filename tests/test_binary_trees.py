@@ -331,9 +331,13 @@ class TestJointEngine:
             (0, 15), (1, 7), (2, 3), (4, 6), (8, 14), (9, 10), (11, 13)
         )
 
-    @pytest.mark.parametrize("stat, oracle", [("combtype", comb_type), ("nlyn", nlyn)])
+    @pytest.mark.parametrize(
+        "stat, oracle",
+        [("combtype", comb_type), ("nlyn", nlyn), ("rdes", rdes), ("free", free_count)],
+    )
     def test_rows_above_cap_match_per_tree_statistics(self, stat, oracle):
-        # at n = 11 labels 10 and 11 take two digits, so the shape keys do too
+        # at n = 11 labels 10 and 11 take two digits, so the shape keys do
+        # too; combtype, rdes and free are read once per shape key
         size = 10_000
         rows = list(islice(normalized_rows(11, stat, 11), size))
         expected = [(tree_to_string(t), oracle(t)) for t in islice(enumerate_normalized(11, 11), size)]

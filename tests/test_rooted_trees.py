@@ -181,20 +181,33 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("n", range(3, 7))
     def test_blocks_yield_copies(self, n):
-        # zeroing every array once read leaves the rest of the stream as it
+        # zeroing every block once read leaves the rest of the stream as it
         # was, so no root sees an earlier root's reroot
         def drain(wipe):
             for root, block in rooted_trees._rooted_blocks(n, n):
-                yield root, [list(parent) for parent in block]
+                yield root, list(block)
                 if wipe:
-                    for parent in block:
-                        parent[:] = bytes(len(parent))
+                    block[:] = bytes(len(block))
 
         assert list(drain(True)) == list(drain(False))
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_block_records_carry_des(self, n):
+        # a record is a parent array and then des: counted once at root n,
+        # and moved along the path that each reroot reverses
+        w = n + 2
+        roots = set()
+        for root, block in rooted_trees._rooted_blocks(n, n):
+            roots.add(root)
+            assert len(block) == w * (n if n > 2 else 1)
+            for o in range(0, len(block), w):
+                t = RootedTree(n, root, block[o : o + w - 1])
+                assert block[o + w - 1] == des(t), (root, list(block[o : o + w]))
+        assert roots == set(range(1, n + 1))
+
     def test_blocks_hold_one_table(self):
-        # the trees rooted at n fill one table of n^(n-2) (n+1) bytes, not an
-        # object per sequence
+        # the records of the trees rooted at n fill one table of n^(n-2)
+        # (n+2) bytes, not an object per sequence
         tracemalloc.start()
         try:
             for _ in rooted_trees._rooted_blocks(7, 7):
