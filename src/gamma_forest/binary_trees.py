@@ -625,7 +625,7 @@ def _row_blocks(
         if stat == "nlyn":
             keys = _child_keys(arrays, nodes, key)
             values = [keys[v][i] for v in _preorder_nodes(arrays, root)]
-            texts = [tails[v] for v in values]
+            texts = map(tails.__getitem__, values)
         else:
             entry = shapes.get(shape)
             if entry is None:

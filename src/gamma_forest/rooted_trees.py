@@ -18,15 +18,13 @@ the n=8 run (about two million trees) near a second, and _pool.map_prefixes
 shards it by fixing a prefix of the sequence.  Enumeration decodes inline,
 once per sequence, and hands over the n trees of one root and sequence
 prefix at a time, as one bytearray of records of n + 2 bytes: a parent
-array, then des.  While root 1 streams, each decoded tree rooted at n is
-appended, its des counted once, to one table of n^(n-2) (n+2) bytes (151 KB
-at n = 7, 2.6 MB at n = 8, 53 MB at n = 9, 1.2 GB at n = 10 under a raised
-cap), and roots 2..n copy their blocks out of it.  Each tree is rerooted by
-reversing the path from its root up to n, and its des moves by the same
-+-1 rule, edge by edge along that path, in a loop of its own.  Neither side of
-the descent identity shares a decode with the other.  The per-tree
-functions (des, the Prufer codec, the edge-list form) live with the tests,
-as the oracles they hold these against.
+array, then des.  Root 1 appends each record, rooted at n, to one table of
+n^(n-2) (n+2) bytes (151 KB at n = 7, 53 MB at n = 9) that roots 2..n copy
+from; a reroot reverses the path from the root up to n and moves des by the
+same +-1 rule, in a loop of its own.  Neither side of the descent identity
+shares a decode with the other.  The per-tree functions (des, the Prufer
+codec, the edge-list form) live with the tests, as the oracles they hold
+these against.
 """
 
 from __future__ import annotations
@@ -113,15 +111,12 @@ def _decode(n: int, seq: tuple[int, ...]) -> tuple[list[int], list[int]]:
 def _rooted_blocks(n: int, cap: int) -> Iterator[tuple[int, bytearray]]:
     # (root, block) for every rooted tree on [n], lexicographic in (root,
     # seq), unvalidated, one block per root and sequence prefix: the n trees
-    # whose sequences differ in the last entry only (one tree per root at
-    # n = 2).  A block is one bytearray of records of n + 2 bytes, a tree's
-    # parent array and then its des.  Root 1 decodes each sequence and
-    # appends the record of the tree rooted at n, des counted there, to one
-    # table of n^(n-2) (n+2) bytes, filled as root 1 streams, so the first
-    # rows come at once; roots 2..n copy their blocks out of it.  Each
-    # yielded block is its own: in every record the path from the root up to
-    # n is reversed in place, and des moves by +1 for each reversed edge
-    # from x up to a smaller label, by -1 for each up to a larger one.
+    # whose sequences differ in the last entry only (one per root at n = 2),
+    # as records of n + 2 bytes, parent array then des.  Root 1 fills the
+    # table as it streams, so the first rows come at once.  Each yielded
+    # block is its own; in each record the path from the root up to n is
+    # reversed in place, and des moves by +1 for each reversed edge from x up
+    # to a smaller label, by -1 otherwise.
     check_size("enumerate_rooted_trees", n, cap)
     if n == 1:
         yield 1, bytearray(3)
