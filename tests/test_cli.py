@@ -457,7 +457,7 @@ def oracle_rows(family: str, stat: str, n: int) -> tuple[tuple, list]:
         return json.dumps(doc, separators=(",", ":"))
 
     def stat_text(value):  # a partition's parts joined by "+", "0" when it has none
-        return "+".join(map(str, value)) or "0" if isinstance(value, tuple) else str(value)
+        return ("+".join(map(str, value)) or "0") if isinstance(value, tuple) else str(value)
 
     if family == "rooted":
         return ("object", "stat"), [
