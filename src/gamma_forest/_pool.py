@@ -12,7 +12,7 @@ from .errors import check_size
 Result = TypeVar("Result")
 
 # Smaller walks run serially, as a pool costs more: rooted trees pool from n = 7
-# (7^5 Prufer sequences, 6^4 at n = 6), binary trees from n = 8 (11!! vs 9!!).
+# (7^5 Prufer sequences, 6^4 at n = 6).
 POOL_FROM = 10**4
 BROKEN_POOL = (
     "A process in the process pool was terminated abruptly "

@@ -126,7 +126,7 @@ class _Engines:
         return self._get(poly.gamma_closed_form, n)
 
     def joint(self, n: int):
-        return self._get(binary_trees.joint_statistics, n, self.threads, n)
+        return self._get(binary_trees.joint_statistics, n, n)
 
     def word_pairs(self, m: int):
         return self._get(stirling.pair_statistics, m, m)
@@ -515,7 +515,7 @@ def _colored_rows(colorings, n: int, fmt: str) -> Iterator[tuple[str, int]]:
 def _normalized_histogram(stat: str, n: int, threads: int) -> dict:
     if stat == "combtype":
         return dict(binary_trees.comb_type_tally(n, n))
-    return binary_trees.marginal(binary_trees.joint_statistics(n, threads, n), stat)
+    return binary_trees.marginal(binary_trees.joint_statistics(n, n), stat)
 
 
 class _Family(NamedTuple):
@@ -551,14 +551,14 @@ FAMILIES = {
         ("ones",),
         binary_trees,
         lambda n: n ** (n - 1),
-        lambda stat, n, threads: _nonzero(binary_trees.bicolored_comb_census(n, threads, n)),
+        lambda stat, n, threads: _nonzero(binary_trees.bicolored_comb_census(n, n)),
         lambda stat, n, fmt: _colored_rows(binary_trees.enumerate_bicolored_combs(n, n), n, fmt),
     ),
     "lyndon": _Family(
         ("ones",),
         binary_trees,
         lambda n: n ** (n - 1),
-        lambda stat, n, threads: _nonzero(binary_trees.bicolored_lyndon_census(n, threads, n)),
+        lambda stat, n, threads: _nonzero(binary_trees.bicolored_lyndon_census(n, n)),
         lambda stat, n, fmt: _colored_rows(binary_trees.enumerate_bicolored_lyndon(n, n), n, fmt),
     ),
     "stirling": _Family(

@@ -13,13 +13,13 @@ they pin the set of colorings per tree.
 
 import hashlib
 import math
+import sys
 from collections import Counter
 from itertools import groupby, islice, product
 
 import pytest
 
-import gamma_forest._pool as pool
-from gamma_forest import binary_trees, cli
+from gamma_forest import binary_trees, cli, stirling
 from gamma_forest.binary_trees import (
     ROW_STATS,
     bicolored_comb_census,
@@ -365,10 +365,6 @@ class TestJointEngine:
                 expected = Counter(oracle(t) for t in enumerate_normalized(n))
                 assert marginal(tally, stat) == expected, (n, stat)
 
-    def test_parallel_matches_sequential(self):
-        for n in (7, 8):
-            assert joint_statistics(n, threads=3) == joint_statistics(n)
-
     @pytest.mark.parametrize("n", sorted(JOINT_DIGESTS))
     def test_joint_digest(self, n):
         assert sha256_of(sorted(joint_statistics(n).items())) == JOINT_DIGESTS[n]
@@ -462,12 +458,53 @@ class TestJointEngine:
         assert 3000 < len(engine) < 8000
         assert engine == expected
 
-    def test_shards_in_process_match_sequential(self, monkeypatch):
-        # every shard prefix, without forking a pool
-        serial = joint_statistics(8)
-        monkeypatch.setattr(pool, "map_shards", lambda fn, tasks, threads: [fn(t) for t in tasks])
-        for threads in (2, 3, 4, 16):
-            assert joint_statistics(8, threads=threads) == serial, threads
+    def test_shards_in_process_match_sequential(self):
+        # the class tally against one over the walker's trees, tree by tree,
+        # in one shard per position of leaf 3
+        for n in range(2, 10):
+            trees = Counter()
+            for prefix in ((0,), (1,), (2,)) if n > 3 else ((),):
+                for arrays, nodes, _root, key in binary_trees._walk(n, prefix):
+                    trees.update(binary_trees._child_keys(arrays, nodes, key))
+            assert joint_statistics(n) == trees, n
+
+    def test_class_counts(self):
+        # the large Schroeder numbers: a class is a shape with nonlyn flags
+        counts = [len(binary_trees._tree_classes(m)) for m in range(1, 11)]
+        assert counts == [1, 1, 3, 11, 45, 197, 903, 4279, 20793, 103049]
+
+    def test_tally_above_cap(self):
+        tally = joint_statistics(11, cap=11)
+        gamma = gamma_closed_form(11)
+        assert binary_trees.ndrd_rdes(tally, 11) == gamma
+        assert binary_trees.ndnl_nlyn(tally, 11) == gamma
+        assert binary_trees.comb_census(tally) == drake_polynomial(11)
+        assert binary_trees.lyndon_census(tally, 11) == drake_polynomial(11)
+        assert sum(tally.values()) == double_factorial(19)
+
+    def test_classes_share_no_function_with_the_word_classes(self):
+        # the two class walks are the two sides of the stirling.*-equidistribution
+        # checks, so neither may run a function of the other
+        def functions(fn, *args):
+            seen = set()
+
+            def record(frame, event, arg):
+                if event == "call":
+                    seen.add(frame.f_code)
+
+            sys.setprofile(record)
+            try:
+                fn(*args)
+            finally:
+                sys.setprofile(None)
+            return seen
+
+        trees = functions(joint_statistics, 7)
+        words = functions(stirling.pair_statistics, 6)
+        assert binary_trees._tree_classes.__code__ in trees
+        assert stirling._classes.__code__ in words
+        package = {c for c in trees & words if "gamma_forest" in c.co_filename}
+        assert {c.co_name for c in package} <= {"check_size"}
 
     def test_total_mass(self):
         for n in range(1, 9):

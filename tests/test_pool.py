@@ -8,11 +8,11 @@ import concurrent.futures
 import multiprocessing
 import subprocess
 import sys
+from itertools import product
 
 import pytest
 
 import gamma_forest._pool as pool
-from gamma_forest.binary_trees import joint_statistics
 from gamma_forest.rooted_trees import descent_polynomial
 
 
@@ -27,7 +27,6 @@ def test_serial_fallback_without_fork(monkeypatch):
     monkeypatch.setattr(multiprocessing, "get_context", no_fork)
     assert pool.map_shards(abs, [-3, 1, -2], 2) == [3, 1, 2]
     assert descent_polynomial(7, threads=2) == descent_polynomial(7)
-    assert joint_statistics(8, threads=2) == joint_statistics(8)
 
 
 class RecordingContext:
@@ -73,24 +72,39 @@ def test_pool_size_is_bounded_by_tasks_and_cpus(monkeypatch, threads, tasks, cpu
 
 def test_huge_threads_value_starts_at_most_the_available_cpus(monkeypatch):
     # the shard cut still follows threads; only the worker count is bounded
-    serial = descent_polynomial(7), joint_statistics(8)
+    serial = descent_polynomial(7)
     context = recording_context(monkeypatch)
     monkeypatch.setattr(pool, "available_cpus", lambda: 2)
-    assert descent_polynomial(7, threads=100_000) == serial[0]
-    assert joint_statistics(8, threads=100_000) == serial[1]
-    assert context.sizes == [2, 2]
+    assert descent_polynomial(7, threads=100_000) == serial
+    assert context.sizes == [2]
 
 
 def test_small_n_runs_serially(monkeypatch):
-    # below n = 7 (rooted) and n = 8 (binary) a pool costs more than the work
-    serial = descent_polynomial(6), joint_statistics(7)
+    # below n = 7 a pool costs more than the work
+    serial = descent_polynomial(6)
     monkeypatch.setattr(pool, "map_shards", no_pool)
-    assert descent_polynomial(6, threads=2) == serial[0]
-    assert joint_statistics(7, threads=2) == serial[1]
+    assert descent_polynomial(6, threads=2) == serial
     with pytest.raises(AssertionError, match="pool started"):
         descent_polynomial(7, threads=2)
-    with pytest.raises(AssertionError, match="pool started"):
-        joint_statistics(8, threads=2)
+
+
+def test_shard_cut_over_levels_of_unequal_sizes(monkeypatch):
+    # levels are taken until they make 4 shards per thread, or all of them;
+    # a walk of fewer than POOL_FROM choices is one call in this process
+    tasks = []
+
+    def in_process(fn, shards, threads):
+        tasks.append(len(shards))
+        return [fn(t) for t in shards]
+
+    monkeypatch.setattr(pool, "map_shards", in_process)
+    levels = [range(3), range(5), range(7), range(9), range(11)]  # 10,395 choices
+    for threads, cut in ((2, 2), (3, 2), (4, 3), (16, 3), (100_000, 5)):
+        expected = [(8, prefix) for prefix in product(*levels[:cut])]
+        assert pool.map_prefixes(lambda task: task, 8, levels, threads) == expected, threads
+    assert pool.map_prefixes(lambda task: task, 8, levels[:4], 2) == [(8, ())]
+    assert pool.map_prefixes(lambda task: task, 8, levels, 1) == [(8, ())]
+    assert tasks == [15, 15, 105, 105, 10395]
 
 
 @pytest.mark.parametrize("bad", [0, -1, 2.5, True])
@@ -100,11 +114,8 @@ def test_small_n_runs_serially(monkeypatch):
         (descent_polynomial, 1),
         (descent_polynomial, 4),
         (descent_polynomial, 7),
-        (joint_statistics, 1),
-        (joint_statistics, 4),
-        (joint_statistics, 8),
     ],
-    ids=["rooted-one", "rooted-small", "rooted-pooled", "binary-one", "binary-small", "binary-pooled"],
+    ids=["rooted-one", "rooted-small", "rooted-pooled"],
 )
 def test_rejects_threads_that_are_not_a_positive_int(monkeypatch, engine, n, bad):
     monkeypatch.setattr(pool, "map_shards", no_pool)
