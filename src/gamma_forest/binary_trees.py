@@ -21,10 +21,12 @@ Statistics:
   comb type   partition of n - 1 by sizes of maximal chains of internal
               nodes linked by right-child edges
 
-The rows (_row_blocks) read the trees on [n - 1] from a walker over flat
-arrays and their strings from _strings, in step.  joint_statistics walks
-classes of trees (_tree_classes), comb_type_tally a recurrence over comb
-types.  _child_keys states the update rules of the statistics once, and
+joint_statistics and the rows walk classes of trees, a shape with its
+nonlyn flags, which fix the statistics of all the tree's children
+(_class_children): the tally counts the trees of each class (_tree_classes),
+and the rows (_row_blocks) read each class's children once and splice their
+strings from the parents' strings.  comb_type_tally runs a recurrence over
+comb types.  _child_keys states the update rules of the statistics once, and
 JOINT_KEY names the positions of a tally key for the views of one tally:
 marginal, ndrd_rdes, ndnl_nlyn, comb_census and lyndon_census.  The per-tree
 statistics live with the tests, as the engines' oracles; the per-tree
@@ -218,17 +220,17 @@ def enumerate_colored_combs(
 
 
 # ---------------------------------------------------------------------------
-# Insertion walker and tree classes.
+# Tree classes.
 #
-# Walker state lives in flat arrays indexed by creation order: node 0 is leaf
-# 1, and inserting leaf m adds internal node 2m - 3 and leaf node 2m - 2, so a
-# node is internal iff its index is odd.  Inserting at node v puts the new
-# internal node x in v's slot, over v and the new leaf.  As the new leaf has
-# the largest label, only v, its parent and x can change status (_child_keys),
-# so a tree's shape and nonlyn flags fix those of all its children.  The joint
-# tally walks classes of trees that share both, held as codes: the joint key,
-# then a byte per node in preorder, 0 for a leaf, 1 for an internal node, 2
-# for a non-Lyndon one; 4,279 classes for the 135,135 trees on [8].
+# _load writes a tree into flat arrays indexed as if by creation order: node 0
+# is leaf 1, and inserting leaf m adds internal node 2m - 3 and leaf node
+# 2m - 2, so a node is internal iff its index is odd.  Inserting at node v
+# puts the new internal node x in v's slot, over v and the new leaf.  As the
+# new leaf has the largest label, only v, its parent and x can change status
+# (_child_keys), so a tree's shape and nonlyn flags fix those of all its
+# children.  A class of trees that share both is held as a code: the joint
+# key, then a byte per node in preorder, 0 for a leaf, 1 for an internal node,
+# 2 for a non-Lyndon one; 4,279 classes for the 135,135 trees on [8].
 # ---------------------------------------------------------------------------
 
 
@@ -268,86 +270,18 @@ def _child_keys(arrays: tuple[list, ...], nodes: int, key: tuple[int, ...]) -> l
     return out
 
 
-def _preorder_nodes(arrays: tuple[list, ...], root: int) -> list[int]:
-    left, right = arrays[0], arrays[1]
-    order = []
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        if v & 1:
-            stack.append(right[v])
-            stack.append(left[v])
-    return order
-
-
-def _walk(
-    n: int, prefix: tuple[int, ...] = ()
-) -> Iterator[tuple[tuple[list, ...], int, int, tuple[int, ...]]]:
-    """Yield (arrays, nodes, root, key) for each normalized tree on [n - 1],
-    n >= 2, in enumerate_normalized order: its arrays (left, right, parent,
-    is_right, nonlyn), which hold the tree only until the walk resumes, node
-    count, root and joint key.  Leaf m goes in at the nodes of the tree on
-    [m - 1] in preorder, the order of _insertions; prefix fixes the positions
-    of leaves 3, 4, ...  The tests hold this walk against the per-tree
-    oracles, and joint_statistics against it.
-    """
-    size = 2 * n - 1
-    arrays = left, right, parent, is_right, nonlyn = (
-        [-1] * size, [-1] * size, [-1] * size, [False] * size, [False] * size
-    )
-
-    def rec(m: int, nodes: int, root: int, key: tuple[int, ...]) -> Iterator:
-        # the arrays hold a tree on [m - 1]
-        if m == n:
-            yield arrays, nodes, root, key
-            return
-        order = _preorder_nodes(arrays, root)
-        if 0 <= m - 3 < len(prefix):
-            order = [order[prefix[m - 3]]]
-        keys = _child_keys(arrays, nodes, key)
-        x = nodes
-        right[x] = x + 1
-        parent[x + 1] = x
-        is_right[x + 1] = True
-        for v in order:
-            p = parent[v]
-            v_right = is_right[v]
-            left[x] = v
-            parent[x] = p
-            is_right[x] = v_right
-            nonlyn[x] = v & 1  # R(x) is the maximum label
-            parent[v] = x
-            is_right[v] = False
-            if p >= 0:
-                p_nonlyn = nonlyn[p]
-                if v_right:
-                    right[p] = x
-                else:
-                    left[p] = x
-                    nonlyn[p] = False
-            yield from rec(m + 1, nodes + 2, root if p >= 0 else x, keys[v])
-            parent[v] = p
-            is_right[v] = v_right
-            if p >= 0:
-                if v_right:
-                    right[p] = v
-                else:
-                    left[p] = v
-                    nonlyn[p] = p_nonlyn
-
-    yield from rec(2, 1, 0, (0, 0, 0, 0, 0))
-
-
-def _load(code: bytes, arrays: tuple[list, ...]) -> list[tuple[int, ...]]:
-    """_child_keys of the tree of a class code, written into the arrays, its
-    internal nodes odd; _child_keys reads no left child."""
+def _load(code: bytes, arrays: tuple[list, ...]) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Write the tree of a class code into the arrays, its internal nodes odd,
+    and return its nodes in preorder and their _child_keys, indexed by node;
+    _child_keys reads no left child."""
     _left, right, parent, is_right, nonlyn = arrays
+    order: list[int] = []
     stack: list[int] = []  # internal nodes whose right child is to come
     p, r = -1, False  # the parent and side of the next node
     leaf, internal = 0, 1
     for c in code[_HEAD:]:
         v = internal if c else leaf
+        order.append(v)
         parent[v], is_right[v] = p, r
         if r:
             right[p] = v
@@ -360,32 +294,37 @@ def _load(code: bytes, arrays: tuple[list, ...]) -> list[tuple[int, ...]]:
             leaf += 2
             if stack:
                 p, r = stack.pop(), True
-    return _child_keys(arrays, len(code) - _HEAD, code[:_HEAD])
+    return order, _child_keys(arrays, len(order), code[:_HEAD])
+
+
+def _class_children(code: bytes, arrays: tuple[list, ...]) -> list[bytes]:
+    """The class codes of the trees made by inserting the new maximum leaf at
+    each node of the tree of a class code, the nodes in preorder: x, non-Lyndon
+    iff that node is internal, takes its place over it and the new leaf, and a
+    parent of which that node is the left child turns Lyndon."""
+    order, keys = _load(code, arrays)
+    tree = code[_HEAD:]
+    ends = [0] * len(tree)  # where the subtree at each position ends
+    for a in range(len(tree) - 1, -1, -1):
+        ends[a] = ends[ends[a + 1]] if tree[a] else a + 1
+    out = []
+    for a, c in enumerate(tree):
+        head = tree[: a - 1] + b"\1" if a and tree[a - 1] else tree[:a]
+        b = ends[a]
+        x = b"\2" if c else b"\1"
+        out.append(b"".join((bytes(keys[order[a]]), head, x, tree[a:b], b"\0", tree[b:])))
+    return out
 
 
 def _tree_classes(m: int) -> dict[bytes, int]:
     """The class codes of the normalized trees on [m] with their tree counts;
     only two orders are held."""
-    arrays = tuple([0] * (2 * m - 1) for _ in range(5))  # as _walk's
+    arrays = tuple([0] * (2 * m - 1) for _ in range(5))
     classes = {bytes(_HEAD + 1): 1}  # the tree 1
     for _ in range(m - 1):
         children: dict[bytes, int] = {}
         for code, count in classes.items():
-            keys = _load(code, arrays)
-            tree = code[_HEAD:]
-            ends = [0] * len(tree)  # where the subtree at each position ends
-            for a in range(len(tree) - 1, -1, -1):
-                ends[a] = ends[ends[a + 1]] if tree[a] else a + 1
-            nodes = [0, 1]  # the next leaf and internal node, as _load numbers them
-            for a, c in enumerate(tree):
-                # as in _walk: x is non-Lyndon iff the node at a is internal,
-                # and a parent of which that node is the left child turns Lyndon
-                v = nodes[c > 0]
-                nodes[c > 0] += 2
-                head = tree[: a - 1] + b"\1" if a and tree[a - 1] else tree[:a]
-                b = ends[a]
-                x = b"\2" if c else b"\1"
-                child = b"".join((bytes(keys[v]), head, x, tree[a:b], b"\0", tree[b:]))
+            for child in _class_children(code, arrays):
                 children[child] = children.get(child, 0) + count
         classes = children
     return classes
@@ -401,7 +340,7 @@ def joint_statistics(n: int, cap: int = DEFAULT_CAP) -> Counter:
     arrays = tuple([0] * (2 * n - 3) for _ in range(5))
     tally: Counter = Counter()
     for code, count in _tree_classes(n - 1).items():
-        for key in _load(code, arrays):
+        for key in _load(code, arrays)[1]:
             tally[key] += count
     return tally
 
@@ -482,14 +421,16 @@ def bicolored_lyndon_census(n: int, cap: int = DEFAULT_CAP) -> IntPolynomial:
 # Rows and comb types.
 #
 # Rows come in enumerate_normalized order, one block per tree on [n - 1]: the
-# insertions of leaf n at its nodes in preorder.  The strings come from
-# _strings, which splices "(" and ",m)" around each node's span of a string
-# on [m - 1], and the statistics from the walker, in step.  A node's span,
-# and the comb types, rdes and free of a tree's children, depend only on its
-# shape, which its string's shape key keeps (every digit made 0, so a label
-# keeps its width); they are computed once per key, with the tails of their
-# lines, and only nlyn is read per tree.  At n = 8 that makes 132 statistic
-# entries and 197 span entries.
+# insertions of leaf n at its nodes in preorder.  _keyed_strings walks the
+# trees as strings with their class codes: each string on [m] is a splice of
+# "(" and ",m)" around a node's span of a string on [m - 1], and each code one
+# of that string's code's _class_children, both in preorder of the node.  A
+# node's span depends only on the tree's shape, which the string's shape key
+# keeps (every digit made 0, so a label keeps its width); the statistics of a
+# tree's children, comb types and nlyn too, depend only on its class.  Spans
+# are computed once per key and statistics, with the tails of their lines,
+# once per class: for the 10,395 trees on [7] at n = 8, 132 span entries and
+# 903 statistic entries.
 # ---------------------------------------------------------------------------
 
 ROW_STATS = ("rdes", "nlyn", "free", "combtype")
@@ -522,29 +463,33 @@ def _key_spans(key: str) -> tuple[tuple[int, int], ...]:
     return tuple(spans)
 
 
-def _shape_spans(s: str, memo: dict) -> tuple[str, tuple[tuple[int, int], ...]]:
-    # the shape key of a tree string and its _key_spans, memoized by key
+def _shape_spans(s: str, memo: dict) -> tuple[tuple[int, int], ...]:
+    # _key_spans of a tree string's shape key, memoized by key
     key = s.translate(_SHAPE)
     spans = memo.get(key)
     if spans is None:
         spans = memo[key] = _key_spans(key)
-    return key, spans
+    return spans
 
 
-def _spliced(s: str, spans: tuple[tuple[int, int], ...], leaf: str) -> list[str]:
-    # s with (that node, leaf) in place of each node, in preorder
-    return [f"{s[:a]}({s[a:b]}{leaf}{s[b:]}" for a, b in spans]
-
-
-def _strings(m: int, memo: dict) -> Iterator[str]:
-    """tree_to_string of each normalized tree on [m], in enumerate_normalized
-    order; memo is _shape_spans's."""
+def _keyed_strings(m: int, arrays: tuple[list, ...]) -> Iterator[tuple[str, bytes]]:
+    """(tree_to_string, class code) of each normalized tree on [m], in
+    enumerate_normalized order; each level memoizes spans per shape key and
+    _class_children per class for the walk, and the arrays are _load's, for
+    trees on up to [m - 1]."""
     if m == 1:
-        yield "1"
+        yield "1", bytes(_HEAD + 1)
         return
     leaf = f",{m})"
-    for s in _strings(m - 1, memo):
-        yield from _spliced(s, _shape_spans(s, memo)[1], leaf)
+    spans: dict = {}
+    children: dict[bytes, list[bytes]] = {}
+    for s, code in _keyed_strings(m - 1, arrays):
+        codes = children.get(code)
+        if codes is None:
+            codes = children[code] = _class_children(code, arrays)
+        # s with (that node, leaf) in place of each node, in preorder
+        strings = [f"{s[:a]}({s[a:b]}{leaf}{s[b:]}" for a, b in _shape_spans(s, spans)]
+        yield from zip(strings, codes)
 
 
 @cache  # the one statement of the edit, read by the rows and the tally
@@ -587,16 +532,29 @@ def _comb_children(arrays: tuple[list, ...], order: list[int]) -> list[tuple[int
     return out
 
 
+def _class_values(code: bytes, stat: str, arrays: tuple[list, ...]) -> list:
+    """stat of each tree made by inserting the new maximum leaf at a node of
+    the tree of a class code, the nodes in preorder: the comb type, or an
+    entry of the joint key that heads each of _class_children's codes."""
+    order, keys = _load(code, arrays)
+    if stat == "combtype":
+        keys = _comb_children(arrays, order)
+        return [keys[v] for v in order]
+    i = JOINT_KEY[stat]
+    return [keys[v][i] for v in order]
+
+
 def _row_blocks(
     n: int, stat: str, cap: int = DEFAULT_CAP, head: str = "", tails: Mapping | None = None
 ) -> Iterator[tuple[list[str], Sequence]]:
-    """One block per normalized tree on [n - 1], in walk order: the lines of
-    the 2n - 3 trees made by inserting leaf n at its nodes in preorder, and
-    their statistics (one block of the tree 1 when n is 1).  A line is head,
-    the tree's string and tails[value], each spliced in one step; tails maps
-    a statistic to its text (none by default), and the lines are then the
-    strings alone.  stat is one of ROW_STATS; comb types are partitions as in
-    comb_type."""
+    """One block per normalized tree on [n - 1], in enumerate_normalized
+    order: the lines of the 2n - 3 trees made by inserting leaf n at its nodes
+    in preorder, and their statistics (one block of the tree 1 when n is 1).
+    A line is head, the tree's string and tails[value], each spliced in one
+    step; tails maps a statistic to its text (none by default), and the lines
+    are then the strings alone.  stat is one of ROW_STATS; comb types are
+    partitions as in comb_type.  The statistics and their tails are computed
+    once per class (_class_values) and interned."""
     if stat not in ROW_STATS:
         raise ValueError(f"unknown statistic {stat!r}; choose from {', '.join(ROW_STATS)}")
     check_size("normalized_rows", n, cap)
@@ -607,27 +565,18 @@ def _row_blocks(
         yield [f"{head}1{tails[value]}"], [value]
         return
     leaf = f",{n})"
-    i = JOINT_KEY.get(stat)  # None for the comb type
-    memo: dict = {}
-    shapes: dict = {}  # shape key -> its children's statistics and their tails, unless nlyn
-    for s, (arrays, nodes, root, key) in zip(_strings(n - 1, memo), _walk(n), strict=True):
-        shape, spans = _shape_spans(s, memo)
-        if stat == "nlyn":
-            keys = _child_keys(arrays, nodes, key)
-            values = [keys[v][i] for v in _preorder_nodes(arrays, root)]
-            texts = map(tails.__getitem__, values)
-        else:
-            entry = shapes.get(shape)
-            if entry is None:
-                order = _preorder_nodes(arrays, root)
-                if i is None:
-                    children = _comb_children(arrays, order)
-                else:  # rdes and free depend on the shape alone
-                    children = [k[i] for k in _child_keys(arrays, nodes, key)]
-                values = tuple(children[v] for v in order)
-                entry = shapes[shape] = values, [tails[v] for v in values]
-            values, texts = entry
-        yield [f"{head}{s[:a]}({s[a:b]}{leaf}{s[b:]}{t}" for (a, b), t in zip(spans, texts)], values
+    arrays = tuple([0] * (2 * n - 3) for _ in range(5))
+    spans: dict = {}
+    memo: dict[bytes, tuple] = {}  # class code -> its children's statistics and their tails
+    interned: dict[tuple, tuple] = {}
+    for s, code in _keyed_strings(n - 1, arrays):
+        entry = memo.get(code)
+        if entry is None:
+            values = tuple(_class_values(code, stat, arrays))
+            entry = memo[code] = interned.setdefault(values, (values, [tails[v] for v in values]))
+        values, texts = entry
+        lines = zip(_shape_spans(s, spans), texts)
+        yield [f"{head}{s[:a]}({s[a:b]}{leaf}{s[b:]}{t}" for (a, b), t in lines], values
 
 
 def comb_type_tally(n: int, cap: int = DEFAULT_CAP) -> Counter:

@@ -242,6 +242,75 @@ def normalized_rows(n: int, stat: str, cap: int = binary_trees.DEFAULT_CAP) -> I
         yield from zip(trees, values)
 
 
+def _preorder_nodes(arrays: tuple[list, ...], root: int) -> list[int]:
+    left, right = arrays[0], arrays[1]
+    order = []
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        if v & 1:
+            stack.append(right[v])
+            stack.append(left[v])
+    return order
+
+
+def _walk(n: int) -> Iterator[tuple[tuple[list, ...], int, int, tuple[int, ...]]]:
+    """Yield (arrays, nodes, root, key) for each normalized tree on [n - 1],
+    n >= 2, in enumerate_normalized order: its arrays (left, right, parent,
+    is_right, nonlyn), which hold the tree only until the walk resumes, node
+    count, root and joint key.  Leaf m goes in at the nodes of the tree on
+    [m - 1] in preorder, the order of _insertions.  The walk keeps each tree's
+    joint key with binary_trees._child_keys, tree by tree, and backtracks over
+    flat arrays indexed by creation order: node 0 is leaf 1, and inserting
+    leaf m adds internal node 2m - 3 and leaf node 2m - 2.  It is the
+    tree-by-tree reference for the class tally, which reads the same
+    _child_keys once per class.
+    """
+    size = 2 * n - 1
+    arrays = left, right, parent, is_right, nonlyn = (
+        [-1] * size, [-1] * size, [-1] * size, [False] * size, [False] * size
+    )
+
+    def rec(m: int, nodes: int, root: int, key: tuple[int, ...]) -> Iterator:
+        # the arrays hold a tree on [m - 1]
+        if m == n:
+            yield arrays, nodes, root, key
+            return
+        keys = binary_trees._child_keys(arrays, nodes, key)
+        x = nodes
+        right[x] = x + 1
+        parent[x + 1] = x
+        is_right[x + 1] = True
+        for v in _preorder_nodes(arrays, root):
+            p = parent[v]
+            v_right = is_right[v]
+            left[x] = v
+            parent[x] = p
+            is_right[x] = v_right
+            nonlyn[x] = v & 1  # R(x) is the maximum label
+            parent[v] = x
+            is_right[v] = False
+            if p >= 0:
+                p_nonlyn = nonlyn[p]
+                if v_right:
+                    right[p] = x
+                else:
+                    left[p] = x
+                    nonlyn[p] = False
+            yield from rec(m + 1, nodes + 2, root if p >= 0 else x, keys[v])
+            parent[v] = p
+            is_right[v] = v_right
+            if p >= 0:
+                if v_right:
+                    right[p] = v
+                else:
+                    left[p] = v
+                    nonlyn[p] = p_nonlyn
+
+    yield from rec(2, 1, 0, (0, 0, 0, 0, 0))
+
+
 def product_form_count(t: Tree, k: int) -> int:
     """Number of admissible colorings of one tree with colors in [1, k].
 

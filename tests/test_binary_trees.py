@@ -40,6 +40,7 @@ from gamma_forest.binary_trees import (
 from gamma_forest.errors import LimitExceededError
 from gamma_forest.poly import drake_polynomial, evaluate, gamma_closed_form
 from gamma_forest.symfunc import comb_type_expansion, specialize_two_vars
+import oracles
 from oracles import (
     double_factorial,
     free_count,
@@ -388,8 +389,8 @@ class TestJointEngine:
         def banned(*args, **kwargs):
             raise AssertionError("comb_type_tally walked the trees")
 
-        monkeypatch.setattr(binary_trees, "_walk", banned)
-        monkeypatch.setattr(binary_trees, "_comb_children", banned)
+        for name in ("_class_children", "_load", "_comb_children"):
+            monkeypatch.setattr(binary_trees, name, banned)
         assert sum(comb_type_tally(10).values()) == double_factorial(17)
 
     @pytest.mark.parametrize("stat", ROW_STATS)
@@ -432,10 +433,13 @@ class TestJointEngine:
         ],
     )
     def test_sampled_shard_above_cap(self, n, prefix):
-        # the walker's children against the per-tree functions on the same
-        # trees, built by _insertions at the same positions, above the cap
-        trees = [1]
-        for m in range(2, n + 1):
+        # the class codes' children and their statistics against the
+        # per-tree functions on the same trees, built by _insertions at the
+        # same positions, above the cap; prefix fixes the positions of
+        # leaves 3, 4, ...
+        arrays = tuple([0] * (2 * n - 3) for _ in range(5))
+        trees, codes = [1], [bytes(binary_trees._HEAD + 1)]
+        for m in range(2, n):
             fixed = 0 <= m - 3 < len(prefix)
             positions = (prefix[m - 3],) if fixed else range(2 * m - 3)
             trees = [
@@ -444,29 +448,57 @@ class TestJointEngine:
                 for pos, child in enumerate(binary_trees._insertions(t, m))
                 if pos in positions
             ]
+            codes = [
+                child
+                for code in codes
+                for pos, child in enumerate(binary_trees._class_children(code, arrays))
+                if pos in positions
+            ]
         expected = [
-            (rdes(t), is_ndrd(t), nlyn(t), is_ndnl(t), free_count(t), comb_type(t)) for t in trees
+            (rdes(t), is_ndrd(t), nlyn(t), is_ndnl(t), free_count(t), comb_type(t))
+            for parent in trees
+            for t in binary_trees._insertions(parent, n)
         ]
         engine = []
-        for arrays, nodes, root, key in binary_trees._walk(n, prefix):
-            order = binary_trees._preorder_nodes(arrays, root)
-            keys = binary_trees._child_keys(arrays, nodes, key)
-            combs = binary_trees._comb_children(arrays, order)
-            for v in order:
-                r, d, nl, dl, f = keys[v]
-                engine.append((r, d == 0, nl, dl == 0, f, combs[v]))
+        for code in codes:
+            heads = [child[: binary_trees._HEAD] for child in binary_trees._class_children(code, arrays)]
+            values = {stat: binary_trees._class_values(code, stat, arrays) for stat in ROW_STATS}
+            for stat in ("rdes", "nlyn", "free"):
+                assert values[stat] == [h[binary_trees.JOINT_KEY[stat]] for h in heads]
+            combs = values["combtype"]
+            engine += [(h[0], h[1] == 0, h[2], h[3] == 0, h[4], c) for h, c in zip(heads, combs)]
         assert 3000 < len(engine) < 8000
         assert engine == expected
 
-    def test_shards_in_process_match_sequential(self):
-        # the class tally against one over the walker's trees, tree by tree,
-        # in one shard per position of leaf 3
+    def test_class_tally_matches_the_tree_walk(self):
+        # the class tally against one over the oracle walker's trees, tree by
+        # tree
         for n in range(2, 10):
             trees = Counter()
-            for prefix in ((0,), (1,), (2,)) if n > 3 else ((),):
-                for arrays, nodes, _root, key in binary_trees._walk(n, prefix):
-                    trees.update(binary_trees._child_keys(arrays, nodes, key))
+            for arrays, nodes, _root, key in oracles._walk(n):
+                trees.update(binary_trees._child_keys(arrays, nodes, key))
             assert joint_statistics(n) == trees, n
+
+    @pytest.mark.parametrize("stat", ROW_STATS)
+    def test_rows_read_each_class_once(self, stat, monkeypatch):
+        # the rows memoize their statistics per class of the trees on [7],
+        # nlyn included, and walk no tree
+        calls = []
+        class_values = binary_trees._class_values
+
+        def counted(code, *args):
+            calls.append(code)
+            return class_values(code, *args)
+
+        def banned(*args, **kwargs):
+            raise AssertionError("the rows reached the oracle walker")
+
+        monkeypatch.setattr(binary_trees, "_class_values", counted)
+        monkeypatch.setattr(oracles, "_walk", banned)
+        monkeypatch.setattr(oracles, "_preorder_nodes", banned)
+        for _ in binary_trees._row_blocks(8, stat):
+            pass
+        assert len(calls) == len(set(calls)) == len(binary_trees._tree_classes(7)) == 903
 
     def test_class_counts(self):
         # the large Schroeder numbers: a class is a shape with nonlyn flags
