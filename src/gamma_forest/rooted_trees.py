@@ -8,23 +8,25 @@ whose parent carries a larger label.
 
 A Prufer decode hangs each removed leaf from its sequence entry, so it gives
 the tree rooted at n as a parent array, with the other nodes in removal
-order (each before its parent).  Two loops decode.  `_decode` serves the
-descent tally alone, `_descent_chunk`: one loop over the sequences that
-extend a prefix, which never materializes trees.  Per sequence it counts
-the descents at root n, then walks the removal order backwards, so that
+order (each before its parent).  Two loops decode.  The descent tally,
+`_descent_chunk`, decodes every sequence that extends a prefix into one set
+of arrays per call, which it reuses.  It counts the degrees once for the n
+sequences that differ in the last entry only, and the descents at root n as
+it hangs each leaf.  Then it walks the removal order backwards, so that
 every parent comes before its children; moving the root from p down to its
-child x changes the count by +1 if x > p and by -1 otherwise.  That keeps
-the n=8 run (about two million trees) near a second, and _pool.map_prefixes
-shards it by fixing a prefix of the sequence.  Enumeration decodes inline,
-once per sequence, and hands over the n trees of one root and sequence
-prefix at a time, as one bytearray of records of n + 2 bytes: a parent
-array, then des.  Root 1 appends each record, rooted at n, to one table of
-n^(n-2) (n+2) bytes (151 KB at n = 7, 53 MB at n = 9) that roots 2..n copy
-from; a reroot reverses the path from the root up to n and moves des by the
-same +-1 rule, in a loop of its own.  Neither side of the descent identity
-shares a decode with the other.  The per-tree functions (des, the Prufer
-codec, the edge-list form) live with the tests, as the oracles they hold
-these against.
+child x changes the count by +1 if x > p and by -1 otherwise.  The whole
+n = 8 walk (about two million trees) takes about 0.56 s in one process on
+a 2-CPU Xeon host, and _pool.map_prefixes shards it by fixing a prefix of
+the sequence, which may be the whole sequence.  Enumeration decodes in
+`_decoded_blocks`, once per sequence, and hands over the n trees of one
+root and sequence prefix at a time, as one bytearray of records of n + 2
+bytes: a parent array, then des.  Root 1 appends each record, rooted at n,
+to one table of n^(n-2) (n+2) bytes (151 KB at n = 7, 53 MB at n = 9) that
+roots 2..n copy from; a reroot reverses the path from the root up to n and
+moves des by the same +-1 rule, in a loop of its own.  Neither side of the
+descent identity shares a decode with the other.  The per-tree functions
+(des, the Prufer codec, the edge-list form) live with the tests, as the
+oracles they hold these against.
 """
 
 from __future__ import annotations
@@ -78,36 +80,6 @@ class RootedTree(_Value):
         object.__setattr__(self, "parent", par)
 
 
-def _decode(n: int, seq: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    # Standard linear decode: repeatedly hang the smallest-available leaf from
-    # the next sequence entry, and the last leaf from n.  That is the tree
-    # rooted at n as a parent array (parent[n] = 0), plus the other nodes in
-    # removal order, where every node comes before its parent.
-    parent = [0] * (n + 1)
-    deg = [1] * (n + 1)
-    for x in seq:
-        deg[x] += 1
-    order = []
-    idx = 1
-    while deg[idx] != 1:
-        idx += 1
-    leaf = idx
-    for x in seq:
-        parent[leaf] = x
-        order.append(leaf)
-        deg[x] -= 1
-        if deg[x] == 1 and x < idx:
-            leaf = x
-        else:
-            idx += 1
-            while deg[idx] != 1:
-                idx += 1
-            leaf = idx
-    parent[leaf] = n
-    order.append(leaf)
-    return parent, order
-
-
 def _rooted_blocks(n: int, cap: int) -> Iterator[tuple[int, bytearray]]:
     # (root, block) for every rooted tree on [n], lexicographic in (root,
     # seq), unvalidated, one block per root and sequence prefix: the n trees
@@ -146,7 +118,7 @@ def _rooted_blocks(n: int, cap: int) -> Iterator[tuple[int, bytearray]]:
 
 def _decoded_blocks(n: int, lasts: list[tuple[int, ...]], tab: bytearray) -> Iterator[bytearray]:
     # the record of the tree rooted at n of every sequence on [n], its parent
-    # array as _decode gives it and then its des, in blocks of the sequences
+    # array as the decode gives it and then its des, in blocks of the sequences
     # that extend one prefix by each of `lasts`; each block is appended to
     # tab as it is decoded, and yielded as a copy
     labels = range(1, n + 1)
@@ -197,23 +169,59 @@ def enumerate_rooted_trees(n: int, cap: int = DEFAULT_CAP) -> Iterator[RootedTre
 
 
 def _descent_chunk(args: tuple[int, tuple[int, ...]]) -> list[int]:
-    # des at root n, then at every other root by the +-1 rule in reverse
-    # removal order, for each sequence extending the prefix
+    # the des counts of the n trees of every sequence extending the prefix:
+    # decode at root n with des counted on the way, then reroot by the +-1
+    # rule in reverse removal order.  The n sequences that extend one head
+    # share its degree count, and one set of arrays serves the whole chunk.
+    # A prefix of n - 2 entries, or n <= 2, leaves one sequence and no last
+    # entry to vary.
     n, prefix = args
     if n == 1:
         return [1]  # the one tree on [1] has no descent
+    labels = range(1, n + 1)
+    free = n - 2 - len(prefix)
+    lasts = [(x,) for x in labels] if free else [()]
     counts = [0] * n
+    parent = [0] * (n + 1)
+    order = [0] * (n - 1)
     desv = [0] * (n + 1)
-    for tail in product(range(1, n + 1), repeat=n - 2 - len(prefix)):
-        parent, order = _decode(n, prefix + tail)
-        d = sum(parent[x] > x for x in order)
-        counts[d] += 1
-        desv[n] = d
-        for x in reversed(order):
-            p = parent[x]
-            d = desv[p] + (1 if x > p else -1)
-            desv[x] = d
+    for rest in product(labels, repeat=max(free - 1, 0)):
+        head = prefix + rest
+        base = [1] * (n + 1)
+        for x in head:
+            base[x] += 1
+        for last in lasts:
+            deg = base[:]
+            for x in last:
+                deg[x] += 1
+            idx = 1
+            while deg[idx] != 1:
+                idx += 1
+            leaf = idx
+            d = 1  # the last leaf hangs from n, above it
+            i = 0
+            for x in head + last:
+                parent[leaf] = x
+                order[i] = leaf
+                i += 1
+                d += leaf < x
+                deg[x] -= 1
+                if deg[x] == 1 and x < idx:
+                    leaf = x
+                else:
+                    idx += 1
+                    while deg[idx] != 1:
+                        idx += 1
+                    leaf = idx
+            parent[leaf] = n
+            order[i] = leaf
             counts[d] += 1
+            desv[n] = d
+            for x in reversed(order):
+                p = parent[x]
+                d = desv[p] + (1 if x > p else -1)
+                desv[x] = d
+                counts[d] += 1
     return counts
 
 
@@ -222,7 +230,8 @@ def descent_polynomial(n: int, threads: int = 1, cap: int = DEFAULT_CAP) -> IntP
 
     Independent of the product form; this is the brute-force side of that
     identity.  _pool.map_prefixes shards the Prufer sequences by prefix over
-    `threads` workers where the walk is large enough to pay for a pool.
+    `threads` workers where the walk is large enough to pay for a pool, and
+    _descent_chunk decodes and reroots every sequence of a shard in one loop.
     """
     check_size("descent_polynomial", n, cap)
     partials = map_prefixes(_descent_chunk, n, [range(1, n + 1)] * (n - 2), threads)

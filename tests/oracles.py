@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+from functools import cache
 from math import comb
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -154,6 +155,59 @@ def tree_to_json_dict(t: RootedTree) -> dict:
     """Edge-list form {"n":3,"root":2,"edges":[[2,1],[2,3]]}, edges sorted by child."""
     edges = [[t.parent[x], x] for x in range(1, t.n + 1) if x != t.root]
     return {"n": t.n, "root": t.root, "edges": edges}
+
+
+def rooted_descents(k: int, i: int) -> tuple[int, ...]:
+    """A(k, i): the descent polynomial of the rooted trees on [k] with root i,
+    as its k ascending coefficients, from the root-deletion recurrence.
+
+    Deleting the root leaves a forest.  A component's descents depend only
+    on the relative order of its labels, and its root adds a descent exactly
+    when it lies below i, so A(k, i) = G(i - 1, k - i) (see _forests).  It
+    reads neither the product form nor a Prufer decode, and calls nothing
+    from the package.
+    """
+    return _forests(i - 1, k - i)
+
+
+def rooted_descents_total(n: int) -> tuple[int, ...]:
+    """T_n(t), the sum of rooted_descents(n, i) over the roots i, as its n
+    ascending coefficients."""
+    return _component(n, 0)[:n]
+
+
+@cache
+def _forests(a: int, b: int) -> tuple[int, ...]:
+    # G(a, b): rooted forests on a low labels below b high ones, with t per
+    # internal descent and per low component root.  Expand by the component
+    # holding the smallest label: with a > 0 it is low and takes j more low
+    # labels and l high ones, else it is high and takes l more high ones.
+    if a == b == 0:
+        return (1,)
+    acc = [0] * (a + b + 1)
+    if a:
+        terms = [(comb(a - 1, j) * comb(b, l), 1 + j + l, 1 + j, a - 1 - j, b - l) for j in range(a) for l in range(b + 1)]
+    else:
+        terms = [(comb(b - 1, l), 1 + l, 0, 0, b - 1 - l) for l in range(b)]
+    for c, s, low, ra, rb in terms:
+        g = _forests(ra, rb)
+        for e, x in enumerate(_component(s, low)):
+            cx = c * x
+            for f, y in enumerate(g, e):
+                acc[f] += cx * y
+    return tuple(acc)
+
+
+@cache
+def _component(s: int, low: int) -> tuple[int, ...]:
+    # H(s, low): the rooted trees on [s] whose labels 1..low lie below the
+    # forest's root, with t per descent and a further t when the root is one
+    # of them
+    acc = [0] * (s + 1)
+    for p in range(1, s + 1):
+        for e, x in enumerate(rooted_descents(s, p)):
+            acc[e + (p <= low)] += x
+    return tuple(acc)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,11 @@ were recorded from the two-decoder code that this module had before it moved
 onto a single parent-array decode.
 """
 
+import ast
 import random
 import tracemalloc
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,12 +19,15 @@ from gamma_forest import cli, rooted_trees
 from gamma_forest.errors import LimitExceededError
 from gamma_forest.poly import drake_polynomial
 from gamma_forest.rooted_trees import RootedTree, descent_polynomial, enumerate_rooted_trees
+import oracles
 from oracles import (
     PruferCode,
     complement,
     des,
     prufer_decode,
     prufer_encode,
+    rooted_descents,
+    rooted_descents_total,
     sha256_of,
     tree_to_json_dict,
 )
@@ -270,6 +275,17 @@ class TestDescentPolynomial:
             assert descent_polynomial(7, threads=threads) == serial, threads
         assert shard_counts == [49, 49, 49, 343]
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_chunks_of_every_prefix_length_sum_to_the_whole(self, n):
+        # map_prefixes may fix any number of entries, the whole sequence
+        # included when threads is large; the chunks of one length cover
+        # every sequence once
+        labels = range(1, n + 1)
+        whole = rooted_trees._descent_chunk((n, ()))
+        for j in range(max(n - 1, 1)):
+            chunks = [rooted_trees._descent_chunk((n, p)) for p in product(labels, repeat=j)]
+            assert [sum(col) for col in zip(*chunks)] == whole, j
+
     def test_cap(self):
         with pytest.raises(LimitExceededError):
             descent_polynomial(10)
@@ -279,6 +295,48 @@ class TestDescentPolynomial:
             with pytest.raises(ValueError, match="positive integer"):
                 descent_polynomial(bad)
         assert descent_polynomial(6, cap=6).coeffs == drake_polynomial(6).coeffs
+
+
+class TestDecompositionOracle:
+    """oracles.rooted_descents, the root-deletion recurrence, against the
+    product form far above the rooted cap, and against the engine and the
+    enumeration blocks root by root."""
+
+    RECURRENCE = {"rooted_descents", "rooted_descents_total", "_forests", "_component"}
+
+    def test_product_form_matches_recurrence(self):
+        for n in range(1, 31):
+            assert drake_polynomial(n).coeffs == rooted_descents_total(n), n
+
+    def test_engine_matches_recurrence(self):
+        for n in range(1, 8):
+            assert descent_polynomial(n).coeffs == rooted_descents_total(n), n
+
+    @pytest.mark.parametrize("n, roots", [(n, range(1, n + 1)) for n in range(1, 7)] + [(7, (1, 5))])
+    def test_block_records_match_recurrence_per_root(self, n, roots):
+        # the des byte of every record, tallied per root
+        hist = {root: [0] * n for root in roots}
+        for root, block in rooted_trees._rooted_blocks(n, n):
+            if root in hist:
+                for d in block[n + 1 :: n + 2]:
+                    hist[root][d] += 1
+        for root in roots:
+            assert tuple(hist[root]) == rooted_descents(n, root), root
+
+    def test_recurrence_reads_nothing_from_the_package(self):
+        # its functions name nothing that oracles.py imports from the package,
+        # and no other oracle
+        tree = ast.parse(Path(oracles.__file__).read_text())
+        package = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.module.startswith("gamma_forest")]
+        others = {a.asname or a.name for node in package for a in node.names}
+        others |= {node.name for node in tree.body if isinstance(node, ast.FunctionDef | ast.ClassDef)}
+        others -= self.RECURRENCE
+        fns = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name in self.RECURRENCE]
+        assert {fn.name for fn in fns} == self.RECURRENCE
+        for fn in fns:
+            assert not any(isinstance(x, ast.Import | ast.ImportFrom) for x in ast.walk(fn)), fn.name
+            read = {x.id for x in ast.walk(fn) if isinstance(x, ast.Name)}
+            assert not read & others, (fn.name, read & others)
 
 
 class TestIndependence:
@@ -297,7 +355,7 @@ class TestIndependence:
             return trees, [list(rows("des", 5, fmt)) for fmt in ("text", "json", "csv")]
 
         expected = outputs()
-        monkeypatch.setattr(rooted_trees, "_decode", self.down)
+        monkeypatch.setattr(rooted_trees, "_descent_chunk", self.down)
         assert outputs() == expected
 
     def test_descent_engine_runs_without_rooted_blocks(self, monkeypatch):
