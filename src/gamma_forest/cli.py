@@ -21,7 +21,7 @@ from itertools import groupby
 from types import ModuleType
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from . import _pool, binary_trees, poly, rooted_trees, stirling, symfunc
+from . import binary_trees, poly, rooted_trees, stirling, symfunc
 
 HISTOGRAM_THRESHOLD = 10**5
 
@@ -54,12 +54,11 @@ class SuiteReport:
         return statuses.count("pass"), statuses.count("fail"), statuses.count("skip")
 
 
-def resolve_threads(value: int | None) -> int:
-    if value is None:
-        return _pool.available_cpus()
-    if value < 1:
+def _check_threads(value: int | None) -> None:
+    # --threads stays accepted and checked, but everything runs in one
+    # process, so nothing reads it
+    if value is not None and value < 1:
         raise ValueError("--threads must be at least 1")
-    return value
 
 
 def _check(report: SuiteReport, check_id: str, params: str, expected, actual) -> None:
@@ -109,8 +108,7 @@ class _Engines:
     n as their cap, here and in enumerate: the table's ranges, or the refusal,
     decide what runs."""
 
-    def __init__(self, threads: int):
-        self.threads = threads
+    def __init__(self):
         self._results: dict = {}
 
     def _get(self, fn, *args):
@@ -174,7 +172,7 @@ _TABLE = (
     _Block("drake", 1, rooted_trees, ("drake.descent-vs-product",), (
         ("drake.descent-vs-product",
             lambda e, n: list(e.drake(n).coeffs),
-            lambda e, n: list(rooted_trees.descent_polynomial(n, e.threads, n).coeffs)),
+            lambda e, n: list(rooted_trees.descent_polynomial(n, n).coeffs)),
     )),
     _Block("gamma", 1, 20, (), (
         ("gamma.closed-vs-peel",
@@ -264,11 +262,11 @@ _TABLE = (
 SUITES = ("all", *dict.fromkeys(block.suite for block in _TABLE))
 
 
-def cmd_verify(suite: str, n_max: int, threads: int, cap_override: bool) -> SuiteReport:
+def cmd_verify(suite: str, n_max: int, cap_override: bool) -> SuiteReport:
     if suite not in SUITES:
         raise InvalidSuiteError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
     report = SuiteReport(suite, n_max)
-    engines = _Engines(threads)
+    engines = _Engines()
     for block in _TABLE:
         if suite not in ("all", block.suite):
             continue
@@ -512,7 +510,7 @@ def _colored_rows(colorings, n: int, fmt: str) -> Iterator[tuple[str, int]]:
         yield "".join(lines), len(lines)
 
 
-def _normalized_histogram(stat: str, n: int, threads: int) -> dict:
+def _normalized_histogram(stat: str, n: int) -> dict:
     if stat == "combtype":
         return dict(binary_trees.comb_type_tally(n, n))
     return binary_trees.marginal(binary_trees.joint_statistics(n, n), stat)
@@ -528,7 +526,7 @@ class _Family(NamedTuple):
     stats: tuple[str, ...]
     module: ModuleType
     size: Callable[[int], int]
-    histogram: Callable[[str, int, int], dict]
+    histogram: Callable[[str, int], dict]
     rows: Callable[[str, int, str], Iterator[tuple[str, int]]]
 
 
@@ -537,7 +535,7 @@ FAMILIES = {
         ("des",),
         rooted_trees,
         lambda n: n ** (n - 1),
-        lambda stat, n, threads: _nonzero(rooted_trees.descent_polynomial(n, threads, n)),
+        lambda stat, n: _nonzero(rooted_trees.descent_polynomial(n, n)),
         _rooted_rows,
     ),
     "normalized": _Family(
@@ -551,21 +549,21 @@ FAMILIES = {
         ("ones",),
         binary_trees,
         lambda n: n ** (n - 1),
-        lambda stat, n, threads: _nonzero(binary_trees.bicolored_comb_census(n, n)),
+        lambda stat, n: _nonzero(binary_trees.bicolored_comb_census(n, n)),
         lambda stat, n, fmt: _colored_rows(binary_trees.enumerate_bicolored_combs(n, n), n, fmt),
     ),
     "lyndon": _Family(
         ("ones",),
         binary_trees,
         lambda n: n ** (n - 1),
-        lambda stat, n, threads: _nonzero(binary_trees.bicolored_lyndon_census(n, n)),
+        lambda stat, n: _nonzero(binary_trees.bicolored_lyndon_census(n, n)),
         lambda stat, n, fmt: _colored_rows(binary_trees.enumerate_bicolored_lyndon(n, n), n, fmt),
     ),
     "stirling": _Family(
         ("tnpair", "aapair"),
         stirling,
         lambda n: _double_factorial(2 * n - 1),
-        lambda stat, n, threads: stirling.marginal(stirling.pair_statistics(n, n), stat),
+        lambda stat, n: stirling.marginal(stirling.pair_statistics(n, n), stat),
         _stirling_rows,
     ),
 }
@@ -604,7 +602,6 @@ def cmd_enumerate(
     stat: str | None,
     fmt: str,
     mode: str,
-    threads: int,
     cap_override: bool,
 ) -> tuple[Iterable[str], bool]:
     """Returns (stdout in chunks, refused flag)."""
@@ -625,7 +622,7 @@ def cmd_enumerate(
     if mode == "auto":
         mode = "histogram" if spec.size(n) > HISTOGRAM_THRESHOLD else "rows"
     if mode == "histogram":
-        hist = spec.histogram(stat, n, threads)
+        hist = spec.histogram(stat, n)
         return [_render_histogram(family, stat, n, hist, fmt)], False
     return _render_rows(family, stat, n, fmt), False
 
@@ -698,9 +695,9 @@ def main(argv=None) -> int:
         if args.command == "verify":
             if args.n_max < 1:
                 raise ValueError("--n-max must be a positive integer")
-            threads = resolve_threads(args.threads)
+            _check_threads(args.threads)
             t0 = time.perf_counter()
-            report = cmd_verify(args.suite, args.n_max, threads, args.cap_override)
+            report = cmd_verify(args.suite, args.n_max, args.cap_override)
             sys.stdout.write(_render_verify(report, args.format))
             for c in report.checks:
                 sys.stderr.write(f"# {c.check_id} {c.params} elapsed_ms={c.elapsed_ms}\n")
@@ -712,9 +709,9 @@ def main(argv=None) -> int:
             sys.stdout.write(cmd_poly(args.n, args.basis, args.format))
             return 0
         if args.command == "enumerate":
-            threads = resolve_threads(args.threads)
+            _check_threads(args.threads)
             chunks, refused = cmd_enumerate(
-                args.family, args.n, args.stat, args.format, args.mode, threads, args.cap_override
+                args.family, args.n, args.stat, args.format, args.mode, args.cap_override
             )
         else:
             text, refused = cmd_symfunc(args.n, args.format, args.cap_override)
@@ -730,14 +727,6 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except ValueError as exc:  # the typed errors subclass it
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except RuntimeError as exc:
-        # a pool whose worker died; concurrent.futures is loaded by then
-        from concurrent.futures import BrokenExecutor
-
-        if not isinstance(exc, BrokenExecutor):
-            raise
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

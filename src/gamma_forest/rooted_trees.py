@@ -1,32 +1,37 @@
 """Labeled rooted trees on [n], their descent statistic, and its polynomial.
 
-A rooted tree is stored as a parent array.  Enumeration runs over pairs
-(root, Prufer sequence): the sequence fixes the unrooted tree, the root
-orients it, and each of the n^(n-1) rooted trees appears exactly once.  The
-descent polynomial tallies, for every tree, the number of non-root nodes
-whose parent carries a larger label.
+A rooted tree is stored as a parent array.  Its descents are the non-root
+nodes whose parent carries a larger label.
 
-A Prufer decode hangs each removed leaf from its sequence entry, so it gives
-the tree rooted at n as a parent array, with the other nodes in removal
-order (each before its parent).  Two loops decode.  The descent tally,
-`_descent_chunk`, decodes every sequence that extends a prefix into one set
-of arrays per call, which it reuses.  It counts the degrees once for the n
-sequences that differ in the last entry only, and the descents at root n as
-it hangs each leaf.  Then it walks the removal order backwards, so that
-every parent comes before its children; moving the root from p down to its
-child x changes the count by +1 if x > p and by -1 otherwise.  The whole
-n = 8 walk (about two million trees) takes about 0.56 s in one process on
-a 2-CPU Xeon host, and _pool.map_prefixes shards it by fixing a prefix of
-the sequence, which may be the whole sequence.  Enumeration decodes in
-`_decoded_blocks`, once per sequence, and hands over the n trees of one
-root and sequence prefix at a time, as one bytearray of records of n + 2
-bytes: a parent array, then des.  Root 1 appends each record, rooted at n,
-to one table of n^(n-2) (n+2) bytes (151 KB at n = 7, 53 MB at n = 9) that
-roots 2..n copy from; a reroot reverses the path from the root up to n and
-moves des by the same +-1 rule, in a loop of its own.  Neither side of the
-descent identity shares a decode with the other.  The per-tree functions
-(des, the Prufer codec, the edge-list form) live with the tests, as the
-oracles they hold these against.
+The descent polynomial walks forests, one root r at a time, in
+`_root_descents`.  The labels other than r take a parent in decreasing
+order.  A parent in the label's own component would close a cycle and is
+skipped, and des grows by one for each parent above its child.  The walk
+stops when only the two smallest non-root labels, x < y, lack a parent, so it
+visits every forest of three components: R holding r, Y holding y and X
+holding x, of sizes a, b and c.  The last two attachments are counted in bulk
+from those sizes and the position of r.  y hangs in R or X, and x in R or Y,
+save y in X with x in Y.  Below y lie only x, and r when r < y; below x only
+r, when r < x.  So the two add P_yR P_xR + P_yR P_xY + P_yX P_xR, with
+P_yR = [r<y] + (a - [r<y]) t, P_yX = 1 + (c - 1) t, P_xR = [r<x] + (a -
+[r<x]) t and P_xY = b t.  Neither the walk nor the bulk count reads the
+product form.  All of n = 9 takes about 0.9 s in one process on a 2-CPU
+Xeon host.
+
+Enumeration runs over pairs (root, Prufer sequence): the sequence fixes the
+unrooted tree, the root orients it, and each of the n^(n-1) rooted trees
+appears exactly once.  A Prufer decode hangs each removed leaf from its
+sequence entry, so it gives the tree rooted at n as a parent array.
+`_decoded_blocks` decodes once per sequence, and `_rooted_blocks` hands over
+the n trees of one root and sequence prefix at a time, as one bytearray of
+records of n + 2 bytes: a parent array, then des.  Root 1 appends each
+record, rooted at n, to one table of n^(n-2) (n+2) bytes (151 KB at n = 7,
+53 MB at n = 9) that roots 2..n copy from; a reroot reverses the path from
+the root up to n, and moving the root from p down to its child x changes des
+by +1 if x > p and by -1 otherwise.  Neither side of the descent identity
+shares code with the other.  The per-tree functions (des, the Prufer codec,
+the edge-list form) live with the tests, as the oracles they hold these
+against.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterable, Iterator
 
-from ._pool import map_prefixes
 from .errors import check_size
 from .poly import IntPolynomial, _Value
 
@@ -168,71 +172,69 @@ def enumerate_rooted_trees(n: int, cap: int = DEFAULT_CAP) -> Iterator[RootedTre
             yield RootedTree(n, root, block[o : o + w - 1])
 
 
-def _descent_chunk(args: tuple[int, tuple[int, ...]]) -> list[int]:
-    # the des counts of the n trees of every sequence extending the prefix:
-    # decode at root n with des counted on the way, then reroot by the +-1
-    # rule in reverse removal order.  The n sequences that extend one head
-    # share its degree count, and one set of arrays serves the whole chunk.
-    # A prefix of n - 2 entries, or n <= 2, leaves one sequence and no last
-    # entry to vary.
-    n, prefix = args
+def _times(p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int, int]:
+    # the product of two polynomials of degree at most 1 in t
+    return (p[0] * q[0], p[0] * q[1] + p[1] * q[0], p[1] * q[1])
+
+
+def _root_descents(n: int, r: int) -> list[int]:
+    # the des counts of the trees on [n] rooted at r: the labels other than
+    # r take a parent in decreasing order, each outside its own component,
+    # down to the last two, x < y, which are counted in bulk below
     if n == 1:
-        return [1]  # the one tree on [1] has no descent
-    labels = range(1, n + 1)
-    free = n - 2 - len(prefix)
-    lasts = [(x,) for x in labels] if free else [()]
+        return [1]
+    others = [v for v in range(n, 0, -1) if v != r]
+    if n == 2:
+        counts = [0, 0]
+        counts[r > others[0]] = 1
+        return counts
+    *walk, y, x = others
+    members = {q: [q] for q in range(1, n + 1)}  # each component under its parentless label
+    big_r, big_y = members[r], members[y]
+    last = len(walk) - 1
+    tally: dict[tuple[int, int, int], int] = {}  # (des, a, b): forests
+
+    def attach(i: int, d: int) -> None:
+        v = walk[i]
+        own = members.pop(v)
+        for target in list(members.values()):
+            k = len(target)
+            target += own
+            if i == last:
+                a, b = len(big_r), len(big_y)
+                for p in target[:k]:
+                    key = (d + (p > v), a, b)
+                    tally[key] = tally.get(key, 0) + 1
+            else:
+                for p in target[:k]:
+                    attach(i + 1, d + (p > v))
+            del target[k:]
+        members[v] = own
+
+    if walk:
+        attach(0, 0)
+    else:
+        tally[0, 1, 1] = 1
+    # y hangs in R or X, and x in R or Y, save y in X with x in Y, a cycle;
+    # below y lie x and maybe r, below x maybe r
+    ry, rx = int(r < y), int(r < x)
     counts = [0] * n
-    parent = [0] * (n + 1)
-    order = [0] * (n - 1)
-    desv = [0] * (n + 1)
-    for rest in product(labels, repeat=max(free - 1, 0)):
-        head = prefix + rest
-        base = [1] * (n + 1)
-        for x in head:
-            base[x] += 1
-        for last in lasts:
-            deg = base[:]
-            for x in last:
-                deg[x] += 1
-            idx = 1
-            while deg[idx] != 1:
-                idx += 1
-            leaf = idx
-            d = 1  # the last leaf hangs from n, above it
-            i = 0
-            for x in head + last:
-                parent[leaf] = x
-                order[i] = leaf
-                i += 1
-                d += leaf < x
-                deg[x] -= 1
-                if deg[x] == 1 and x < idx:
-                    leaf = x
-                else:
-                    idx += 1
-                    while deg[idx] != 1:
-                        idx += 1
-                    leaf = idx
-            parent[leaf] = n
-            order[i] = leaf
-            counts[d] += 1
-            desv[n] = d
-            for x in reversed(order):
-                p = parent[x]
-                d = desv[p] + (1 if x > p else -1)
-                desv[x] = d
-                counts[d] += 1
+    for (d, a, b), forests in tally.items():
+        c = n - a - b
+        y_in_r, y_in_x = (ry, a - ry), (1, c - 1)
+        x_in_r, x_in_y = (rx, a - rx), (0, b)
+        bulk = zip(_times(y_in_r, x_in_r), _times(y_in_r, x_in_y), _times(y_in_x, x_in_r))
+        for e, ways in enumerate(map(sum, bulk)):
+            counts[d + e] += forests * ways
     return counts
 
 
-def descent_polynomial(n: int, threads: int = 1, cap: int = DEFAULT_CAP) -> IntPolynomial:
+def descent_polynomial(n: int, cap: int = DEFAULT_CAP) -> IntPolynomial:
     """Descent generating polynomial over all rooted trees on [n], by enumeration.
 
     Independent of the product form; this is the brute-force side of that
-    identity.  _pool.map_prefixes shards the Prufer sequences by prefix over
-    `threads` workers where the walk is large enough to pay for a pool, and
-    _descent_chunk decodes and reroots every sequence of a shard in one loop.
+    identity.  _root_descents walks the forests of one root, and the roots'
+    counts are summed.
     """
     check_size("descent_polynomial", n, cap)
-    partials = map_prefixes(_descent_chunk, n, [range(1, n + 1)] * (n - 2), threads)
-    return IntPolynomial([sum(col) for col in zip(*partials)])
+    return IntPolynomial([sum(col) for col in zip(*(_root_descents(n, r) for r in range(1, n + 1)))])

@@ -110,7 +110,7 @@ class TestVerifyCommand:
 
     def test_invalid_suite_raises_typed_error(self):
         with pytest.raises(cli.InvalidSuiteError):
-            cli.cmd_verify("nonsense", 3, 1, False)
+            cli.cmd_verify("nonsense", 3, False)
 
     def test_above_cap_skips_instead_of_running(self):
         r = run_cli("verify", "--suite", "eulerian", "--n-max", "10")
@@ -122,7 +122,7 @@ class TestVerifyCommand:
         from gamma_forest import binary_trees
 
         monkeypatch.setattr(binary_trees, "DEFAULT_CAP", 4)
-        report = cli.cmd_verify("gamma", 6, 1, False)
+        report = cli.cmd_verify("gamma", 6, False)
         skips = [c for c in report.checks if c.status == "skip"]
         assert {(c.check_id, c.params) for c in skips} >= {
             ("gamma.ndrd-rdes", "n=5"),
@@ -138,8 +138,8 @@ class TestVerifyCommand:
         assert all(c["status"] == "pass" for c in doc["checks"])
 
     def test_stdout_deterministic_across_threads(self):
-        # drake at n = 7 reaches the rooted engine's pool, gamma and combs at
-        # n = 8 the binary engine's
+        # drake at n = 7 reaches the rooted forest walk, gamma and combs at
+        # n = 8 the binary-tree class walk
         for suite, n_max in (("drake", "7"), ("gamma", "8"), ("combs", "8")):
             a = run_cli("verify", "--suite", suite, "--n-max", n_max, "--threads", "1")
             b = run_cli("verify", "--suite", suite, "--n-max", n_max, "--threads", "3")
@@ -215,7 +215,7 @@ class TestVerifyCommand:
             return get(self, fn, *args)
 
         monkeypatch.setattr(cli._Engines, "_get", recording_get)
-        engines = cli._Engines(1)
+        engines = cli._Engines()
         for block in cli._TABLE:
             args = (3, 2) if block.colors else (3,)
             for check_id, expected, actual in block.checks:
@@ -331,9 +331,9 @@ class TestEnumerateCommand:
 
     def test_incompatible_stat_raises_typed_error(self):
         with pytest.raises(cli.IncompatibleStatError):
-            cli.cmd_enumerate("rooted", 3, "rdes", "text", "auto", 1, False)
+            cli.cmd_enumerate("rooted", 3, "rdes", "text", "auto", False)
         with pytest.raises(cli.IncompatibleStatError):
-            cli.cmd_enumerate("nonsense", 3, None, "text", "auto", 1, False)
+            cli.cmd_enumerate("nonsense", 3, None, "text", "auto", False)
 
     def test_cap_refusal_is_report_not_crash(self):
         r = run_cli("enumerate", "--family", "stirling", "--n", "12")
@@ -345,12 +345,12 @@ class TestEnumerateCommand:
 
         monkeypatch.setattr(binary_trees, "DEFAULT_CAP", 3)
         chunks, refused = cli.cmd_enumerate(
-            "normalized", 4, None, "text", "histogram", 1, False
+            "normalized", 4, None, "text", "histogram", False
         )
         assert refused
         assert "".join(chunks).startswith("refused family=normalized n=4 cap=3")
         chunks, refused = cli.cmd_enumerate(
-            "normalized", 4, None, "text", "histogram", 1, True
+            "normalized", 4, None, "text", "histogram", True
         )
         assert not refused
         text = "".join(chunks)
@@ -375,23 +375,6 @@ class TestEnumerateCommand:
         counts = [int(line.split()[1]) for line in r.stdout.splitlines()]
         assert counts == [120, 1044, 2724, 2724, 1044, 120]
 
-    @pytest.mark.parametrize("family", ["normalized", "combs", "lyndon"])
-    def test_binary_histograms_ignore_threads(self, monkeypatch, capsys, family):
-        # --threads is accepted, and the binary-tree engines start no pool
-        from gamma_forest import _pool
-
-        def no_pool(fn, tasks, threads):
-            raise AssertionError("pool started")
-
-        monkeypatch.setattr(_pool, "map_shards", no_pool)
-        out = []
-        for threads in ("1", "3"):
-            argv = ["enumerate", "--family", family, "--n", "8", "--mode", "histogram"]
-            assert cli.main([*argv, "--threads", threads]) == 0
-            out.append(capsys.readouterr().out)
-        assert out[0] == out[1]
-        assert len(out[0].splitlines()) >= 4
-
     def test_rows_deterministic(self):
         a = run_cli("enumerate", "--family", "normalized", "--n", "5", "--mode", "rows")
         b = run_cli("enumerate", "--family", "normalized", "--n", "5", "--mode", "rows")
@@ -404,7 +387,7 @@ class TestEnumerateCommand:
         from oracles import des, tree_to_json_dict
 
         for n in range(1, 7):
-            chunks, refused = cli.cmd_enumerate("rooted", n, None, "json", "rows", 1, False)
+            chunks, refused = cli.cmd_enumerate("rooted", n, None, "json", "rows", False)
             expected = "".join(
                 json.dumps({**tree_to_json_dict(t), "stat": des(t)}, separators=(",", ":")) + "\n"
                 for t in enumerate_rooted_trees(n)
@@ -613,25 +596,48 @@ class TestSymfuncCommand:
 
 
 class TestThreadResolution:
-    def test_explicit_wins(self):
-        assert cli.resolve_threads(2) == 2
+    def test_threads_is_checked_and_changes_nothing(self, capsys):
+        # every run is one process: --threads is accepted on both commands,
+        # a value below 1 is refused, and no other value changes stdout
+        runs = [["verify", "--suite", "all", "--n-max", "6"]]
+        for family, spec in cli.FAMILIES.items():
+            for stat in spec.stats:
+                for mode in ("rows", "histogram"):
+                    argv = ["enumerate", "--family", family, "--n", "6", "--stat", stat, "--mode", mode]
+                    runs.append(argv)
+        for argv in runs:
+            out = []
+            for threads in ("1", "3"):
+                assert cli.main([*argv, "--threads", threads]) == 0, argv
+                out.append(capsys.readouterr().out)
+            assert out[0] == out[1] != "", argv
+        for argv in (["verify"], ["enumerate", "--family", "rooted", "--n", "4"]):
+            assert cli.main([*argv, "--threads", "0"]) == 2, argv
+            assert capsys.readouterr() == ("", "error: --threads must be at least 1\n"), argv
 
-    def test_default_is_available_cpus(self, monkeypatch):
-        import os
-
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
-        assert cli.resolve_threads(None) == 3
-
-    def test_default_is_cpu_count(self, monkeypatch):
-        # where the platform cannot report the CPUs this process may use
-        import os
-
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        assert cli.resolve_threads(None) == (os.cpu_count() or 1)
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            cli.resolve_threads(0)
+    def test_the_package_starts_no_process(self):
+        # no command imports multiprocessing or concurrent.futures, even
+        # where --threads asks for two; no run pays for dataclasses and the
+        # inspect, ast and dis it loads, and only verify, through
+        # drake.rational-roots, pays for fractions and decimal
+        code = (
+            "import sys\n"
+            "def loaded(*names): return [m for m in names if m in sys.modules]\n"
+            "ALWAYS = ('dataclasses', 'inspect')\n"
+            "RATIONALS = ('fractions', 'decimal')\n"
+            "PROCESSES = ('multiprocessing', 'concurrent.futures')\n"
+            "import gamma_forest\n"
+            "assert loaded(*ALWAYS, *RATIONALS) == [], loaded(*ALWAYS, *RATIONALS)\n"
+            "from gamma_forest import cli\n"
+            "rc = cli.main(['enumerate', '--family', 'normalized', '--n', '4', '--mode', 'rows'])\n"
+            "assert rc == 0, rc\n"
+            "assert loaded(*ALWAYS, *RATIONALS) == [], loaded(*ALWAYS, *RATIONALS)\n"
+            "rc = cli.main(['verify', '--suite', 'all', '--n-max', '7', '--threads', '2'])\n"
+            "assert rc == 0, rc\n"
+            "assert loaded(*ALWAYS, *PROCESSES) == [], loaded(*ALWAYS, *PROCESSES)\n"
+        )
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr[-2000:]
 
     def test_package_reads_no_environment(self):
         # settings come from the command line only

@@ -14,7 +14,6 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import gamma_forest._pool as pool
 from gamma_forest import cli, rooted_trees
 from gamma_forest.errors import LimitExceededError
 from gamma_forest.poly import drake_polynomial
@@ -240,7 +239,7 @@ class TestDescentPolynomial:
         assert descent_polynomial(3).coeffs == (2, 5, 2)
 
     def test_matches_enumeration(self):
-        # the rerooting fast path must agree with naive per-tree counting
+        # the forest walk must agree with naive per-tree counting
         for n in range(2, 7):
             hist = [0] * n
             for t in enumerate_rooted_trees(n):
@@ -253,38 +252,16 @@ class TestDescentPolynomial:
         for n in range(1, 9):
             assert descent_polynomial(n).coeffs == drake_polynomial(n).coeffs
 
-    def test_parallel_matches_sequential(self):
-        for n in (5, 6, 7):
-            assert (
-                descent_polynomial(n, threads=2).coeffs
-                == descent_polynomial(n).coeffs
-            )
-        assert descent_polynomial(7, threads=4).coeffs == drake_polynomial(7).coeffs
-
-    def test_shards_in_process_match_sequential(self, monkeypatch):
-        # every shard prefix, without forking a pool
-        serial = descent_polynomial(7)
-        shard_counts = []
-
-        def in_process(fn, tasks, threads):
-            shard_counts.append(len(tasks))
-            return [fn(t) for t in tasks]
-
-        monkeypatch.setattr(pool, "map_shards", in_process)
-        for threads in (2, 3, 4, 16):
-            assert descent_polynomial(7, threads=threads) == serial, threads
-        assert shard_counts == [49, 49, 49, 343]
-
     @pytest.mark.parametrize("n", range(1, 8))
-    def test_chunks_of_every_prefix_length_sum_to_the_whole(self, n):
-        # map_prefixes may fix any number of entries, the whole sequence
-        # included when threads is large; the chunks of one length cover
-        # every sequence once
-        labels = range(1, n + 1)
-        whole = rooted_trees._descent_chunk((n, ()))
-        for j in range(max(n - 1, 1)):
-            chunks = [rooted_trees._descent_chunk((n, p)) for p in product(labels, repeat=j)]
-            assert [sum(col) for col in zip(*chunks)] == whole, j
+    def test_walk_matches_block_records_per_root(self, n):
+        # each root's counts against the des bytes of that root's records,
+        # which a Prufer decode and its reroots give
+        hist = {root: [0] * n for root in range(1, n + 1)}
+        for root, block in rooted_trees._rooted_blocks(n, n):
+            for d in block[n + 1 :: n + 2]:
+                hist[root][d] += 1
+        for root in range(1, n + 1):
+            assert rooted_trees._root_descents(n, root) == hist[root], root
 
     def test_cap(self):
         with pytest.raises(LimitExceededError):
@@ -311,6 +288,13 @@ class TestDecompositionOracle:
     def test_engine_matches_recurrence(self):
         for n in range(1, 8):
             assert descent_polynomial(n).coeffs == rooted_descents_total(n), n
+
+    @pytest.mark.parametrize("n, roots", [(n, range(1, n + 1)) for n in range(1, 9)] + [(9, (1, 5, 9))])
+    def test_walk_matches_recurrence_per_root(self, n, roots):
+        # every root up to n = 8, and above the cap of the enumeration
+        # checks, the lowest, a middle and the highest root at n = 9
+        for root in roots:
+            assert tuple(rooted_trees._root_descents(n, root)) == rooted_descents(n, root), root
 
     @pytest.mark.parametrize("n, roots", [(n, range(1, n + 1)) for n in range(1, 7)] + [(7, (1, 5))])
     def test_block_records_match_recurrence_per_root(self, n, roots):
@@ -340,8 +324,8 @@ class TestDecompositionOracle:
 
 
 class TestIndependence:
-    """The descent engine and its oracle, enumerate_rooted_trees, decode
-    Prufer sequences each on their own: with either decode patched to
+    """The descent engine walks forests, and its oracle,
+    enumerate_rooted_trees, decodes Prufer sequences: with either patched to
     raise, the other side still gives its answer."""
 
     @staticmethod
@@ -355,7 +339,7 @@ class TestIndependence:
             return trees, [list(rows("des", 5, fmt)) for fmt in ("text", "json", "csv")]
 
         expected = outputs()
-        monkeypatch.setattr(rooted_trees, "_descent_chunk", self.down)
+        monkeypatch.setattr(rooted_trees, "_root_descents", self.down)
         assert outputs() == expected
 
     def test_descent_engine_runs_without_rooted_blocks(self, monkeypatch):
