@@ -375,6 +375,24 @@ class TestEnumerateCommand:
         counts = [int(line.split()[1]) for line in r.stdout.splitlines()]
         assert counts == [120, 1044, 2724, 2724, 1044, 120]
 
+    @pytest.mark.parametrize("family", ["normalized", "combs", "lyndon"])
+    def test_binary_histograms_ignore_threads(self, monkeypatch, capsys, family):
+        # --threads is accepted, and the binary-tree engines start no process
+        import os
+
+        def no_fork(*args, **kwargs):
+            raise AssertionError("process started")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(subprocess, "Popen", no_fork)
+        out = []
+        for threads in ("1", "3"):
+            argv = ["enumerate", "--family", family, "--n", "8", "--mode", "histogram"]
+            assert cli.main([*argv, "--threads", threads]) == 0
+            out.append(capsys.readouterr().out)
+        assert out[0] == out[1]
+        assert len(out[0].splitlines()) >= 4
+
     def test_rows_deterministic(self):
         a = run_cli("enumerate", "--family", "normalized", "--n", "5", "--mode", "rows")
         b = run_cli("enumerate", "--family", "normalized", "--n", "5", "--mode", "rows")
@@ -596,6 +614,44 @@ class TestSymfuncCommand:
 
 
 class TestThreadResolution:
+    # nothing resolves --threads to a worker count any more: an explicit
+    # value is only checked, and the default asks nothing of the host
+    DRAKE = ["verify", "--suite", "drake", "--n-max", "7"]
+
+    def test_explicit_wins(self, capsys):
+        assert cli.main([*self.DRAKE, "--threads", "2"]) == 0
+        explicit = capsys.readouterr().out
+        assert cli.main(self.DRAKE) == 0
+        assert capsys.readouterr().out == explicit != ""
+
+    def test_default_is_available_cpus(self, monkeypatch, capsys):
+        import os
+
+        def no_affinity(pid):
+            raise AssertionError("CPU affinity read")
+
+        monkeypatch.setattr(os, "sched_getaffinity", no_affinity, raising=False)
+        assert cli.main(self.DRAKE) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
+    def test_default_is_cpu_count(self, monkeypatch, capsys):
+        # where the platform cannot report the CPUs this process may use
+        import os
+
+        def no_count():
+            raise AssertionError("CPU count read")
+
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", no_count)
+        assert cli.main(self.DRAKE) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
+    def test_rejects_zero(self):
+        with pytest.raises(ValueError):
+            cli._check_threads(0)
+        cli._check_threads(1)
+        cli._check_threads(None)
+
     def test_threads_is_checked_and_changes_nothing(self, capsys):
         # every run is one process: --threads is accepted on both commands,
         # a value below 1 is refused, and no other value changes stdout
