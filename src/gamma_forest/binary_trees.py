@@ -40,9 +40,9 @@ independent computations.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from functools import cache
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 from .errors import check_size
 from .poly import GammaVector, IntPolynomial, add_binomial_row, from_gamma_basis
@@ -222,22 +222,23 @@ def enumerate_colored_combs(
 # ---------------------------------------------------------------------------
 # Tree classes.
 #
-# _load writes a tree into flat arrays indexed as if by creation order: node 0
-# is leaf 1, and inserting leaf m adds internal node 2m - 3 and leaf node
-# 2m - 2, so a node is internal iff its index is odd.  Inserting at node v
-# puts the new internal node x in v's slot, over v and the new leaf.  As the
-# new leaf has the largest label, only v, its parent and x can change status
-# (_child_keys), so a tree's shape and nonlyn flags fix those of all its
-# children.  A class of trees that share both is held as a code: the joint
-# key, then a byte per node in preorder, 0 for a leaf, 1 for an internal node,
-# 2 for a non-Lyndon one; 4,279 classes for the 135,135 trees on [8].
+# _load writes a tree into four flat arrays (right, parent, is_right, nonlyn)
+# indexed as if by creation order: node 0 is leaf 1, and inserting leaf m adds
+# internal node 2m - 3 and leaf node 2m - 2, so a node is internal iff its
+# index is odd.  Inserting at node v puts the new internal node x in v's slot,
+# over v and the new leaf.  As the new leaf has the largest label, only v, its
+# parent and x can change status (_child_keys), so a tree's shape and nonlyn
+# flags fix those of all its children.  A class of trees that share both is
+# held as a code: the joint key, then a byte per node in preorder, 0 for a
+# leaf, 1 for an internal node, 2 for a non-Lyndon one; 4,279 classes for the
+# 135,135 trees on [8].
 # ---------------------------------------------------------------------------
 
 
 def _child_keys(arrays: tuple[list, ...], nodes: int, key: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The joint key of each tree made by inserting the new maximum leaf at a
     node of the tree in the arrays, indexed by node; key is the tree's own."""
-    _left, right, parent, is_right, nonlyn = arrays
+    right, parent, is_right, nonlyn = arrays
     r, d, nl, dl, fr = key
     out = []
     for v in range(nodes):
@@ -272,9 +273,8 @@ def _child_keys(arrays: tuple[list, ...], nodes: int, key: tuple[int, ...]) -> l
 
 def _load(code: bytes, arrays: tuple[list, ...]) -> tuple[list[int], list[tuple[int, ...]]]:
     """Write the tree of a class code into the arrays, its internal nodes odd,
-    and return its nodes in preorder and their _child_keys, indexed by node;
-    _child_keys reads no left child."""
-    _left, right, parent, is_right, nonlyn = arrays
+    and return its nodes in preorder and their _child_keys, indexed by node."""
+    right, parent, is_right, nonlyn = arrays
     order: list[int] = []
     stack: list[int] = []  # internal nodes whose right child is to come
     p, r = -1, False  # the parent and side of the next node
@@ -319,7 +319,7 @@ def _class_children(code: bytes, arrays: tuple[list, ...]) -> list[bytes]:
 def _tree_classes(m: int) -> dict[bytes, int]:
     """The class codes of the normalized trees on [m] with their tree counts;
     only two orders are held."""
-    arrays = tuple([0] * (2 * m - 1) for _ in range(5))
+    arrays = tuple([0] * (2 * m - 1) for _ in range(4))
     classes = {bytes(_HEAD + 1): 1}  # the tree 1
     for _ in range(m - 1):
         children: dict[bytes, int] = {}
@@ -337,7 +337,7 @@ def joint_statistics(n: int, cap: int = DEFAULT_CAP) -> Counter:
     check_size("joint_statistics", n, cap)
     if n == 1:
         return Counter({(0, 0, 0, 0, 0): 1})
-    arrays = tuple([0] * (2 * n - 3) for _ in range(5))
+    arrays = tuple([0] * (2 * n - 3) for _ in range(4))
     tally: Counter = Counter()
     for code, count in _tree_classes(n - 1).items():
         for key in _load(code, arrays)[1]:
@@ -428,9 +428,9 @@ def bicolored_lyndon_census(n: int, cap: int = DEFAULT_CAP) -> IntPolynomial:
 # node's span depends only on the tree's shape, which the string's shape key
 # keeps (every digit made 0, so a label keeps its width); the statistics of a
 # tree's children, comb types and nlyn too, depend only on its class.  Spans
-# are computed once per key and statistics, with the tails of their lines,
-# once per class: for the 10,395 trees on [7] at n = 8, 132 span entries and
-# 903 statistic entries.
+# are cached per shape key (functools.cache) and statistics, with the tails of
+# their lines, memoized per class: for the 10,395 trees on [7] at n = 8, 132
+# span entries and 903 statistic entries.
 # ---------------------------------------------------------------------------
 
 ROW_STATS = ("rdes", "nlyn", "free", "combtype")
@@ -463,32 +463,23 @@ def _key_spans(key: str) -> tuple[tuple[int, int], ...]:
     return tuple(spans)
 
 
-def _shape_spans(s: str, memo: dict) -> tuple[tuple[int, int], ...]:
-    # _key_spans of a tree string's shape key, memoized by key
-    key = s.translate(_SHAPE)
-    spans = memo.get(key)
-    if spans is None:
-        spans = memo[key] = _key_spans(key)
-    return spans
-
-
 def _keyed_strings(m: int, arrays: tuple[list, ...]) -> Iterator[tuple[str, bytes]]:
     """(tree_to_string, class code) of each normalized tree on [m], in
-    enumerate_normalized order; each level memoizes spans per shape key and
-    _class_children per class for the walk, and the arrays are _load's, for
-    trees on up to [m - 1]."""
+    enumerate_normalized order; each level caches _key_spans per shape key
+    and memoizes _class_children per class for the walk, and the arrays are
+    _load's, for trees on up to [m - 1]."""
     if m == 1:
         yield "1", bytes(_HEAD + 1)
         return
     leaf = f",{m})"
-    spans: dict = {}
+    spans = cache(_key_spans)
     children: dict[bytes, list[bytes]] = {}
     for s, code in _keyed_strings(m - 1, arrays):
         codes = children.get(code)
         if codes is None:
             codes = children[code] = _class_children(code, arrays)
         # s with (that node, leaf) in place of each node, in preorder
-        strings = [f"{s[:a]}({s[a:b]}{leaf}{s[b:]}" for a, b in _shape_spans(s, spans)]
+        strings = [f"{s[:a]}({s[a:b]}{leaf}{s[b:]}" for a, b in spans(s.translate(_SHAPE))]
         yield from zip(strings, codes)
 
 
@@ -511,7 +502,7 @@ def _comb_children(arrays: tuple[list, ...], order: list[int]) -> list[tuple[int
     L = a = 0: the new internal node heads a chain of its own.  A right child
     at depth a of a chain of length L splits that chain below its parent; a
     leaf right child, at depth L, makes the chain one longer."""
-    parent, is_right = arrays[2], arrays[3]
+    parent, is_right = arrays[1], arrays[2]
     head = [0] * len(order)  # chain head of each internal node
     depth = [0] * len(order)
     lengths: dict[int, int] = {}
@@ -545,37 +536,35 @@ def _class_values(code: bytes, stat: str, arrays: tuple[list, ...]) -> list:
 
 
 def _row_blocks(
-    n: int, stat: str, cap: int = DEFAULT_CAP, head: str = "", tails: Mapping | None = None
+    n: int, stat: str, cap: int = DEFAULT_CAP, head: str = "", tails: Callable = lambda value: ""
 ) -> Iterator[tuple[list[str], Sequence]]:
     """One block per normalized tree on [n - 1], in enumerate_normalized
     order: the lines of the 2n - 3 trees made by inserting leaf n at its nodes
     in preorder, and their statistics (one block of the tree 1 when n is 1).
-    A line is head, the tree's string and tails[value], each spliced in one
-    step; tails maps a statistic to its text (none by default), and the lines
+    A line is head, the tree's string and tails(value), each spliced in one
+    step; tails gives a statistic's text (none by default), and the lines
     are then the strings alone.  stat is one of ROW_STATS; comb types are
     partitions as in comb_type.  The statistics and their tails are computed
     once per class (_class_values) and interned."""
     if stat not in ROW_STATS:
         raise ValueError(f"unknown statistic {stat!r}; choose from {', '.join(ROW_STATS)}")
     check_size("normalized_rows", n, cap)
-    if tails is None:
-        tails = defaultdict(str)
     if n == 1:
         value = () if stat == "combtype" else 0
-        yield [f"{head}1{tails[value]}"], [value]
+        yield [f"{head}1{tails(value)}"], [value]
         return
     leaf = f",{n})"
-    arrays = tuple([0] * (2 * n - 3) for _ in range(5))
-    spans: dict = {}
+    arrays = tuple([0] * (2 * n - 3) for _ in range(4))
+    spans = cache(_key_spans)
     memo: dict[bytes, tuple] = {}  # class code -> its children's statistics and their tails
     interned: dict[tuple, tuple] = {}
     for s, code in _keyed_strings(n - 1, arrays):
         entry = memo.get(code)
         if entry is None:
             values = tuple(_class_values(code, stat, arrays))
-            entry = memo[code] = interned.setdefault(values, (values, [tails[v] for v in values]))
+            entry = memo[code] = interned.setdefault(values, (values, [tails(v) for v in values]))
         values, texts = entry
-        lines = zip(_shape_spans(s, spans), texts)
+        lines = zip(spans(s.translate(_SHAPE)), texts)
         yield [f"{head}{s[:a]}({s[a:b]}{leaf}{s[b:]}{t}" for (a, b), t in lines], values
 
 

@@ -35,23 +35,12 @@ class IncompatibleStatError(ValueError):
 
 
 class CheckRecord(NamedTuple):
-    check_id: str
+    check: str
     params: str
     status: str  # pass, fail, or skip
     expected: str
     actual: str
     elapsed_ms: int
-
-
-class SuiteReport:
-    def __init__(self, suite: str, n_max: int):
-        self.suite = suite
-        self.n_max = n_max
-        self.checks: list[CheckRecord] = []
-
-    def counts(self) -> tuple[int, int, int]:
-        statuses = [c.status for c in self.checks]
-        return statuses.count("pass"), statuses.count("fail"), statuses.count("skip")
 
 
 def _check_threads(value: int | None) -> None:
@@ -61,7 +50,7 @@ def _check_threads(value: int | None) -> None:
         raise ValueError("--threads must be at least 1")
 
 
-def _check(report: SuiteReport, check_id: str, params: str, expected, actual) -> None:
+def _check(check: str, params: str, expected, actual) -> CheckRecord:
     t0 = time.perf_counter()
     try:
         exp, act = expected(), actual()
@@ -71,7 +60,7 @@ def _check(report: SuiteReport, check_id: str, params: str, expected, actual) ->
         status = "fail"
         exp_s, act_s = "no error", f"error: {exc}"
     elapsed = int((time.perf_counter() - t0) * 1000)
-    report.checks.append(CheckRecord(check_id, params, status, exp_s, act_s, elapsed))
+    return CheckRecord(check, params, status, exp_s, act_s, elapsed)
 
 
 def _double_factorial(m: int) -> int:
@@ -102,20 +91,14 @@ def _at_rational_roots(p, n: int) -> list:
 
 
 class _Engines:
-    """Engine results shared by the checks of one verify run, keyed by function
-    and arguments.  Only results are kept: a call that raises is made again by
-    the next check that needs it, which then fails the same way.  Engines get
-    n as their cap, here and in enumerate: the table's ranges, or the refusal,
-    decide what runs."""
+    """Engine results shared by the checks of one verify run, in a
+    functools.cache keyed by function and arguments.  The cache keeps no
+    exception: a call that raises is made again by the next check that needs
+    it, which then fails the same way.  Engines get n as their cap, here and
+    in enumerate: the table's ranges, or the refusal, decide what runs."""
 
     def __init__(self):
-        self._results: dict = {}
-
-    def _get(self, fn, *args):
-        key = (fn, args)
-        if key not in self._results:
-            self._results[key] = fn(*args)
-        return self._results[key]
+        self._get = functools.cache(lambda fn, *args: fn(*args))
 
     def drake(self, n: int):
         return self._get(poly.drake_polynomial, n)
@@ -262,10 +245,10 @@ _TABLE = (
 SUITES = ("all", *dict.fromkeys(block.suite for block in _TABLE))
 
 
-def cmd_verify(suite: str, n_max: int, cap_override: bool) -> SuiteReport:
+def cmd_verify(suite: str, n_max: int, cap_override: bool) -> list[CheckRecord]:
     if suite not in SUITES:
         raise InvalidSuiteError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
-    report = SuiteReport(suite, n_max)
+    checks = []
     engines = _Engines()
     for block in _TABLE:
         if suite not in ("all", block.suite):
@@ -275,49 +258,40 @@ def cmd_verify(suite: str, n_max: int, cap_override: bool) -> SuiteReport:
             last = n_max if cap_override else last.DEFAULT_CAP
         for n in range(block.first, n_max + 1):
             if n > last:
-                for skip_id in block.skips:
-                    report.checks.append(CheckRecord(skip_id, f"n={n}", "skip", "above-cap", "", 0))
+                for skip in block.skips:
+                    checks.append(CheckRecord(skip, f"n={n}", "skip", "above-cap", "", 0))
                 continue
             runs = [((n, k), f"n={n} k={k}") for k in block.colors] or [((n,), f"n={n}")]
             for args, params in runs:
-                for check_id, *sides in block.checks:
+                for check, *sides in block.checks:
                     expected, actual = (functools.partial(f, engines, *args) for f in sides)
-                    _check(report, check_id, params, expected, actual)
-    return report
+                    checks.append(_check(check, params, expected, actual))
+    return checks
 
 
-def _render_verify(report: SuiteReport, fmt: str) -> str:
-    passed, failed, skipped = report.counts()
+def _render_verify(suite: str, n_max: int, checks: list[CheckRecord], fmt: str) -> str:
+    counts = Counter(c.status for c in checks)
+    passed, failed, skipped = counts["pass"], counts["fail"], counts["skip"]
     if fmt == "json":
         doc = {
-            "suite": report.suite,
-            "n_max": report.n_max,
-            "checks": [
-                {
-                    "check": c.check_id,
-                    "params": c.params,
-                    "status": c.status,
-                    "expected": c.expected,
-                    "actual": c.actual,
-                }
-                for c in report.checks
-            ],
+            "suite": suite,
+            "n_max": n_max,
+            "checks": [dict(zip(CheckRecord._fields, c[:5])) for c in checks],
             "passed": passed,
             "failed": failed,
             "skipped": skipped,
         }
         return json.dumps(doc, separators=(",", ":")) + "\n"
     lines = []
-    for c in report.checks:
+    for c in checks:
         if c.status == "skip":
-            lines.append(f"SKIP {c.check_id} {c.params} reason={c.expected}")
+            lines.append(f"SKIP {c.check} {c.params} reason={c.expected}")
         elif c.status == "pass":
-            lines.append(f"PASS {c.check_id} {c.params} value={c.actual}")
+            lines.append(f"PASS {c.check} {c.params} value={c.actual}")
         else:
-            lines.append(f"FAIL {c.check_id} {c.params} expected={c.expected} actual={c.actual}")
+            lines.append(f"FAIL {c.check} {c.params} expected={c.expected} actual={c.actual}")
     lines.append(
-        f"TOTAL suite={report.suite} n_max={report.n_max} "
-        f"passed={passed} failed={failed} skipped={skipped}"
+        f"TOTAL suite={suite} n_max={n_max} passed={passed} failed={failed} skipped={skipped}"
     )
     return "\n".join(lines) + "\n"
 
@@ -392,24 +366,13 @@ def _csv_line(cells) -> str:
 # csv: the lines of one parent object's children, of one object, or of the
 # rooted trees of one root and Prufer prefix, each line written in one step
 # in the loop that makes its object.  The engines take a line's head and a
-# memo of its tails by value, and splice the object between them; the rooted
-# rows join a whole block at once.  A family's objects either all hold a
-# comma or none do, so csv quotes them, or not, once per call.
+# function of its tail by value, cached per value, and splice the object
+# between them; the rooted rows join a whole block at once.  A family's
+# objects either all hold a comma or none do, so csv quotes them, or not,
+# once per call.
 # _render_rows gathers whole blocks into chunks of at least ROW_CHUNK rows.
 
 ROW_CHUNK = 4096  # rows per stdout write in rows mode, plus less than a block
-
-
-class _Memo(dict):
-    """fn(key) for each key, computed on its first lookup."""
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
 
 
 def _stat_tails(fmt: str, stat: Callable, csv_cells: Callable) -> Callable[[object], str]:
@@ -422,15 +385,13 @@ def _stat_tails(fmt: str, stat: Callable, csv_cells: Callable) -> Callable[[obje
     return lambda value: f"\t{_stat_text(stat(value))}\n"
 
 
-def _row_ends(fmt: str, key: str, quoted: bool, tail: Callable) -> tuple[str, _Memo]:
-    """A line's text before its object, and a memo of tail(value), the text
-    after it by the line's value.  In json the object is the string under
-    key; in csv it is quoted when the family's objects hold a comma."""
-    if fmt == "csv":
-        if quoted:
-            return '"', _Memo(lambda value: '"' + tail(value))
-        return "", _Memo(tail)
-    return (f'{{"{key}":"' if fmt == "json" else ""), _Memo(tail)
+def _row_ends(fmt: str, key: str, quoted: bool, tail: Callable) -> tuple[str, Callable]:
+    """A line's text before its object, and tail(value), the text after it by
+    the line's value, cached per value.  In json the object is the string
+    under key; in csv it is quoted when the family's objects hold a comma."""
+    if fmt == "csv" and quoted:
+        return '"', functools.cache(lambda value: '"' + tail(value))
+    return (f'{{"{key}":"' if fmt == "json" else ""), functools.cache(tail)
 
 
 def _rooted_rows(stat: str, n: int, fmt: str) -> Iterator[tuple[str, int]]:
@@ -506,7 +467,7 @@ def _colored_rows(colorings, n: int, fmt: str) -> Iterator[tuple[str, int]]:
     head, tails = _row_ends(fmt, "tree", n > 1, _COLORED_TAILS[fmt])
     for t, group in groupby(colorings, key=operator.itemgetter(0)):
         obj = head + binary_trees.tree_to_string(t)
-        lines = [obj + tails[c] for _, c in group]
+        lines = [obj + tails(c) for _, c in group]
         yield "".join(lines), len(lines)
 
 
@@ -697,12 +658,12 @@ def main(argv=None) -> int:
                 raise ValueError("--n-max must be a positive integer")
             _check_threads(args.threads)
             t0 = time.perf_counter()
-            report = cmd_verify(args.suite, args.n_max, args.cap_override)
-            sys.stdout.write(_render_verify(report, args.format))
-            for c in report.checks:
-                sys.stderr.write(f"# {c.check_id} {c.params} elapsed_ms={c.elapsed_ms}\n")
+            checks = cmd_verify(args.suite, args.n_max, args.cap_override)
+            sys.stdout.write(_render_verify(args.suite, args.n_max, checks, args.format))
+            for c in checks:
+                sys.stderr.write(f"# {c.check} {c.params} elapsed_ms={c.elapsed_ms}\n")
             sys.stderr.write(f"# suite elapsed_ms={int((time.perf_counter() - t0) * 1000)}\n")
-            return 0 if report.counts()[1] == 0 else 1
+            return 1 if any(c.status == "fail" for c in checks) else 0
         if args.n < 1:
             raise ValueError("--n must be a positive integer")
         if args.command == "poly":

@@ -44,8 +44,8 @@ they compare the engine with.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from typing import Iterator, Mapping
+from collections import Counter
+from typing import Callable, Iterator
 
 from .errors import check_size
 from .poly import GammaVector
@@ -249,19 +249,17 @@ def _keyed_strings(m: int) -> Iterator[tuple[str, bytes]]:
 
 
 def _row_blocks(
-    n: int, cap: int = DEFAULT_CAP, head: str = "", tails: Mapping | None = None
+    n: int, cap: int = DEFAULT_CAP, head: str = "", tails: Callable = lambda value: ""
 ) -> Iterator[tuple[list[str], list[tuple]]]:
     """One block per word of order n - 1, in enumeration order: the lines of
     the 2n - 1 words made by inserting n n into it, gaps right to left, and
-    their _child_profiles.  A line is head, the word and tails[profile],
-    spliced from the parent's string (_keyed_strings) in one step; tails maps
-    a profile to its text (none by default), and the lines are then the words
+    their _child_profiles.  A line is head, the word and tails(profile),
+    spliced from the parent's string (_keyed_strings) in one step; tails gives
+    a profile's text (none by default), and the lines are then the words
     alone.  The profiles and their tails are computed once per class key, on
     a decoded parent, and interned.  Letters past 9 are translated after a
     comma join."""
     check_size("statistics_rows", n, cap)
-    if tails is None:
-        tails = defaultdict(str)
     mm = chr(48 + n) * 2
     table = {48 + c: str(c) for c in range(10, n + 1)}
     memo: dict[bytes, tuple[list[tuple], list[str]]] = {}
@@ -271,7 +269,7 @@ def _row_blocks(
         if entry is None:
             w = tuple(ord(c) - 48 for c in s)
             profiles = [interned.setdefault(p, p) for p in _child_profiles(w)]
-            entry = memo[key] = profiles, [tails[p] for p in profiles]
+            entry = memo[key] = profiles, [tails(p) for p in profiles]
         profiles, texts = entry
         gaps = range(len(s), -1, -1)
         if table:

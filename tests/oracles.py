@@ -296,8 +296,7 @@ def normalized_rows(n: int, stat: str, cap: int = binary_trees.DEFAULT_CAP) -> I
         yield from zip(trees, values)
 
 
-def _preorder_nodes(arrays: tuple[list, ...], root: int) -> list[int]:
-    left, right = arrays[0], arrays[1]
+def _preorder_nodes(left: list, right: list, root: int) -> list[int]:
     order = []
     stack = [root]
     while stack:
@@ -311,7 +310,7 @@ def _preorder_nodes(arrays: tuple[list, ...], root: int) -> list[int]:
 
 def _walk(n: int) -> Iterator[tuple[tuple[list, ...], int, int, tuple[int, ...]]]:
     """Yield (arrays, nodes, root, key) for each normalized tree on [n - 1],
-    n >= 2, in enumerate_normalized order: its arrays (left, right, parent,
+    n >= 2, in enumerate_normalized order: its arrays (right, parent,
     is_right, nonlyn), which hold the tree only until the walk resumes, node
     count, root and joint key.  Leaf m goes in at the nodes of the tree on
     [m - 1] in preorder, the order of _insertions.  The walk keeps each tree's
@@ -322,9 +321,8 @@ def _walk(n: int) -> Iterator[tuple[tuple[list, ...], int, int, tuple[int, ...]]
     _child_keys once per class.
     """
     size = 2 * n - 1
-    arrays = left, right, parent, is_right, nonlyn = (
-        [-1] * size, [-1] * size, [-1] * size, [False] * size, [False] * size
-    )
+    left = [-1] * size  # for _preorder_nodes; _child_keys reads no left child
+    arrays = right, parent, is_right, nonlyn = [-1] * size, [-1] * size, [False] * size, [False] * size
 
     def rec(m: int, nodes: int, root: int, key: tuple[int, ...]) -> Iterator:
         # the arrays hold a tree on [m - 1]
@@ -336,7 +334,7 @@ def _walk(n: int) -> Iterator[tuple[tuple[list, ...], int, int, tuple[int, ...]]
         right[x] = x + 1
         parent[x + 1] = x
         is_right[x + 1] = True
-        for v in _preorder_nodes(arrays, root):
+        for v in _preorder_nodes(left, right, root):
             p = parent[v]
             v_right = is_right[v]
             left[x] = v

@@ -437,7 +437,7 @@ class TestJointEngine:
         # per-tree functions on the same trees, built by _insertions at the
         # same positions, above the cap; prefix fixes the positions of
         # leaves 3, 4, ...
-        arrays = tuple([0] * (2 * n - 3) for _ in range(5))
+        arrays = tuple([0] * (2 * n - 3) for _ in range(4))
         trees, codes = [1], [bytes(binary_trees._HEAD + 1)]
         for m in range(2, n):
             fixed = 0 <= m - 3 < len(prefix)

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 import subprocess
 import sys
 from itertools import groupby, islice
@@ -122,14 +123,14 @@ class TestVerifyCommand:
         from gamma_forest import binary_trees
 
         monkeypatch.setattr(binary_trees, "DEFAULT_CAP", 4)
-        report = cli.cmd_verify("gamma", 6, False)
-        skips = [c for c in report.checks if c.status == "skip"]
-        assert {(c.check_id, c.params) for c in skips} >= {
+        checks = cli.cmd_verify("gamma", 6, False)
+        skips = [c for c in checks if c.status == "skip"]
+        assert {(c.check, c.params) for c in skips} >= {
             ("gamma.ndrd-rdes", "n=5"),
             ("gamma.ndrd-rdes", "n=6"),
             ("gamma.ndnl-nlyn", "n=5"),
         }
-        assert report.counts()[1] == 0  # nothing failed, only skipped
+        assert all(c.status != "fail" for c in checks)  # nothing failed, only skipped
 
     def test_json_format(self):
         r = run_cli("verify", "--suite", "eulerian", "--n-max", "3", "--format", "json")
@@ -145,6 +146,43 @@ class TestVerifyCommand:
             b = run_cli("verify", "--suite", suite, "--n-max", n_max, "--threads", "3")
             assert a.returncode == 0, (suite, a.stderr)
             assert a.stdout == b.stdout, suite
+
+    def test_raising_engine_is_called_again(self, monkeypatch, capsys):
+        # a shared engine result is kept only when the call returned: the
+        # check whose read raised fails, and the next check that reads the
+        # same result calls the engine again and passes
+        from gamma_forest import poly
+
+        calls = []
+
+        def fails_once(n, _fn=poly.drake_polynomial):
+            calls.append(n)
+            if len(calls) == 1:
+                raise RuntimeError("first call down")
+            return _fn(n)
+
+        monkeypatch.setattr(poly, "drake_polynomial", fails_once)
+        assert cli.main(["verify", "--suite", "drake", "--n-max", "2"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "FAIL drake.cayley-count n=1 expected=no error actual=error: first call down" in lines
+        assert "PASS drake.palindromic n=1 value=True" in lines
+        assert [line for line in lines if line.startswith("FAIL ")] == [lines[0]]
+        assert calls[:2] == [1, 1]
+
+    def test_stderr_elapsed_lines_follow_the_checks(self, capsys):
+        # one "# <check> <params> elapsed_ms=<int>" line per PASS, FAIL or
+        # SKIP line, same id and params in the same order, then the suite's
+        # line last: the form perfbench/child.py's ElapsedSink parses
+        assert cli.main(["verify", "--suite", "all", "--n-max", "3"]) == 0
+        out, err = capsys.readouterr()
+        params = r"(n=\d+(?: k=\d+)?)"
+        status_line = re.compile(rf"(?:PASS|FAIL|SKIP) (\S+) {params} (?:value|expected|reason)=")
+        checks = [status_line.match(line).group(1, 2) for line in out.splitlines()[:-1]]
+        elapsed_line = re.compile(rf"# (\S+) {params} elapsed_ms=\d+")
+        *lines, last = err.splitlines()
+        assert [elapsed_line.fullmatch(line).group(1, 2) for line in lines] == checks
+        assert len(checks) > 50
+        assert re.fullmatch(r"# suite elapsed_ms=\d+", last)
 
     def test_raising_engine_fails_checks_without_aborting(self, monkeypatch, capsys):
         from gamma_forest import stirling
@@ -204,18 +242,18 @@ class TestVerifyCommand:
         }
         assert all(count == 1 for count in calls.values()), calls
 
-    def test_check_sides_read_disjoint_engine_results(self, monkeypatch):
+    def test_check_sides_read_disjoint_engine_results(self):
         # a check compares two computations; sharing one engine result between
         # its sides would make it compare a value with itself
         reads = []
-        get = cli._Engines._get
-
-        def recording_get(self, fn, *args):
-            reads.append((fn, args))
-            return get(self, fn, *args)
-
-        monkeypatch.setattr(cli._Engines, "_get", recording_get)
         engines = cli._Engines()
+        get = engines._get
+
+        def recording_get(fn, *args):
+            reads.append((fn, args))
+            return get(fn, *args)
+
+        engines._get = recording_get
         for block in cli._TABLE:
             args = (3, 2) if block.colors else (3,)
             for check_id, expected, actual in block.checks:
@@ -292,10 +330,9 @@ class TestVerifyCommand:
 
     def test_failure_exit_code(self, monkeypatch):
         # force one check to disagree and confirm the suite reports nonzero
-        report = cli.SuiteReport("drake", 2)
-        cli._check(report, "forced", "n=1", lambda: 1, lambda: 2)
-        assert report.counts() == (0, 1, 0)
-        text = cli._render_verify(report, "text")
+        checks = [cli._check("forced", "n=1", lambda: 1, lambda: 2)]
+        assert [c.status for c in checks] == ["fail"]
+        text = cli._render_verify("drake", 2, checks, "text")
         assert "FAIL forced" in text
 
 

@@ -1,6 +1,7 @@
 """Stirling permutations: enumeration order, pair statistics, distributions."""
 
 import hashlib
+import random
 from collections import Counter
 from itertools import islice, permutations
 
@@ -351,6 +352,25 @@ class TestPairStatistics:
             ]
             assert rows[0][0] == first
             assert all(set(row[0]) <= set("0123456789,") for row in rows)
+
+    @pytest.mark.parametrize("m", [10, 11])
+    def test_sampled_words_above_cap(self, m):
+        # 100 words of order m - 1, each built by inserting k k at a seeded
+        # gap for k = 1..m - 1, and the insertion engine's profiles of each
+        # word's 2m - 1 children against the per-word statistics, above the cap
+        rng = random.Random(m)
+        pair = (m, m)
+        for _ in range(100):
+            w = ()
+            for k in range(1, m):
+                g = rng.randrange(len(w) + 1)
+                w = w[:g] + (k, k) + w[g:]
+            assert is_stirling(w)
+            children = [w[:g] + pair + w[g:] for g in range(len(w), -1, -1)]
+            assert len(children) == 2 * m - 1
+            assert stirling._child_profiles(w) == [
+                (aapair(c), tnpair(c), is_naas(c), is_ntns(c)) for c in children
+            ], w
 
     def test_engine_caps(self):
         with pytest.raises(LimitExceededError):
