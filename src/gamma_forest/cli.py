@@ -2,8 +2,11 @@
 
 Output discipline: everything deterministic goes to stdout, timing and other
 diagnostics go to stderr, so identical invocations produce byte-identical
-stdout.  Counts inside JSON are decimal strings because coefficients outgrow
-doubles long before n reaches 20.
+stdout.  This module alone encodes output: the engines return values, or in
+rows mode splice an object's string between the head and tail of a line made
+here, so every text, csv and json format is decided here.  Counts inside JSON
+are decimal strings because coefficients outgrow doubles long before n
+reaches 20.
 """
 
 from __future__ import annotations
@@ -297,19 +300,19 @@ def _render_verify(suite: str, n_max: int, checks: list[CheckRecord], fmt: str) 
 
 
 def cmd_poly(n: int, basis: str, fmt: str) -> str:
+    # the two bases differ only in their values, the JSON key and the text prefix
     if basis == "gamma":
         g = poly.gamma_closed_form(n)
-        if fmt == "json":
-            return json.dumps(poly.gamma_to_json_dict(g), separators=(",", ":")) + "\n"
-        if fmt == "csv":
-            return ",".join(str(c) for c in g.gammas) + "\n"
-        return "gamma: " + " ".join(str(c) for c in g.gammas) + "\n"
-    p = poly.drake_polynomial(n)
+        degree, values, key, prefix = g.degree, g.gammas, "gammas", "gamma: "
+    else:
+        p = poly.drake_polynomial(n)
+        degree, values, key, prefix = p.degree, p.coeffs, "coeffs", ""
+    cells = [str(c) for c in values]
     if fmt == "json":
-        return json.dumps(poly.poly_to_json_dict(p), separators=(",", ":")) + "\n"
+        return json.dumps({"degree": degree, key: cells}, separators=(",", ":")) + "\n"
     if fmt == "csv":
-        return ",".join(str(c) for c in p.coeffs) + "\n"
-    return " ".join(str(c) for c in p.coeffs) + "\n"
+        return ",".join(cells) + "\n"
+    return prefix + " ".join(cells) + "\n"
 
 
 def _nonzero(p) -> dict:
@@ -597,8 +600,13 @@ def cmd_symfunc(n: int, fmt: str, cap_override: bool) -> tuple[str, bool]:
         doc = {
             "n": n,
             "weight": expansion.weight,
-            "expansion": symfunc.expansion_to_json_list(expansion),
-            "specialization": poly.poly_to_json_dict(specialized),
+            "expansion": [
+                {"lambda": list(lam.parts), "coeff": str(c)} for lam, c in expansion.terms
+            ],
+            "specialization": {
+                "degree": specialized.degree,
+                "coeffs": [str(c) for c in specialized.coeffs],
+            },
         }
         return json.dumps(doc, separators=(",", ":")) + "\n", False
     if fmt == "csv":

@@ -71,7 +71,8 @@ class IntPolynomial(_Value):
     """A dense univariate polynomial over the integers.
 
     coeffs[i] is the coefficient of t^i.  Trailing zeros are stripped on
-    construction, so equal polynomials compare equal structurally.
+    construction, so equal polynomials compare equal structurally.  It
+    carries no arithmetic: the functions here work on coefficient lists.
 
     >>> IntPolynomial([2, 5, 2]).degree
     2
@@ -94,33 +95,6 @@ class IntPolynomial(_Value):
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
-
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        """
-        >>> IntPolynomial([1, 1]) + IntPolynomial([1, -1])
-        IntPolynomial(coeffs=(2,))
-        """
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial(out)
-
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        """
-        >>> IntPolynomial([2, 1]) * IntPolynomial([1, 2])
-        IntPolynomial(coeffs=(2, 5, 2))
-        """
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPolynomial()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return IntPolynomial(out)
 
 
 class GammaVector(_Value):
@@ -355,12 +329,3 @@ def eulerian_gamma_count(n: int) -> GammaVector:
         if ok:
             counts[des] += 1
     return GammaVector(counts, n - 1)
-
-
-def poly_to_json_dict(p: IntPolynomial) -> dict:
-    """JSON form with coefficients as decimal strings (bigint safe)."""
-    return {"degree": p.degree, "coeffs": [str(c) for c in p.coeffs]}
-
-
-def gamma_to_json_dict(g: GammaVector) -> dict:
-    return {"degree": g.degree, "gammas": [str(c) for c in g.gammas]}

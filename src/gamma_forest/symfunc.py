@@ -65,9 +65,6 @@ class ESymExpansion(_Value):
         object.__setattr__(self, "terms", ordered)
         object.__setattr__(self, "weight", weight)
 
-    def as_dict(self) -> dict[tuple[int, ...], int]:
-        return {lam.parts: c for lam, c in self.terms}
-
 
 class MultivariatePoly(_Value):
     """A polynomial in x_1 .. x_k with integer coefficients.
@@ -199,8 +196,3 @@ def specialize_two_vars(f: ESymExpansion) -> IntPolynomial:
         twos = sum(1 for part in lam.parts if part == 2)
         add_binomial_row(out, c, twos, len(lam.parts) - twos)
     return IntPolynomial(out)
-
-
-def expansion_to_json_list(f: ESymExpansion) -> list[dict]:
-    """JSON form [{"lambda":[2,1],"coeff":"1"}, ...] with bigint-safe coefficients."""
-    return [{"lambda": list(lam.parts), "coeff": str(c)} for lam, c in f.terms]

@@ -38,6 +38,33 @@ def sha256_of(obj) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Coefficient lists.  The package's value types carry no arithmetic, so a
+# reference that needs polynomial sums and products builds them here.
+# ---------------------------------------------------------------------------
+
+
+def coeff_sum(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The coefficients of a + b, as long as the longer of the two."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return out
+
+
+def coeff_product(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The coefficients of a * b; empty when either is."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Rooted trees.
 # ---------------------------------------------------------------------------
 

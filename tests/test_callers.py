@@ -1,12 +1,18 @@
 """Every definition in the package earns a caller, and no oracle is in it.
 
 An AST scan reads each module of src/gamma_forest but __init__, which only
-re-exports.  A top-level function or class is reached when module-level code
-of the package names it, when ALLOWED names it, or when the body of a reached
+re-exports.  A definition is a top-level function or class, or a method or
+property of a top-level class.  It is reached when module-level code of the
+package names it, when ALLOWED names it, or when the body of a reached
 definition names it, bare or as an attribute.  A definition's own body does
 not count, and neither does a bare name that the same function binds itself
-(a local, a parameter).  Whatever is not reached only the tests call: it
-belongs in tests/oracles.py, or nowhere.
+(a local, a parameter).  A class reaches what its bases, decorators and
+class-level statements name, but not its methods: each method needs a reader
+of its own.  Python calls the dunders in IMPLICIT without any code naming
+them, so those of a reached class are reached with it; any other dunder, an
+operator such as __add__ included, is reached only when reached code names
+it.  Whatever is not reached only the tests call: it belongs in
+tests/oracles.py, or nowhere.
 """
 
 import ast
@@ -30,7 +36,18 @@ ALLOWED = {
     "stirling.statistics_rows": TRACED,
 }
 
-DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+# the dunders that Python calls implicitly, reached with their class, with the reason each stays
+IMPLICIT = {
+    "__init__": "runs when the class is called",
+    "__init_subclass__": "runs when a subclass is defined; it names the fields of each value type",
+    "__eq__": "values are compared, by the checks and by library callers",
+    "__hash__": "values are dict keys, as the partitions of an expansion are",
+    "__repr__": "values print by their fields, in doctests and error messages",
+    "__bool__": "without it the zero polynomial would be truthy for library callers",
+}
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFINITIONS = (*FUNCTIONS, ast.ClassDef)
 
 
 def modules(src: Path = SRC) -> dict[str, ast.Module]:
@@ -38,19 +55,27 @@ def modules(src: Path = SRC) -> dict[str, ast.Module]:
 
 
 def definitions(src: Path = SRC) -> dict[str, ast.AST]:
-    return {
-        f"{module}.{node.name}": node
-        for module, tree in modules(src).items()
-        for node in tree.body
-        if isinstance(node, DEFINITIONS)
-    }
+    """Each top-level definition as "module.name", and each method of a
+    top-level class as "module.Class.name"."""
+    out = {}
+    for module, tree in modules(src).items():
+        for node in tree.body:
+            if isinstance(node, DEFINITIONS):
+                out[f"{module}.{node.name}"] = node
+            if isinstance(node, ast.ClassDef):
+                for m in node.body:
+                    if isinstance(m, FUNCTIONS):
+                        out[f"{module}.{node.name}.{m.name}"] = m
+    return out
 
 
 def names(node: ast.AST) -> set[str]:
     """The names node reads, bare or as an attribute, less its own name and
-    the bare names that it, or a method of it, binds itself."""
+    the bare names that it binds itself.  A class's methods are definitions
+    of their own, so what they read is not the class's."""
     if isinstance(node, ast.ClassDef):
-        parts = [*node.bases, *node.keywords, *node.decorator_list, *node.body]
+        body = [n for n in node.body if not isinstance(n, FUNCTIONS)]
+        parts = [*node.bases, *node.keywords, *node.decorator_list, *body]
         return set().union(*map(names, parts)) - {node.name}
     bound = {node.name} if isinstance(node, DEFINITIONS) else set()
     for n in ast.walk(node):
@@ -67,13 +92,14 @@ def names(node: ast.AST) -> set[str]:
     return read
 
 
-def unreached(src: Path = SRC, allowed=ALLOWED) -> list[str]:
-    """The "module.name" of each definition in src that neither module-level
-    code, nor an allowed entry, nor a reached definition names."""
+def unreached(src: Path = SRC, allowed=ALLOWED, implicit=IMPLICIT) -> list[str]:
+    """The key of each definition in src that neither module-level code, nor
+    an allowed entry, nor a reached definition names, and that is not an
+    implicit dunder of a reached class."""
     defs = definitions(src)
     by_name: dict[str, list[str]] = {}
     for key in defs:
-        by_name.setdefault(key.partition(".")[2], []).append(key)
+        by_name.setdefault(key.rpartition(".")[2], []).append(key)
     todo = [key for key in defs if key in allowed]
     for tree in modules(src).values():
         for node in tree.body:
@@ -85,6 +111,8 @@ def unreached(src: Path = SRC, allowed=ALLOWED) -> list[str]:
         if key not in reached:
             reached.add(key)
             todo += [k for name in names(defs[key]) for k in by_name.get(name, ())]
+            if isinstance(defs[key], ast.ClassDef):
+                todo += [f"{key}.{name}" for name in implicit if f"{key}.{name}" in defs]
     return sorted(set(defs) - reached)
 
 
@@ -93,8 +121,12 @@ def test_every_definition_has_a_caller():
 
 
 def test_allowed_entries_name_definitions():
-    assert set(ALLOWED) <= set(definitions())
+    defs = definitions()
+    assert set(ALLOWED) <= set(defs)
     assert all(ALLOWED.values())
+    methods = {key.rpartition(".")[2] for key in defs if key.count(".") == 2}
+    assert set(IMPLICIT) <= methods
+    assert all(IMPLICIT.values())
 
 
 def test_no_oracle_is_defined_or_imported_in_the_package():
@@ -134,4 +166,15 @@ def test_scan_sees_calls_locals_and_cycles(tmp_path):
         "TABLE = {'k': constant}\n"
         "def constant():\n    pass\n"
     )
-    assert unreached(tmp_path, {"a.main": "entry"}) == ["a.loop", "a.ping", "a.pong", "a.x"]
+    (tmp_path / "c.py").write_text(
+        "class Value:\n"
+        "    def __init__(self):\n        self.value = start()\n"
+        "    def read(self):\n        return self.value\n"
+        "    def unread(self):\n        pass\n"
+        "    def __add__(self, other):\n        return self\n"
+        "def start():\n    return 1\n"
+        "DEFAULT = Value().read()\n"
+    )
+    assert unreached(tmp_path, {"a.main": "entry"}) == [
+        "a.loop", "a.ping", "a.pong", "a.x", "c.Value.__add__", "c.Value.unread"
+    ]

@@ -328,12 +328,28 @@ class TestVerifyCommand:
 
         assert stirling.DEFAULT_CAP + 1 <= binary_trees.DEFAULT_CAP
 
-    def test_failure_exit_code(self, monkeypatch):
-        # force one check to disagree and confirm the suite reports nonzero
-        checks = [cli._check("forced", "n=1", lambda: 1, lambda: 2)]
-        assert [c.status for c in checks] == ["fail"]
-        text = cli._render_verify("drake", 2, checks, "text")
-        assert "FAIL forced" in text
+    def test_failure_exit_code(self, monkeypatch, capsys):
+        # drake.descent-vs-product is the one check that reads the rooted
+        # engine, so an engine wrong at n = 2 alone fails that check alone,
+        # and the run exits 1 where the same run unpatched exits 0
+        from gamma_forest import poly, rooted_trees
+
+        argv = ["verify", "--suite", "drake", "--n-max", "3", "--threads", "1"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "TOTAL suite=drake n_max=3 passed=11 failed=0 skipped=0"
+        )
+
+        def wrong_at_2(n, cap, _fn=rooted_trees.descent_polynomial):
+            return poly.IntPolynomial([2, 1]) if n == 2 else _fn(n, cap)
+
+        monkeypatch.setattr(rooted_trees, "descent_polynomial", wrong_at_2)
+        assert cli.main(argv) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if not line.startswith("PASS ")] == [
+            "FAIL drake.descent-vs-product n=2 expected=[1, 1] actual=[2, 1]",
+            "TOTAL suite=drake n_max=3 passed=10 failed=1 skipped=0",
+        ]
 
 
 class TestEnumerateCommand:

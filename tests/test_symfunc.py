@@ -129,8 +129,8 @@ class TestExpandELambda:
 
 class TestCombTypeExpansion:
     def test_reference_small(self):
-        assert comb_type_expansion(2).as_dict() == {(1,): 1}
-        assert comb_type_expansion(3).as_dict() == {(1, 1): 2, (2,): 1}
+        assert comb_type_expansion(2).terms == ((Partition((1,)), 1),)
+        assert comb_type_expansion(3).terms == ((Partition((1, 1)), 2), (Partition((2,)), 1))
 
     def test_weight(self):
         for n in range(2, 8):
