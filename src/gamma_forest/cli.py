@@ -20,7 +20,7 @@ import os
 import sys
 import time
 from collections import Counter
-from itertools import groupby
+from itertools import groupby, islice
 from types import ModuleType
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -366,13 +366,12 @@ def _csv_line(cells) -> str:
 
 
 # Rows mode.  Each row source yields (text, rows) blocks, header first in
-# csv: the lines of one parent object's children, of one object, or of the
-# rooted trees of one root and Prufer prefix, each line written in one step
-# in the loop that makes its object.  The engines take a line's head and a
-# function of its tail by value, cached per value, and splice the object
-# between them; the rooted rows join a whole block at once.  A family's
-# objects either all hold a comma or none do, so csv quotes them, or not,
-# once per call.
+# csv: the lines of one parent object's children, of one object, or of a
+# batch of about 1,024 rooted trees of one root.  The engines take a line's
+# head and a function of its tail by value, cached per value, and splice the
+# object between them; the rooted rows fill a template column by column.  A
+# family's objects either all hold a comma or none do, so csv quotes them,
+# or not, once per call.
 # _render_rows gathers whole blocks into chunks of at least ROW_CHUNK rows.
 
 ROW_CHUNK = 4096  # rows per stdout write in rows mode, plus less than a block
@@ -401,35 +400,44 @@ def _rooted_rows(stat: str, n: int, fmt: str) -> Iterator[tuple[str, int]]:
     # each tree's edge list, {"n":3,"root":2,"edges":[[2,1],[2,3]]} with the
     # edges sorted by child, as compact JSON, and its descent count (the
     # tests' tree_to_json_dict and des), from the records of
-    # rooted_trees._rooted_blocks, without building RootedTrees.  A record's
-    # bytes each pick one text: node 0, whose parent is always 0, the head (n
-    # and root), the root nothing, every other node its edge with a comma in
-    # front, save the first non-root node (1, or 2 at root 1), and the last
-    # byte, des, the tail.  So one join over the root's texts, cycled once
-    # per record, writes a whole block.  Only csv quotes the object, whose
-    # quotes sit in the head.
-    nodes = range(n + 1)
-    edge_text = [[f",[{p},{x}]" if p else "" for p in nodes] for x in nodes]
-    getitem = operator.getitem
+    # rooted_trees._rooted_blocks.  Each root has a line template with a
+    # k-byte slot, k = len(str(n)), for each non-root node's parent and for
+    # des.  A batch of m records fills m copies of it with one strided slice
+    # assignment per slot and digit.  Shorter labels are padded with NUL,
+    # which the decode drops (none below n = 10).
     if fmt == "csv":
         yield _csv_line(("object", "stat")), 1
-        tails = [f']}}",{d}\r\n' for d in nodes]
-    elif fmt == "json":
-        tails = [f'],"stat":{d}}}\n' for d in nodes]
-    else:
-        tails = [f"]}}\t{d}\n" for d in nodes]
+    k = len(str(n))
     w = n + 2
-    cycled_root = 0
-    for root, block in rooted_trees._rooted_blocks(n, n):
-        if root != cycled_root:
-            head = f'{{"n":{n},"root":{root},"edges":['
-            if fmt == "csv":
-                head = '"' + head.replace('"', '""')
-            bare = 3 if root == 1 else 2  # the first non-root node (and node 1) has no comma
-            texts = [[head], *([e[1:] for e in row] for row in edge_text[1:bare])]
-            cycled = (texts + edge_text[bare:] + [tails]) * n
-            cycled_root = root
-        yield "".join(map(getitem, cycled, block)), len(block) // w
+    labels = [str(p).rjust(k, "\0").encode() for p in range(n + 1)]
+    # digits[j] takes a label byte to the j-th of its k digits
+    digits = [bytes(label[j] for label in labels).ljust(256, b"\0") for j in range(k)]
+    slot = "\1" * k
+    per = -(-1024 // n)  # blocks per batch, each of n records from n = 3 on
+    for root, blocks in groupby(rooted_trees._rooted_blocks(n, n), key=operator.itemgetter(0)):
+        edges = ",".join(f"[{slot},{x}]" for x in range(1, n + 1) if x != root)
+        obj = f'{{"n":{n},"root":{root},"edges":[{edges}]}}'
+        if fmt == "csv":
+            line = '"' + obj.replace('"', '""') + '",' + slot + "\r\n"
+        elif fmt == "json":
+            line = obj[:-1] + ',"stat":' + slot + "}\n"
+        else:
+            line = obj + "\t" + slot + "\n"
+        template = line.encode()
+        size = len(template)
+        starts = [i for i in range(size) if template[i] == 1][::k]
+        fields = list(zip(starts, [x for x in range(1, w) if x != root]))  # des is byte n + 1
+        records = map(operator.itemgetter(1), blocks)
+        while batch := b"".join(islice(records, per)):
+            m = len(batch) // w
+            out = bytearray(template) * m
+            for pos, x in fields:
+                column = batch[x::w]
+                for j, table in enumerate(digits):
+                    out[pos + j :: size] = column.translate(table)
+            text = out.decode().replace("\0", "")
+            del out  # not held while the caller joins its chunk
+            yield text, m
 
 
 def _normalized_rows(stat: str, n: int, fmt: str) -> Iterator[tuple[str, int]]:

@@ -22,11 +22,12 @@ Enumeration runs over pairs (root, Prufer sequence): the sequence fixes the
 unrooted tree, the root orients it, and each of the n^(n-1) rooted trees
 appears exactly once.  A Prufer decode hangs each removed leaf from its
 sequence entry, so it gives the tree rooted at n as a parent array.
-`_decoded_blocks` decodes once per sequence, and `_rooted_blocks` hands over
-the n trees of one root and sequence prefix at a time, as one bytearray of
+`_decoded_blocks` decodes each sequence, and `_rooted_blocks` hands over the
+n trees of one root and sequence prefix at a time, as one bytearray of
 records of n + 2 bytes: a parent array, then des.  Root 1 appends each
 record, rooted at n, to one table of n^(n-2) (n+2) bytes (151 KB at n = 7,
-53 MB at n = 9) that roots 2..n copy from; a reroot reverses the path from
+53 MB at n = 9) that roots 2..n copy from; above TABLE_BYTES (from n = 10)
+there is no table, and every root decodes.  A reroot reverses the path from
 the root up to n, and moving the root from p down to its child x changes des
 by +1 if x > p and by -1 otherwise.  Neither side of the descent identity
 shares code with the other.  The per-tree functions (des, the Prufer codec,
@@ -43,6 +44,7 @@ from .errors import check_size
 from .poly import IntPolynomial, _Value
 
 DEFAULT_CAP = 9
+TABLE_BYTES = 1 << 26  # the largest table _rooted_blocks keeps
 
 
 class RootedTree(_Value):
@@ -89,20 +91,20 @@ def _rooted_blocks(n: int, cap: int) -> Iterator[tuple[int, bytearray]]:
     # seq), unvalidated, one block per root and sequence prefix: the n trees
     # whose sequences differ in the last entry only (one per root at n = 2),
     # as records of n + 2 bytes, parent array then des.  Root 1 fills the
-    # table as it streams, so the first rows come at once.  Each yielded
-    # block is its own; in each record the path from the root up to n is
-    # reversed in place, and des moves by +1 for each reversed edge from x up
-    # to a smaller label, by -1 otherwise.
+    # table, if kept, as it streams, so the first rows come at once.  Each
+    # yielded block is its own; in each record the path from the root up to n
+    # is reversed in place, and des moves by +1 for each reversed edge from x
+    # up to a smaller label, by -1 otherwise.
     check_size("enumerate_rooted_trees", n, cap)
     if n == 1:
         yield 1, bytearray(3)
         return
     w = n + 2
     lasts = [(x,) for x in range(1, n + 1)] if n > 2 else [()]  # at n = 2, the empty sequence
-    tab = bytearray()
+    tab = bytearray() if n ** (n - 2) * w <= TABLE_BYTES else None
     bw = w * len(lasts)
     for root in range(1, n + 1):
-        if root == 1:
+        if root == 1 or tab is None:
             blocks = _decoded_blocks(n, lasts, tab)
         else:
             blocks = (tab[b : b + bw] for b in range(0, len(tab), bw))
@@ -120,11 +122,11 @@ def _rooted_blocks(n: int, cap: int) -> Iterator[tuple[int, bytearray]]:
             yield root, block
 
 
-def _decoded_blocks(n: int, lasts: list[tuple[int, ...]], tab: bytearray) -> Iterator[bytearray]:
+def _decoded_blocks(n: int, lasts: list[tuple[int, ...]], tab: bytearray | None) -> Iterator[bytearray]:
     # the record of the tree rooted at n of every sequence on [n], its parent
     # array as the decode gives it and then its des, in blocks of the sequences
     # that extend one prefix by each of `lasts`; each block is appended to
-    # tab as it is decoded, and yielded as a copy
+    # tab (if any) as it is decoded, and yielded as a copy
     labels = range(1, n + 1)
     for prefix in product(labels, repeat=max(n - 3, 0)):
         counts = [1] * (n + 1)
@@ -155,7 +157,8 @@ def _decoded_blocks(n: int, lasts: list[tuple[int, ...]], tab: bytearray) -> Ite
             parent[leaf] = n
             parent[n + 1] = d + 1  # the last leaf hangs from n, above it
             block += parent
-        tab += block
+        if tab is not None:
+            tab += block
         yield block
 
 

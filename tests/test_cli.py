@@ -3,6 +3,8 @@
 import csv
 import io
 import json
+import operator
+import random
 import re
 import subprocess
 import sys
@@ -11,7 +13,7 @@ from itertools import groupby, islice
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gamma_forest import cli, stirling
+from gamma_forest import cli, rooted_trees, stirling
 
 
 def run_cli(*args, timeout=None):
@@ -455,14 +457,10 @@ class TestEnumerateCommand:
         # rows read the decoder's stream without building RootedTrees; the
         # validated trees, tree_to_json_dict and des are the oracle
         from gamma_forest.rooted_trees import enumerate_rooted_trees
-        from oracles import des, tree_to_json_dict
 
         for n in range(1, 7):
             chunks, refused = cli.cmd_enumerate("rooted", n, None, "json", "rows", False)
-            expected = "".join(
-                json.dumps({**tree_to_json_dict(t), "stat": des(t)}, separators=(",", ":")) + "\n"
-                for t in enumerate_rooted_trees(n)
-            )
+            expected = "".join(rooted_line(t, "json") for t in enumerate_rooted_trees(n))
             assert not refused
             assert_same_lines("".join(chunks), expected)
 
@@ -470,33 +468,71 @@ class TestEnumerateCommand:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_rooted_row_blocks_match_per_tree_path(self, n, fmt):
         # each validated tree through tree_to_json_dict, des and csv.writer;
-        # one block per root and Prufer prefix, so n rows from n = 3 on, one
-        # row per root at n = 2, and the one tree at n = 1
+        # one batch per root here, as a batch holds the trees of 1024 / n
+        # Prufer prefixes, rounded up, n a prefix from n = 3 on, one per root
+        # at n = 2
         from gamma_forest.rooted_trees import enumerate_rooted_trees
-        from oracles import des, prufer_encode, tree_to_json_dict
-
-        def line(t):
-            if fmt == "json":
-                doc = {**tree_to_json_dict(t), "stat": des(t)}
-                return json.dumps(doc, separators=(",", ":")) + "\n"
-            obj = json.dumps(tree_to_json_dict(t), separators=(",", ":"))
-            return csv_writer_text([(obj, des(t))]) if fmt == "csv" else f"{obj}\t{des(t)}\n"
-
-        def root_and_prefix(t):
-            if n == 1:
-                return None
-            edges = [(t.parent[x], x) for x in range(1, n + 1) if x != t.root]
-            return t.root, prufer_encode(n, edges).seq[:-1]
 
         expected = [
-            [line(t) for t in trees]
-            for _, trees in groupby(enumerate_rooted_trees(n), root_and_prefix)
+            [rooted_line(t, fmt) for t in trees]
+            for _, trees in groupby(enumerate_rooted_trees(n), operator.attrgetter("root"))
         ]
-        assert list(map(len, expected)) == {1: [1], 2: [1, 1], 3: [3] * 3, 4: [4] * 16}[n]
+        assert list(map(len, expected)) == {1: [1], 2: [1, 1], 3: [3] * 3, 4: [16] * 4}[n]
         if fmt == "csv":
             expected.insert(0, [csv_writer_text([("object", "stat")])])
         blocks = [("".join(lines), len(lines)) for lines in expected]
         assert list(cli.FAMILIES["rooted"].rows("des", n, fmt)) == blocks
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    @pytest.mark.parametrize("n", [10, 11])
+    def test_rooted_rows_pad_one_digit_labels(self, n, fmt):
+        # from n = 10 on each label has a two-byte slot, and a one-digit
+        # label leaves a pad byte that the row must drop: the first three
+        # batches of root 1, where parents run from 1 to n, against the
+        # per-tree path
+        from gamma_forest.rooted_trees import enumerate_rooted_trees
+
+        blocks = list(islice(cli.FAMILIES["rooted"].rows("des", n, fmt), 3 + (fmt == "csv")))
+        rows = sum(count for _, count in blocks) - (fmt == "csv")
+        trees = list(islice(enumerate_rooted_trees(n, cap=n), rows))
+        assert rows >= 3 * 1024 and {t.root for t in trees} == {1}
+        assert {t.parent[x] for t in trees for x in (2, n)} >= {1, 9, 10, n}
+        expected = "".join(rooted_line(t, fmt) for t in trees)
+        if fmt == "csv":
+            expected = csv_writer_text([("object", "stat")]) + expected
+        assert_same_lines("".join(text for text, _ in blocks), expected)
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_rooted_rows_pad_two_digit_des(self, monkeypatch, fmt):
+        # a root-1 tree has des at most n - 2, so des reaches two digits at
+        # n = 11 only past the 11^10 trees of root 1; records of chosen trees
+        # stand in for the stream: at each root the path 1 - 2 - ... - 11
+        # (des 10 at root 11) and five random trees
+        from gamma_forest.rooted_trees import RootedTree
+        from oracles import des
+
+        n, rng = 11, random.Random(11)
+        trees = []
+        for root in range(1, n + 1):
+            path = [0] + [x + 1 for x in range(1, root)] + [0] + [x - 1 for x in range(root + 1, n + 1)]
+            trees.append(RootedTree(n, root, path))
+            for _ in range(5):
+                order = [root] + rng.sample([x for x in range(1, n + 1) if x != root], n - 1)
+                parent = [0] * (n + 1)
+                for i in range(1, n):
+                    parent[order[i]] = rng.choice(order[:i])
+                trees.append(RootedTree(n, root, parent))
+        assert {des(t) for t in trees} >= {0, 9, 10}
+
+        def records(m, cap):
+            assert (m, cap) == (n, n)
+            return ((t.root, bytearray([*t.parent, des(t)])) for t in trees)
+
+        monkeypatch.setattr(rooted_trees, "_rooted_blocks", records)
+        expected = "".join(rooted_line(t, fmt) for t in trees)
+        if fmt == "csv":
+            expected = csv_writer_text([("object", "stat")]) + expected
+        assert_same_lines("".join(text for text, _ in cli._rooted_rows("des", n, fmt)), expected)
 
     def test_json_rows(self):
         r = run_cli(
@@ -520,6 +556,16 @@ def csv_writer_text(rows) -> str:
     buf = io.StringIO()
     csv.writer(buf).writerows(rows)
     return buf.getvalue()
+
+
+def rooted_line(t, fmt: str) -> str:
+    # a rooted tree's row through tree_to_json_dict, des and csv.writer
+    from oracles import des, tree_to_json_dict
+
+    if fmt == "json":
+        return json.dumps({**tree_to_json_dict(t), "stat": des(t)}, separators=(",", ":")) + "\n"
+    obj = json.dumps(tree_to_json_dict(t), separators=(",", ":"))
+    return csv_writer_text([(obj, des(t))]) if fmt == "csv" else f"{obj}\t{des(t)}\n"
 
 
 def oracle_rows(family: str, stat: str, n: int) -> tuple[tuple, list]:
@@ -621,11 +667,12 @@ class TestRowsMode:
     @pytest.mark.parametrize("fmt", ["text", "csv"])
     @pytest.mark.parametrize(
         "family, n, block",
-        # the most rows one block holds: rooted n trees (and the csv header),
-        # normalized and Stirling the children of one parent, colored trees
-        # at most 2^(n - 1) colorings of one tree
+        # the most rows one block holds: rooted a batch, the n trees of each
+        # of 1024 / n Prufer prefixes rounded up, normalized and Stirling the
+        # children of one parent, colored trees at most 2^(n - 1) colorings
+        # of one tree
         [
-            ("rooted", 6, 7),
+            ("rooted", 6, 171 * 6),
             ("normalized", 7, 11),
             ("stirling", 6, 11),
             ("combs", 6, 32),

@@ -293,6 +293,15 @@ def test_rows_output_unchanged(case):
     assert digest == ROW_DIGESTS[f"{family}-{stat}-{fmt}-{n}"]
 
 
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_rooted_rows_without_the_table_unchanged(fmt, monkeypatch):
+    # with the table cap at 0 no table is kept, and roots 2..n decode again
+    monkeypatch.setattr(rooted_trees, "TABLE_BYTES", 0)
+    status, digest = stdout_digest(row_argv("rooted", "des", fmt, 7))
+    assert status == 0
+    assert digest == ROW_DIGESTS[f"rooted-des-{fmt}-7"]
+
+
 @pytest.mark.parametrize("case", HISTOGRAM_CASES, ids=lambda c: "-".join(map(str, c)))
 def test_histogram_output_unchanged(case):
     family, stat, fmt, n = case

@@ -221,6 +221,22 @@ class TestEnumeration:
             tracemalloc.stop()
         assert peak < 2 * 7**5 * 8
 
+    def test_table_stays_within_its_cap(self, monkeypatch):
+        # the n = 6 table takes 6^4 * 8 bytes: a cap of that keeps it, one
+        # byte less makes none, and then every root decodes its own trees
+        size = 6**4 * 8
+        peaks = []
+        for cap in (size, size - 1):
+            monkeypatch.setattr(rooted_trees, "TABLE_BYTES", cap)
+            tracemalloc.start()
+            try:
+                for _ in rooted_trees._rooted_blocks(6, 6):
+                    pass
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] >= size > 4 * peaks[1]
+
     def test_cap(self):
         with pytest.raises(LimitExceededError):
             list(enumerate_rooted_trees(10))
